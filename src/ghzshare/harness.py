@@ -9,9 +9,8 @@ expected-vs-observed values for each assertion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -41,10 +40,10 @@ from .symexact import (
     BellPair,
     BellProductExpr,
     SymbolicState,
-    Term,
     bell_decompose,
     bell_terms,
     expand_product,
+    from_statevector,
     to_statevector,
 )
 
@@ -116,18 +115,34 @@ def configurations() -> Iterator[tuple[StateLabel, PauliGate, int]]:
                 yield label, gate, position
 
 
-def enumerate_branches(state: Statevector) -> Iterator[Branch]:
-    """All positive-probability (P1,P2,P3) outcome triples of one encoded state."""
-    for o1, (prob1, s1) in bell_probabilities(state, (1, 6)).items():
+def _walk(
+    state: Statevector,
+    o1s: Sequence[BellOutcome],
+    o2s: Sequence[BellOutcome],
+    o3s: Sequence[BellOutcome],
+) -> Iterator[Branch]:
+    """Measure (1,6), (2,5), (3,4) in turn, following the listed outcomes that can occur."""
+    probs1 = bell_probabilities(state, (1, 6))
+    for o1 in o1s:
+        prob1, s1 = probs1[o1]
         if s1 is None:
             continue
-        for o2, (prob2, s2) in bell_probabilities(s1, (2, 5)).items():
+        probs2 = bell_probabilities(s1, (2, 5))
+        for o2 in o2s:
+            prob2, s2 = probs2[o2]
             if s2 is None:
                 continue
-            for o3, (prob3, s3) in bell_probabilities(s2, (3, 4)).items():
+            probs3 = bell_probabilities(s2, (3, 4))
+            for o3 in o3s:
+                prob3, s3 = probs3[o3]
                 if s3 is None:
                     continue
                 yield Branch(o1, o2, o3, prob1 * prob2 * prob3, state, s1, s2, s3)
+
+
+def enumerate_branches(state: Statevector) -> Iterator[Branch]:
+    """All positive-probability (P1,P2,P3) outcome triples of one encoded state."""
+    yield from _walk(state, BELL_OUTCOMES, BELL_OUTCOMES, BELL_OUTCOMES)
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
@@ -230,24 +245,6 @@ def verify_summary(records: list[BranchRecord]) -> dict:
 # collapse table
 
 
-def _symbolic_from_vector(vec: np.ndarray, qubits: tuple[int, ...]) -> SymbolicState:
-    """Numeric-to-symbolic bridge for uniform-magnitude real vectors."""
-    flat = np.asarray(vec).reshape(-1)
-    support = [i for i in range(flat.size) if abs(flat[i]) > 1e-9]
-    if not support:
-        raise ValueError("zero vector")
-    mag = abs(flat[support[0]])
-    n = len(qubits)
-    terms = []
-    for i in support:
-        if abs(abs(flat[i]) - mag) > 1e-9:
-            raise ValueError("vector is not uniform-magnitude")
-        bits = tuple((i >> (n - 1 - k)) & 1 for k in range(n))
-        terms.append(Term(qubits, bits, 1 if flat[i] > 0 else -1))
-    exponent = round(-2.0 * math.log2(mag))
-    return SymbolicState.from_terms(qubits, terms, exponent)
-
-
 # The table as printed: per row the two Bell-product entries with their signs
 # and the pair subscripts attached to each printed ket.
 _S2345 = ((2, 3), (4, 5))
@@ -323,7 +320,7 @@ def table1() -> list[Table1Row]:
     for gate, outcome, printed_entries, printed_subs in PRINTED_TABLE:
         encoded = apply_gate(prepare_state(StateLabel.A), gate, 1)
         collapse = _unit(partial_inner(encoded, (1, 6), outcome))
-        post = _symbolic_from_vector(collapse, (2, 3, 4, 5))
+        post = from_statevector(collapse, (2, 3, 4, 5))
         decomp_2345 = bell_decompose(post, PAIRING_2345)
         decomp_2534 = bell_decompose(post, PAIRING_2534)
         matched = []
@@ -416,15 +413,7 @@ def _check_bool(name: str, condition: bool, expected: str, observed: str) -> Ass
 def _branch_probability(
     encoded: Statevector, o1: BellOutcome, o2: BellOutcome, o3: BellOutcome
 ) -> float:
-    prob = 1.0
-    state = encoded
-    for pair, outcome in (((1, 6), o1), ((2, 5), o2), ((3, 4), o3)):
-        p, post = bell_probabilities(state, pair)[outcome]
-        if post is None:
-            return 0.0
-        prob *= p
-        state = post
-    return prob
+    return next((b.probability for b in _walk(encoded, (o1,), (o2,), (o3,))), 0.0)
 
 
 def _announce_and_run(o2, o3, label, o1, position):
@@ -471,18 +460,15 @@ def scenario_lie_state() -> ScenarioReport:
     """Dealer prepared C and applied X at qubit 1, but announces state A."""
     true_gate, position = PauliGate.X, 1
     encoded = apply_gate(prepare_state(StateLabel.C), true_gate, position)
-    p1_prob, after_p1 = bell_probabilities(encoded, (1, 6))[A_P]
+    branches = list(_walk(encoded, (A_P,), BELL_OUTCOMES, BELL_OUTCOMES))
+    p1_prob = sum(b.probability for b in branches)
     collapse = _unit(partial_inner(encoded, (1, 6), A_P))
-    post = _symbolic_from_vector(collapse, (2, 3, 4, 5))
+    post = from_statevector(collapse, (2, 3, 4, 5))
     claimed = BellProductExpr(PAIRING_2345, ((A_P, A_P, 1), (A_M, A_M, -1)))
     claimed_vec = to_statevector(claimed.expand())
     collapse_matches = global_phase_equal(collapse, claimed_vec, PHASE_TOL)
 
-    assert after_p1 is not None
-    o2 = next(o for o, (p, s) in bell_probabilities(after_p1, (2, 5)).items() if s is not None)
-    _, after_p2 = bell_probabilities(after_p1, (2, 5))[o2]
-    assert after_p2 is not None
-    o3 = next(o for o, (p, s) in bell_probabilities(after_p2, (3, 4)).items() if s is not None)
+    o2, o3 = branches[0].o2, branches[0].o3
     deduction, trace = _announce_and_run(o2, o3, StateLabel.A, A_P, position)
 
     true_secret = decode_secret(GateAction(true_gate, position))
@@ -535,9 +521,7 @@ def scenario_lie_position() -> ScenarioReport:
     deduction, trace = _announce_and_run(o2, o3, label, o1, 6)
     expected_kept = (("000001", 1), ("111110", -1))
     observed_kept = trace.final_kept.term_signs() if trace and trace.final_kept else ()
-    deduced_secret = (
-        decode_secret(GateAction(PauliGate.IY, 6)) if deduction == "iY6" else deduction
-    )
+    deduced_secret = _secret_of(deduction)
     assertions = (
         _check_bool(
             "scripted branch has positive probability",
@@ -833,7 +817,7 @@ def scenario_eve_intercept() -> ScenarioReport:
         "p3_outcome": B_P.ascii,
     }
     states = {
-        "modified_state": _symbolic_from_vector(modified, (1, 2, 3, 4, 5, 6)).render(),
+        "modified_state": from_statevector(modified, (1, 2, 3, 4, 5, 6)).render(),
         "expansion": trace.expansion.render(),
         "kept_after_state_filter": trace.kept_mid.render(),
         "attached": trace.attached.render() if trace.attached else "",

@@ -55,7 +55,7 @@ def check_secret(bits: str) -> str:
 
 
 def check_position(position: int) -> int:
-    if position not in ENCODING_POSITIONS:
+    if type(position) is not int or position not in ENCODING_POSITIONS:
         raise ValueError(f"encoding position must be 1 or 6, got {position!r}")
     return position
 
@@ -142,15 +142,19 @@ Announcement = Union[MeasurementAnnouncement, StateLabelAnnouncement, PositionAn
 
 
 def announcement_from_dict(data: dict) -> Announcement:
-    kind = data.get("type")
-    if kind == "measurement":
-        return MeasurementAnnouncement(
-            data["party"], tuple(data["pair"]), outcome_from_ascii(data["outcome"])
-        )
-    if kind == "dealer_state":
-        return StateLabelAnnouncement(StateLabel(data["state"]))
-    if kind == "dealer_position":
-        return PositionAnnouncement(data["position"])
+    """Parse one announcement; malformed input raises ValueError."""
+    try:
+        kind = data["type"]
+        if kind == "measurement":
+            return MeasurementAnnouncement(
+                data["party"], tuple(data["pair"]), outcome_from_ascii(data["outcome"])
+            )
+        if kind == "dealer_state":
+            return StateLabelAnnouncement(StateLabel(data["state"]))
+        if kind == "dealer_position":
+            return PositionAnnouncement(data["position"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed announcement {data!r}: {exc!r}") from exc
     raise ValueError(f"unknown announcement type {kind!r}")
 
 
@@ -200,13 +204,18 @@ class Transcript:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Transcript":
-        config = data["true_config"]
-        return cls(
-            seed=data["seed"],
-            true_label=StateLabel(config["state"]),
-            true_action=GateAction(PauliGate(config["gate"]), config["position"]),
-            announcements=tuple(announcement_from_dict(a) for a in data["announcements"]),
-        )
+        """Parse a transcript; malformed input raises ValueError."""
+        try:
+            seed = data["seed"]
+            config = data["true_config"]
+            true_label = StateLabel(config["state"])
+            true_action = GateAction(PauliGate(config["gate"]), config["position"])
+            announcements = tuple(announcement_from_dict(a) for a in data["announcements"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed transcript: {exc!r}") from exc
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        return cls(seed, true_label, true_action, announcements)
 
     @classmethod
     def from_json(cls, text: str) -> "Transcript":

@@ -118,11 +118,6 @@ class BellOutcome(Enum):
             "-": "⁻",
         }[self.value[1]]
 
-    @property
-    def ket_signs(self) -> dict[tuple[int, int], int]:
-        """Signs of the two computational components (coefficient 1/sqrt2 each)."""
-        return dict(_BELL_KET_SIGNS[self])
-
 
 _BELL_KET_SIGNS = {
     BellOutcome.A_PLUS: {(0, 0): 1, (1, 1): 1},
@@ -151,10 +146,6 @@ def bits_to_index(bits: tuple[int, ...]) -> int:
     for b in bits:
         index = (index << 1) | b
     return index
-
-
-def index_to_bits(index: int) -> tuple[int, ...]:
-    return tuple((index >> (N_QUBITS - 1 - k)) & 1 for k in range(N_QUBITS))
 
 
 def prepare_state(label: StateLabel) -> Statevector:

@@ -35,6 +35,7 @@ from .symexact import (
     bell_terms,
     equal_up_to_global_sign,
     expand_product,
+    restrict,
 )
 
 MIDDLE_QUBITS = (2, 3, 4, 5)
@@ -119,7 +120,7 @@ def filter_support(state: SymbolicState, label: StateLabel) -> FilterResult:
     allowed = _support_pairs(label)
     kept, discarded = [], []
     for t in state.terms:
-        (kept if t.restrict((4, 5)) in allowed else discarded).append(t)
+        (kept if restrict(state.qubits, t, (4, 5)) in allowed else discarded).append(t)
     return FilterResult(tuple(kept), tuple(discarded))
 
 
@@ -147,14 +148,12 @@ def filter_untouched(state: SymbolicState, label: StateLabel, position: int) -> 
     allowed = set(label.half_support)
     kept, discarded = [], []
     for t in state.terms:
-        (kept if t.restrict(half) in allowed else discarded).append(t)
+        (kept if restrict(state.qubits, t, half) in allowed else discarded).append(t)
     return FilterResult(tuple(kept), tuple(discarded))
 
 
 def _half_reference(label: StateLabel, qubits: tuple[int, int, int]) -> SymbolicState:
-    terms = [
-        Term(qubits, tuple(int(c) for c in h), 1) for h in sorted(label.half_support)
-    ]
+    terms = [Term(tuple(int(c) for c in h), 1) for h in sorted(label.half_support)]
     return SymbolicState.from_terms(qubits, terms, 1)
 
 
@@ -173,8 +172,8 @@ def infer_gate(kept: SymbolicState, label: StateLabel, position: int) -> GateAct
     half = toggled_half(position)
     restricted = []
     for t in kept.terms:
-        bits = tuple(int(c) for c in t.restrict(half))
-        restricted.append(Term(half, bits, t.sign))
+        bits = tuple(int(c) for c in restrict(kept.qubits, t, half))
+        restricted.append(Term(bits, t.sign))
     if restricted[0].bits == restricted[1].bits:
         raise NoMatch("kept terms collapse onto one toggled-half pattern")
     target = SymbolicState.from_terms(half, restricted, 1)
@@ -196,16 +195,17 @@ def tamper_report(
 ) -> Optional[TamperReport]:
     """Bit-flip hypothesis from the untouched-half discards.
 
-    Each discarded term's untouched triple is compared against the nearest
-    support string; a report is issued only when a single common qubit at
-    Hamming distance 1 explains every discard.
+    The discards are terms over qubits 1..6, as filter_untouched leaves
+    them.  Each discarded term's untouched triple is compared against the
+    nearest support string; a report is issued only when a single common
+    qubit at Hamming distance 1 explains every discard.
     """
     if not untouched_discarded:
         return None
     half = untouched_half(position)
     flips = set()
     for term in untouched_discarded:
-        triple = term.restrict(half)
+        triple = restrict(ALL_QUBITS, term, half)
         best = min(label.half_support, key=lambda h: _hamming(triple, h))
         nearest = _hamming(triple, best)
         if nearest != 1:

@@ -6,6 +6,9 @@ normalization factor 2**(-k/2).  Every state reachable in this protocol
 has coefficients of that form (the gates are real and Bell kets have
 +/-1/sqrt2 entries), so no general complex algebra is needed.
 
+A state holds its qubit layout once; a term is a bit pattern over it and
+a sign.  ``to_statevector``/``from_statevector`` bridge to dense vectors.
+
 Canonical form sorts terms by bit pattern and cancels opposite-sign
 duplicates; same-pattern terms that add instead of cancelling are
 absorbed into the normalization exponent when the multiplicity is a
@@ -14,6 +17,7 @@ uniform power of two.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,29 +46,16 @@ class EmptyState(SymexactError):
 
 @dataclass(frozen=True, order=True)
 class Term:
-    """One signed computational-basis ket over an explicit qubit set."""
+    """One signed computational-basis ket; its state holds the qubit layout."""
 
-    qubits: tuple[int, ...]
     bits: tuple[int, ...]
     sign: int
 
     def __post_init__(self) -> None:
         if self.sign not in (1, -1):
             raise ValueError(f"term sign must be +/-1, got {self.sign!r}")
-        if len(self.qubits) != len(self.bits):
-            raise ValueError("qubits and bits must have equal length")
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError(f"bits must be 0/1, got {self.bits!r}")
-        if tuple(sorted(set(self.qubits))) != self.qubits:
-            raise ValueError(f"qubits must be strictly ascending, got {self.qubits!r}")
-
-    def restrict(self, qubits: Sequence[int]) -> str:
-        """Bits read off in the given qubit order, sign ignored."""
-        lookup = dict(zip(self.qubits, self.bits))
-        try:
-            return "".join(str(lookup[q]) for q in qubits)
-        except KeyError as exc:
-            raise ValueError(f"qubit {exc.args[0]} not in term over {self.qubits}") from exc
 
     def key(self) -> str:
         return "".join(str(b) for b in self.bits)
@@ -73,17 +64,24 @@ class Term:
         return ("+" if self.sign > 0 else "-") + "|" + self.key() + ">"
 
 
-def restrict(term: Term, qubits: Sequence[int]) -> str:
-    return term.restrict(qubits)
+def restrict(layout: Sequence[int], term: Term, qubits: Sequence[int]) -> str:
+    """Bits of a term of a state over ``layout``, read off in the given qubit order."""
+    lookup = dict(zip(layout, term.bits))
+    try:
+        return "".join(str(lookup[q]) for q in qubits)
+    except KeyError as exc:
+        raise ValueError(f"qubit {exc.args[0]} not in state over {tuple(layout)}") from exc
 
 
 def _canonical(
     qubits: tuple[int, ...], raw_terms: Iterable[Term], norm_exponent: int
 ) -> tuple[tuple[Term, ...], int]:
+    if tuple(sorted(set(qubits))) != qubits:
+        raise ValueError(f"qubits must be strictly ascending, got {qubits!r}")
     net: dict[tuple[int, ...], int] = {}
     for t in raw_terms:
-        if t.qubits != qubits:
-            raise ValueError(f"term over {t.qubits} does not match state qubits {qubits}")
+        if len(t.bits) != len(qubits):
+            raise ValueError(f"term {t.render()} does not match state qubits {qubits}")
         net[t.bits] = net.get(t.bits, 0) + t.sign
     counts = {abs(v) for v in net.values() if v != 0}
     if not counts:
@@ -94,9 +92,7 @@ def _canonical(
     if mult & (mult - 1):
         raise SymexactError(f"multiplicity {mult} is not a power of two")
     norm_exponent -= 2 * (mult.bit_length() - 1)
-    terms = tuple(
-        Term(qubits, bits, 1 if v > 0 else -1) for bits, v in sorted(net.items()) if v != 0
-    )
+    terms = tuple(Term(bits, 1 if v > 0 else -1) for bits, v in sorted(net.items()) if v != 0)
     return terms, norm_exponent
 
 
@@ -119,7 +115,7 @@ class SymbolicState:
     def negate(self) -> "SymbolicState":
         return SymbolicState(
             self.qubits,
-            tuple(Term(t.qubits, t.bits, -t.sign) for t in self.terms),
+            tuple(Term(t.bits, -t.sign) for t in self.terms),
             self.norm_exponent,
         )
 
@@ -136,7 +132,7 @@ class SymbolicState:
 
 def identity_state() -> SymbolicState:
     """The empty tensor factor: one sign-+1 term over no qubits."""
-    return SymbolicState((), (Term((), (), 1),), 0)
+    return SymbolicState((), (Term((), 1),), 0)
 
 
 def bell_terms(outcome: BellOutcome, pair: BellPair) -> SymbolicState:
@@ -149,7 +145,7 @@ def bell_terms(outcome: BellOutcome, pair: BellPair) -> SymbolicState:
     terms = []
     for (k1, k2), sign in _BELL_KET_SIGNS[outcome].items():
         bits = (k1, k2) if ascending else (k2, k1)
-        terms.append(Term(qubits, bits, sign))
+        terms.append(Term(bits, sign))
     return SymbolicState.from_terms(qubits, terms, 1)
 
 
@@ -167,10 +163,10 @@ def expand_product(parts: Sequence[SymbolicState]) -> SymbolicState:
     for combo in itertools.product(*(p.terms for p in parts)):
         assignment: dict[int, int] = {}
         sign = 1
-        for t in combo:
+        for part, t in zip(parts, combo):
             sign *= t.sign
-            assignment.update(zip(t.qubits, t.bits))
-        raw.append(Term(qubits, tuple(assignment[q] for q in qubits), sign))
+            assignment.update(zip(part.qubits, t.bits))
+        raw.append(Term(tuple(assignment[q] for q in qubits), sign))
     return SymbolicState.from_terms(qubits, raw, norm_exponent)
 
 
@@ -205,7 +201,7 @@ def apply_gate_sym(state: SymbolicState, gate: PauliGate, qubit: int) -> Symboli
             sign = -sign if bit == 0 else sign
             bit = 1 - bit
         bits = t.bits[:pos] + (bit,) + t.bits[pos + 1 :]
-        new_terms.append(Term(t.qubits, bits, sign))
+        new_terms.append(Term(bits, sign))
     return SymbolicState.from_terms(state.qubits, new_terms, state.norm_exponent)
 
 
@@ -294,16 +290,34 @@ def bell_decompose(
     return expr
 
 
+@functools.cache
+def _basis_index(n: int) -> dict[tuple[int, ...], int]:
+    """Dense-vector index of each n-bit pattern, in index order; the first qubit is the MSB."""
+    return {bits: i for i, bits in enumerate(itertools.product((0, 1), repeat=n))}
+
+
 def to_statevector(state: SymbolicState) -> np.ndarray:
     """Normalized dense vector over the state's qubits, ascending order."""
     if not state.terms:
         raise EmptyState("all terms cancelled")
-    n = len(state.qubits)
-    vec = np.zeros(2**n)
-    scale = 2.0 ** (-state.norm_exponent / 2.0)
+    index = _basis_index(len(state.qubits))
+    vec = np.zeros(len(index))
     for t in state.terms:
-        index = 0
-        for b in t.bits:
-            index = (index << 1) | b
-        vec[index] = t.sign * scale
-    return vec / math.sqrt(float(np.sum(vec * vec)))
+        vec[index[t.bits]] = t.sign
+    return vec / math.sqrt(len(state.terms))
+
+
+def from_statevector(vec: np.ndarray, qubits: Sequence[int]) -> SymbolicState:
+    """Symbolic form of a uniform-magnitude real vector; inverse of to_statevector."""
+    flat = np.asarray(vec).reshape(-1)
+    index = _basis_index(len(qubits))
+    if flat.size != len(index):
+        raise ValueError(f"vector of size {flat.size} does not span qubits {tuple(qubits)}")
+    support = [(bits, amp) for bits, amp in zip(index, flat.tolist()) if abs(amp) > 1e-9]
+    if not support:
+        raise ValueError("zero vector")
+    mag = abs(support[0][1])
+    if any(abs(abs(amp) - mag) > 1e-9 for _, amp in support):
+        raise ValueError("vector is not uniform-magnitude")
+    terms = [Term(bits, 1 if amp > 0 else -1) for bits, amp in support]
+    return SymbolicState.from_terms(qubits, terms, round(-2.0 * math.log2(mag)))

@@ -1,0 +1,61 @@
+"""Reconstruction over all 512 announcement tuples, against a closed-form oracle.
+
+Write each Bell outcome as a parity bit (a=0, b=1) and a phase bit (+=0,
+-=1), and each gate as a Pauli frame (x, z): I=(0,0), X=(1,0), iY=(1,1),
+Z=(0,1).  A tuple (label, position, P1, P2, P3) is honest-reachable exactly
+when par(P2) ^ par(P3) == (label in {B, C}), and then the dealer's gate is
+x = par(P1) ^ par(P3), z = ph(P1) ^ ph(P2) ^ ph(P3) at the announced
+position, whatever the label.  Every other tuple is rejected with NoMatch:
+half of them because no term survives the untouched-half filter, half
+because no gate maps the reference onto the two surviving terms.  The
+formula is kept here, apart from the reconstruction code, as an
+independent oracle.
+"""
+
+import itertools
+
+from ghzshare.protocol import GateAction, decode_secret, make_announcements
+from ghzshare.qcore import BELL_OUTCOMES, LABELS, PauliGate, StateLabel
+from ghzshare.recon import NoMatch, reconstruct
+
+FRAME = {(0, 0): PauliGate.I, (1, 0): PauliGate.X, (1, 1): PauliGate.IY, (0, 1): PauliGate.Z}
+
+TUPLES = tuple(itertools.product(LABELS, (1, 6), BELL_OUTCOMES, BELL_OUTCOMES, BELL_OUTCOMES))
+
+
+def par(outcome) -> int:
+    return int(outcome.value[0] == "b")
+
+
+def ph(outcome) -> int:
+    return int(outcome.value[1] == "-")
+
+
+def rejecting_stage(exc: NoMatch) -> str:
+    trace = exc.trace
+    if trace.attached is None:
+        return "support filter"
+    if len(trace.final_kept.terms) != 2:
+        return "untouched-half filter"
+    return "infer_gate"
+
+
+def test_reconstruct_matches_the_pauli_frame_on_all_512_tuples():
+    assert len(TUPLES) == 512
+    rejections = {"support filter": 0, "untouched-half filter": 0, "infer_gate": 0}
+    for label, position, o1, o2, o3 in TUPLES:
+        reachable = (par(o2) ^ par(o3)) == (label in (StateLabel.B, StateLabel.C))
+        announced = (label.value, position, o1.value, o2.value, o3.value)
+        try:
+            result = reconstruct(make_announcements(o2, o3, label, o1, position))
+        except NoMatch as exc:
+            assert type(exc) is NoMatch, announced
+            assert not reachable, announced
+            rejections[rejecting_stage(exc)] += 1
+            continue
+        assert reachable, announced
+        frame = (par(o1) ^ par(o3), ph(o1) ^ ph(o2) ^ ph(o3))
+        action = GateAction(FRAME[frame], position)
+        assert result.action == action, announced
+        assert result.secret == decode_secret(action), announced
+    assert rejections == {"support filter": 0, "untouched-half filter": 128, "infer_gate": 128}

@@ -1,0 +1,67 @@
+"""Golden byte pin: SHA-256 of the CLI's standard output and its exit code.
+
+Any change to an output byte, in either format, fails here. The structured
+digests are the ones the benchmark records for its audit workload; the rest
+were recorded from the same code. Record again only for a change that is
+meant to alter output, and say so in the change.
+"""
+
+import hashlib
+
+import pytest
+
+from ghzshare.cli import main
+
+GOLDEN = {
+    ("verify", "--format", "structured"): (
+        "9a6114e9d7e4310cb78a0a491d42e1642f4a1f7979ff643fb0a35477a4499cc9",
+        0,
+    ),
+    ("table", "--format", "structured"): (
+        "edb35dd01769d77576157d29335aec1b1099724e4c8bf5148e6b5c95e6ecb93a",
+        0,
+    ),
+    ("scenario", "lie-state", "--format", "structured"): (
+        "ec63d0b3fa1e0567b486467167a6abc2d1a72ba5f99ebe3e66eca03657287a60",
+        1,
+    ),
+    ("scenario", "lie-position", "--format", "structured"): (
+        "123d39323778b08e91281b7305e90be8dbce75e99f0d7be759b764fdacfba21b",
+        0,
+    ),
+    ("scenario", "p1-withholds", "--format", "structured"): (
+        "51e48c9544ed9bc1b98b9dc8fa371f756ee0db3476e9034e9a1ce70d55b12938",
+        0,
+    ),
+    ("scenario", "no-collusion", "--format", "structured"): (
+        "a27a284e27cb8d7ebeb9f12bdab2b2fd34c19093a7d1283115835b8bccf9263c",
+        0,
+    ),
+    ("scenario", "eve-intercept", "--format", "structured"): (
+        "44e11ef97b3119d33848bab822c39362fc0dc181a681d29968451b364156e36f",
+        1,
+    ),
+    ("run", "--seed", "7"): (
+        "df3e9146f1e76343066614ca27125b7bc0781030cc9eb6fc2643de33f513673f",
+        0,
+    ),
+    ("run", "--seed", "7", "--format", "structured"): (
+        "9bed14c9591b873888dbb732a7f74f05dd5e93f7b8dcdf9fec81c9bae916638d",
+        0,
+    ),
+    ("verify",): (
+        "b53193f80fc7a794ec70479e7a06e830e38b1ec5fb3129721c1bd22cc9f82dfb",
+        0,
+    ),
+    ("table",): (
+        "97425bf5716dd2bb8874bec022b81be2ad3852d0a357bd2e174f0d7b79a1dcd9",
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
+def test_cli_output_is_byte_identical(argv, capsys):
+    code = main(list(argv))
+    stdout = capsys.readouterr().out.encode()
+    assert (hashlib.sha256(stdout).hexdigest(), code) == GOLDEN[argv]

@@ -1,8 +1,11 @@
 """Protocol state machine tests: encoding, transcripts, determinism."""
 
+import copy
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzshare.protocol import (
     GateAction,
@@ -152,3 +155,99 @@ def test_transcript_json_round_trip():
 def test_measurement_announcement_pair_ownership():
     with pytest.raises(ValueError):
         MeasurementAnnouncement("P1", (2, 5), BellOutcome.A_PLUS)
+
+
+def _valid_transcript_dict() -> dict:
+    return run_protocol(None, "01", None, seed=42).to_dict()
+
+
+def _delete(path):
+    def mutate(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        del doc[last]
+
+    return mutate
+
+
+def _set(path, value):
+    def mutate(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+
+    return mutate
+
+
+MALFORMED = {
+    "missing seed": _delete(("seed",)),
+    "missing true_config": _delete(("true_config",)),
+    "missing announcements": _delete(("announcements",)),
+    "missing config state": _delete(("true_config", "state")),
+    "missing outcome": _delete(("announcements", 0, "outcome")),
+    "missing announcement type": _delete(("announcements", 2, "type")),
+    "pair is a number": _set(("announcements", 0, "pair"), 5),
+    "seed is a string": _set(("seed",), "abc"),
+    "seed is a boolean": _set(("seed",), True),
+    "announcements is a number": _set(("announcements",), 7),
+    "announcement is a string": _set(("announcements", 1), "P3"),
+    "party is a list": _set(("announcements", 0, "party"), ["P2"]),
+    "unknown gate": _set(("true_config", "gate"), "Y"),
+    "position out of range": _set(("announcements", 4, "position"), 3),
+    "position is a boolean": _set(("announcements", 4, "position"), True),
+    "config position is a float": _set(("true_config", "position"), 1.0),
+}
+
+
+@pytest.mark.parametrize("mutate", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_transcript_raises_value_error(mutate):
+    doc = _valid_transcript_dict()
+    mutate(doc)
+    with pytest.raises(ValueError):
+        Transcript.from_dict(doc)
+
+
+@pytest.mark.parametrize("text", ["[]", "null", "5", '"transcript"', "{"])
+def test_non_object_json_raises_value_error(text):
+    with pytest.raises(ValueError):
+        Transcript.from_json(text)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_transcript_parser_raises_only_value_error(data):
+    valid = _valid_transcript_dict()
+    path = data.draw(st.sampled_from(list(_paths(valid))))
+    replacement = data.draw(st.none() | JSON_VALUES, label="replacement (None: delete)")
+    if not path:
+        doc = replacement
+    else:
+        doc = copy.deepcopy(valid)
+        (_set(path, replacement) if replacement is not None else _delete(path))(doc)
+    try:
+        parsed = Transcript.from_dict(doc)
+    except ValueError:
+        return
+    assert Transcript.from_dict(parsed.to_dict()) == parsed

@@ -27,6 +27,7 @@ from ghzshare.symexact import (
     bell_decompose,
     bell_terms,
     expand_product,
+    from_statevector,
     identity_state,
     restrict,
     to_statevector,
@@ -37,7 +38,7 @@ A_P, A_M, B_P, B_M = BELL_OUTCOMES
 
 def state_of(qubits, signed_bits, k=0):
     terms = [
-        Term(tuple(qubits), tuple(int(c) for c in bits), sign)
+        Term(tuple(int(c) for c in bits), sign)
         for bits, sign in signed_bits
     ]
     return SymbolicState.from_terms(tuple(qubits), terms, k)
@@ -113,13 +114,7 @@ def test_bell_decompose_round_trip_reachable_states():
                 if p == 0.0:
                     continue
                 rest = partial_inner(encoded, (1, 6), outcome)
-                rest = rest / np.linalg.norm(rest)
-                terms = []
-                for i in range(16):
-                    if abs(rest[i]) > 1e-9:
-                        bits = tuple((i >> (3 - k)) & 1 for k in range(4))
-                        terms.append(Term((2, 3, 4, 5), bits, 1 if rest[i] > 0 else -1))
-                s = SymbolicState.from_terms((2, 3, 4, 5), terms, 1)
+                s = from_statevector(rest / np.linalg.norm(rest), (2, 3, 4, 5))
                 for pairing in (((2, 3), (4, 5)), ((2, 5), (3, 4))):
                     expr = bell_decompose(s, pairing)
                     assert expr.expand().terms == s.terms
@@ -158,8 +153,8 @@ def test_to_statevector_four_terms_quarter_magnitudes():
 
 def test_cancellation_raises_empty_state():
     terms = [
-        Term((1, 2, 3, 4, 5, 6), (0,) * 6, 1),
-        Term((1, 2, 3, 4, 5, 6), (0,) * 6, -1),
+        Term((0,) * 6, 1),
+        Term((0,) * 6, -1),
     ]
     s = SymbolicState.from_terms((1, 2, 3, 4, 5, 6), terms, 0)
     assert s.terms == ()
@@ -168,11 +163,80 @@ def test_cancellation_raises_empty_state():
 
 
 def test_restrict():
-    t = Term((1, 2, 3, 4, 5, 6), (0, 1, 1, 0, 0, 0), 1)
-    assert restrict(t, (4, 5, 6)) == "000"
-    u = Term((1, 2, 3, 4, 5, 6), (1, 0, 0, 1, 1, 1), -1)
-    assert restrict(u, (1, 2, 3)) == "100"
-    assert restrict(u, ()) == ""
+    layout = (1, 2, 3, 4, 5, 6)
+    t = Term((0, 1, 1, 0, 0, 0), 1)
+    assert restrict(layout, t, (4, 5, 6)) == "000"
+    u = Term((1, 0, 0, 1, 1, 1), -1)
+    assert restrict(layout, u, (1, 2, 3)) == "100"
+    assert restrict(layout, u, ()) == ""
+    assert restrict((2, 3, 4, 5), Term((0, 1, 1, 0), 1), (5, 2)) == "00"
+    with pytest.raises(ValueError):
+        restrict((2, 3, 4, 5), Term((0, 1, 1, 0), 1), (1,))
+
+
+@pytest.mark.parametrize(
+    "qubits,bits",
+    [((2, 1), (0, 1)), ((1, 1), (0, 1)), ((1, 2, 3), (0, 1)), ((1, 2), (0, 1, 1))],
+    ids=["descending", "duplicate", "short-bits", "long-bits"],
+)
+def test_from_terms_rejects_bad_layout(qubits, bits):
+    with pytest.raises(ValueError):
+        SymbolicState.from_terms(qubits, [Term(bits, 1)])
+
+
+@pytest.mark.parametrize(
+    "bits,sign", [((0, 1), 0), ((0, 1), 2), ((0, 1), -2), ((0, 2), 1), ((1, -1), 1)]
+)
+def test_term_rejects_bad_sign_or_bits(bits, sign):
+    with pytest.raises(ValueError):
+        Term(bits, sign)
+
+
+def _pipeline_states():
+    """Every non-empty 4- and 6-qubit state of the pipeline, over all 512 tuples."""
+    from ghzshare.protocol import make_announcements
+    from ghzshare.recon import NoMatch, reconstruct_trace
+
+    for label in LABELS:
+        for position in (1, 6):
+            for o1, o2, o3 in itertools.product(BELL_OUTCOMES, repeat=3):
+                announcements = make_announcements(o2, o3, label, o1, position)
+                try:
+                    trace = reconstruct_trace(announcements)
+                except NoMatch as exc:
+                    trace = exc.trace
+                for s in (trace.expansion, trace.kept_mid, trace.attached, trace.final_kept):
+                    if s is not None and s.terms:
+                        yield s
+
+
+def test_statevector_bridge_round_trips_pipeline_states():
+    seen = 0
+    for s in _pipeline_states():
+        # Dense vectors are unit norm, so compare at the unit-norm exponent.
+        s = SymbolicState(s.qubits, s.terms, len(s.terms).bit_length() - 1)
+        assert from_statevector(to_statevector(s), s.qubits) == s
+        seen += 1
+    assert seen > 512
+
+
+def test_statevector_bridge_round_trips_encoded_states():
+    for label in LABELS:
+        for gate in GATES:
+            for position in (1, 6):
+                encoded = apply_gate(prepare_state(label), gate, position)
+                s = from_statevector(encoded, (1, 2, 3, 4, 5, 6))
+                assert s.norm_exponent == 2 and len(s.terms) == 4
+                assert np.allclose(to_statevector(s), encoded, rtol=0, atol=1e-12)
+
+
+def test_from_statevector_rejects_bad_vectors():
+    with pytest.raises(ValueError):
+        from_statevector(np.zeros(16), (2, 3, 4, 5))
+    with pytest.raises(ValueError):
+        from_statevector(np.array([0.8, 0.6, 0.0, 0.0]), (1, 2))
+    with pytest.raises(ValueError):
+        from_statevector(np.array([1.0, 0.0]), (1, 2))
 
 
 def test_canonical_order_is_ascending_and_stable():
