@@ -11,6 +11,7 @@ transcript's ground truth is never consulted.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -153,8 +154,15 @@ def filter_untouched(state: SymbolicState, label: StateLabel, position: int) -> 
 
 
 def _half_reference(label: StateLabel, qubits: tuple[int, int, int]) -> SymbolicState:
-    terms = [Term(tuple(int(c) for c in h), 1) for h in sorted(label.half_support)]
+    terms = [Term(int(h, 2), 1) for h in sorted(label.half_support)]
     return SymbolicState.from_terms(qubits, terms, 1)
+
+
+@functools.cache
+def _gate_images(label: StateLabel, position: int) -> tuple[tuple[PauliGate, SymbolicState], ...]:
+    """Each candidate gate applied to the announced state's toggled GHZ half."""
+    reference = _half_reference(label, toggled_half(position))
+    return tuple((gate, apply_gate_sym(reference, gate, position)) for gate in GATES)
 
 
 def infer_gate(kept: SymbolicState, label: StateLabel, position: int) -> GateAction:
@@ -170,18 +178,14 @@ def infer_gate(kept: SymbolicState, label: StateLabel, position: int) -> GateAct
     if len(kept.terms) != 2:
         raise NoMatch(f"expected exactly 2 kept terms, got {len(kept.terms)}")
     half = toggled_half(position)
-    restricted = []
-    for t in kept.terms:
-        bits = tuple(int(c) for c in restrict(kept.qubits, t, half))
-        restricted.append(Term(bits, t.sign))
+    restricted = [Term(int(restrict(kept.qubits, t, half), 2), t.sign) for t in kept.terms]
     if restricted[0].bits == restricted[1].bits:
         raise NoMatch("kept terms collapse onto one toggled-half pattern")
     target = SymbolicState.from_terms(half, restricted, 1)
-    reference = _half_reference(label, half)
     matches = [
         gate
-        for gate in GATES
-        if equal_up_to_global_sign(apply_gate_sym(reference, gate, position), target)
+        for gate, image in _gate_images(label, position)
+        if equal_up_to_global_sign(image, target)
     ]
     if not matches:
         raise NoMatch(f"no gate maps the reference onto {target.render()}")
@@ -241,10 +245,16 @@ def _validated(announcements: Sequence[Announcement]):
     return p2.outcome, p3.outcome, state_ann.label, p1.outcome, pos_ann.position
 
 
+@functools.cache
+def _expansion(o2: BellOutcome, o3: BellOutcome) -> SymbolicState:
+    """The P2 x P3 product of the announced (2,5) and (3,4) Bell kets, over qubits 2..5."""
+    return expand_product([bell_terms(o2, P2_PAIR), bell_terms(o3, P3_PAIR)])
+
+
 def reconstruct_trace(announcements: Sequence[Announcement]) -> PipelineTrace:
     """Run the full pipeline, keeping every intermediate for reporting."""
     o2, o3, label, o1, position = _validated(announcements)
-    expansion = expand_product([bell_terms(o2, P2_PAIR), bell_terms(o3, P3_PAIR)])
+    expansion = _expansion(o2, o3)
     support = filter_support(expansion, label)
     kept_mid = SymbolicState.from_terms(MIDDLE_QUBITS, support.kept, expansion.norm_exponent)
     if not kept_mid.terms:

@@ -6,8 +6,15 @@ normalization factor 2**(-k/2).  Every state reachable in this protocol
 has coefficients of that form (the gates are real and Bell kets have
 +/-1/sqrt2 entries), so no general complex algebra is needed.
 
-A state holds its qubit layout once; a term is a bit pattern over it and
-a sign.  ``to_statevector``/``from_statevector`` bridge to dense vectors.
+A state holds its qubit layout once; a term is a sign and a bit pattern
+over that layout, stored as one integer whose most significant bit is the
+layout's first qubit, so a pattern's integer is its dense-vector index.
+Qubits are read and moved with shifts, masks and XOR.
+``to_statevector``/``from_statevector`` bridge to dense vectors.
+
+Values that depend only on a few small keys (a Bell ket on a pair, the
+sixteen Bell-product expansions of a pairing) are cached tables, filled on
+first use; states are immutable, so every caller may share them.
 
 Canonical form sorts terms by bit pattern and cancels opposite-sign
 duplicates; same-pattern terms that add instead of cancelling are
@@ -21,7 +28,8 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,42 +54,57 @@ class EmptyState(SymexactError):
 
 @dataclass(frozen=True, order=True)
 class Term:
-    """One signed computational-basis ket; its state holds the qubit layout."""
+    """One signed computational-basis ket; its state holds the qubit layout.
 
-    bits: tuple[int, ...]
+    ``bits`` is the pattern as an integer, the layout's first qubit being the
+    most significant bit.
+    """
+
+    bits: int
     sign: int
 
     def __post_init__(self) -> None:
         if self.sign not in (1, -1):
             raise ValueError(f"term sign must be +/-1, got {self.sign!r}")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"bits must be 0/1, got {self.bits!r}")
+        if type(self.bits) is not int or self.bits < 0:
+            raise ValueError(f"bits must be a non-negative int, got {self.bits!r}")
 
-    def key(self) -> str:
-        return "".join(str(b) for b in self.bits)
 
-    def render(self) -> str:
-        return ("+" if self.sign > 0 else "-") + "|" + self.key() + ">"
+@functools.cache
+def _shifts(layout: tuple[int, ...], qubits: tuple[int, ...]) -> tuple[int, ...]:
+    """Right shift that brings each of ``qubits`` to bit 0 of a pattern over ``layout``."""
+    missing = [q for q in qubits if q not in layout]
+    if missing:
+        raise ValueError(f"qubit {missing[0]} not in state over {layout}")
+    top = len(layout) - 1
+    return tuple(top - layout.index(q) for q in qubits)
 
 
 def restrict(layout: Sequence[int], term: Term, qubits: Sequence[int]) -> str:
     """Bits of a term of a state over ``layout``, read off in the given qubit order."""
-    lookup = dict(zip(layout, term.bits))
-    try:
-        return "".join(str(lookup[q]) for q in qubits)
-    except KeyError as exc:
-        raise ValueError(f"qubit {exc.args[0]} not in state over {tuple(layout)}") from exc
+    bits = term.bits
+    return "".join(["01"[bits >> s & 1] for s in _shifts(tuple(layout), tuple(qubits))])
+
+
+@functools.cache
+def _check_layout(qubits: tuple[int, ...]) -> None:
+    if tuple(sorted(set(qubits))) != qubits:
+        raise ValueError(f"qubits must be strictly ascending, got {qubits!r}")
 
 
 def _canonical(
     qubits: tuple[int, ...], raw_terms: Iterable[Term], norm_exponent: int
 ) -> tuple[tuple[Term, ...], int]:
-    if tuple(sorted(set(qubits))) != qubits:
-        raise ValueError(f"qubits must be strictly ascending, got {qubits!r}")
-    net: dict[tuple[int, ...], int] = {}
-    for t in raw_terms:
-        if len(t.bits) != len(qubits):
-            raise ValueError(f"term {t.render()} does not match state qubits {qubits}")
+    _check_layout(qubits)
+    raw = tuple(raw_terms)
+    top = max((t.bits for t in raw), default=0)
+    if top >> len(qubits):
+        raise ValueError(f"pattern {top:b} does not fit state qubits {qubits}")
+    if all(a.bits < b.bits for a, b in zip(raw, raw[1:])):
+        # strictly ascending patterns are canonical already: nothing to merge
+        return raw, norm_exponent
+    net: dict[int, int] = {}
+    for t in raw:
         net[t.bits] = net.get(t.bits, 0) + t.sign
     counts = {abs(v) for v in net.values() if v != 0}
     if not counts:
@@ -112,29 +135,30 @@ class SymbolicState:
         canon, k = _canonical(qs, terms, norm_exponent)
         return cls(qs, canon, k)
 
-    def negate(self) -> "SymbolicState":
-        return SymbolicState(
-            self.qubits,
-            tuple(Term(t.bits, -t.sign) for t in self.terms),
-            self.norm_exponent,
-        )
+    def key(self, term: Term) -> str:
+        """A term's bit pattern over this state's qubits, first qubit leftmost."""
+        width = len(self.qubits)
+        return format(term.bits, f"0{width}b") if width else ""
 
     def render(self) -> str:
         if not self.terms:
             return "0"
-        body = " ".join(t.render() for t in self.terms)
+        body = " ".join(
+            ("+" if t.sign > 0 else "-") + "|" + self.key(t) + ">" for t in self.terms
+        )
         qubits = ",".join(str(q) for q in self.qubits)
         return f"{body} on ({qubits})"
 
     def term_signs(self) -> tuple[tuple[str, int], ...]:
-        return tuple((t.key(), t.sign) for t in self.terms)
+        return tuple((self.key(t), t.sign) for t in self.terms)
 
 
 def identity_state() -> SymbolicState:
     """The empty tensor factor: one sign-+1 term over no qubits."""
-    return SymbolicState((), (Term((), 1),), 0)
+    return SymbolicState((), (Term(0, 1),), 0)
 
 
+@functools.cache
 def bell_terms(outcome: BellOutcome, pair: BellPair) -> SymbolicState:
     """Two-term expansion of a Bell ket on a qubit pair (norm exponent 1)."""
     first, second = pair
@@ -144,9 +168,17 @@ def bell_terms(outcome: BellOutcome, pair: BellPair) -> SymbolicState:
     qubits = (first, second) if ascending else (second, first)
     terms = []
     for (k1, k2), sign in _BELL_KET_SIGNS[outcome].items():
-        bits = (k1, k2) if ascending else (k2, k1)
+        bits = k1 << 1 | k2 if ascending else k2 << 1 | k1
         terms.append(Term(bits, sign))
     return SymbolicState.from_terms(qubits, terms, 1)
+
+
+def _spread(bits: int, shifts: tuple[int, ...]) -> int:
+    """Move the bits of a pattern, first qubit first, to the given shifts of a wider one."""
+    out = 0
+    for i, s in enumerate(reversed(shifts)):
+        out |= (bits >> i & 1) << s
+    return out
 
 
 def expand_product(parts: Sequence[SymbolicState]) -> SymbolicState:
@@ -159,49 +191,40 @@ def expand_product(parts: Sequence[SymbolicState]) -> SymbolicState:
         seen.update(part.qubits)
     qubits = tuple(sorted(seen))
     norm_exponent = sum(p.norm_exponent for p in parts)
+    # each factor's terms as (pattern over the product's qubits, sign)
+    placed = []
+    for part in parts:
+        shifts = _shifts(qubits, part.qubits)
+        placed.append([(_spread(t.bits, shifts), t.sign) for t in part.terms])
     raw = []
-    for combo in itertools.product(*(p.terms for p in parts)):
-        assignment: dict[int, int] = {}
-        sign = 1
-        for part, t in zip(parts, combo):
-            sign *= t.sign
-            assignment.update(zip(part.qubits, t.bits))
-        raw.append(Term(tuple(assignment[q] for q in qubits), sign))
+    for combo in itertools.product(*placed):
+        bits, sign = 0, 1
+        for b, s in combo:
+            bits |= b
+            sign *= s
+        raw.append(Term(bits, sign))
     return SymbolicState.from_terms(qubits, raw, norm_exponent)
 
 
-def add_states(states: Sequence[SymbolicState]) -> SymbolicState:
-    """Sum of states over the same qubit set and normalization exponent."""
-    if not states:
-        raise ValueError("nothing to add")
-    qubits = states[0].qubits
-    exponent = states[0].norm_exponent
-    for s in states[1:]:
-        if s.qubits != qubits or s.norm_exponent != exponent:
-            raise ValueError("addition requires matching qubit sets and exponents")
-    raw = [t for s in states for t in s.terms]
-    return SymbolicState.from_terms(qubits, raw, exponent)
+# Per gate: whether it flips the qubit, and the pre-gate bit value whose sign
+# it negates (Z: |1> -> -|1>; iY: |0> -> -|1>, |1> -> |0>).
+_GATE_ACTION = {
+    PauliGate.I: (False, None),
+    PauliGate.X: (True, None),
+    PauliGate.Z: (False, 1),
+    PauliGate.IY: (True, 0),
+}
 
 
 def apply_gate_sym(state: SymbolicState, gate: PauliGate, qubit: int) -> SymbolicState:
     """Apply an encoding gate at one qubit of a symbolic state."""
-    if qubit not in state.qubits:
-        raise ValueError(f"qubit {qubit} not in state over {state.qubits}")
-    pos = state.qubits.index(qubit)
+    mask = 1 << _shifts(state.qubits, (qubit,))[0]
+    flip, negate_on = _GATE_ACTION[gate]
     new_terms = []
     for t in state.terms:
-        bit, sign = t.bits[pos], t.sign
-        if gate is PauliGate.I:
-            pass
-        elif gate is PauliGate.X:
-            bit = 1 - bit
-        elif gate is PauliGate.Z:
-            sign = -sign if bit == 1 else sign
-        else:  # iY: |0> -> -|1>, |1> -> |0>
-            sign = -sign if bit == 0 else sign
-            bit = 1 - bit
-        bits = t.bits[:pos] + (bit,) + t.bits[pos + 1 :]
-        new_terms.append(Term(bits, sign))
+        bit = 1 if t.bits & mask else 0
+        sign = -t.sign if bit == negate_on else t.sign
+        new_terms.append(Term(t.bits ^ mask if flip else t.bits, sign))
     return SymbolicState.from_terms(state.qubits, new_terms, state.norm_exponent)
 
 
@@ -210,9 +233,26 @@ def equal_up_to_global_sign(a: SymbolicState, b: SymbolicState) -> bool:
 
     Normalization exponents are ignored; patterns and relative signs are not.
     """
-    if a.qubits != b.qubits:
+    if a.qubits != b.qubits or len(a.terms) != len(b.terms):
         return False
-    return a.terms == b.terms or a.terms == b.negate().terms
+    return a.terms == b.terms or all(
+        x.bits == y.bits and x.sign == -y.sign for x, y in zip(a.terms, b.terms)
+    )
+
+
+@functools.cache
+def _bell_products(
+    pairing: tuple[BellPair, BellPair],
+) -> Mapping[tuple[BellOutcome, BellOutcome], SymbolicState]:
+    """The sixteen Bell(x)Bell product expansions of one pairing, by outcome pair."""
+    pair1, pair2 = pairing
+    return MappingProxyType(
+        {
+            (o1, o2): expand_product([bell_terms(o1, pair1), bell_terms(o2, pair2)])
+            for o1 in BELL_OUTCOMES
+            for o2 in BELL_OUTCOMES
+        }
+    )
 
 
 @dataclass(frozen=True)
@@ -223,14 +263,19 @@ class BellProductExpr:
     entries: tuple[tuple[BellOutcome, BellOutcome, int], ...]
 
     def expand(self) -> SymbolicState:
-        """Re-expand into computational-basis terms (norm exponent not preserved)."""
-        parts = []
-        for o1, o2, sign in self.entries:
-            product = expand_product(
-                [bell_terms(o1, self.pairing[0]), bell_terms(o2, self.pairing[1])]
-            )
-            parts.append(product if sign > 0 else product.negate())
-        return add_states(parts)
+        """Re-expand into computational-basis terms (norm exponent not preserved).
+
+        With no entries the result is the cancelled state over the pairing's
+        four qubits, the value that ``render`` writes as ``0``.
+        """
+        pair1, pair2 = self.pairing
+        products = _bell_products(self.pairing)
+        raw = [
+            Term(t.bits, t.sign * sign)
+            for o1, o2, sign in self.entries
+            for t in products[o1, o2].terms
+        ]
+        return SymbolicState.from_terms(tuple(sorted({*pair1, *pair2})), raw, 2)
 
     def render(self) -> str:
         if not self.entries:
@@ -266,13 +311,11 @@ def bell_decompose(
     state_signs = {t.bits: t.sign for t in state.terms}
     entries = []
     overlaps = []
-    for o1 in BELL_OUTCOMES:
-        for o2 in BELL_OUTCOMES:
-            candidate = expand_product([bell_terms(o1, pair1), bell_terms(o2, pair2)])
-            m = sum(state_signs.get(t.bits, 0) * t.sign for t in candidate.terms)
-            if m:
-                entries.append((o1, o2, 1 if m > 0 else -1))
-                overlaps.append(abs(m))
+    for (o1, o2), candidate in _bell_products(pairing).items():
+        m = sum(state_signs.get(t.bits, 0) * t.sign for t in candidate.terms)
+        if m:
+            entries.append((o1, o2, 1 if m > 0 else -1))
+            overlaps.append(abs(m))
     magnitudes = set(overlaps)
     if len(magnitudes) != 1:
         raise NotBellExpressible(
@@ -290,30 +333,22 @@ def bell_decompose(
     return expr
 
 
-@functools.cache
-def _basis_index(n: int) -> dict[tuple[int, ...], int]:
-    """Dense-vector index of each n-bit pattern, in index order; the first qubit is the MSB."""
-    return {bits: i for i, bits in enumerate(itertools.product((0, 1), repeat=n))}
-
-
 def to_statevector(state: SymbolicState) -> np.ndarray:
     """Normalized dense vector over the state's qubits, ascending order."""
     if not state.terms:
         raise EmptyState("all terms cancelled")
-    index = _basis_index(len(state.qubits))
-    vec = np.zeros(len(index))
+    vec = np.zeros(1 << len(state.qubits))
     for t in state.terms:
-        vec[index[t.bits]] = t.sign
+        vec[t.bits] = t.sign
     return vec / math.sqrt(len(state.terms))
 
 
 def from_statevector(vec: np.ndarray, qubits: Sequence[int]) -> SymbolicState:
     """Symbolic form of a uniform-magnitude real vector; inverse of to_statevector."""
     flat = np.asarray(vec).reshape(-1)
-    index = _basis_index(len(qubits))
-    if flat.size != len(index):
+    if flat.size != 1 << len(qubits):
         raise ValueError(f"vector of size {flat.size} does not span qubits {tuple(qubits)}")
-    support = [(bits, amp) for bits, amp in zip(index, flat.tolist()) if abs(amp) > 1e-9]
+    support = [(bits, amp) for bits, amp in enumerate(flat.tolist()) if abs(amp) > 1e-9]
     if not support:
         raise ValueError("zero vector")
     mag = abs(support[0][1])

@@ -14,6 +14,8 @@ independent oracle.
 
 import itertools
 
+from ghzshare import recon, symexact
+from ghzshare.harness import table1
 from ghzshare.protocol import GateAction, decode_secret, make_announcements
 from ghzshare.qcore import BELL_OUTCOMES, LABELS, PauliGate, StateLabel
 from ghzshare.recon import NoMatch, reconstruct
@@ -59,3 +61,40 @@ def test_reconstruct_matches_the_pauli_frame_on_all_512_tuples():
         assert result.action == action, announced
         assert result.secret == decode_secret(action), announced
     assert rejections == {"support filter": 0, "untouched-half filter": 128, "infer_gate": 128}
+
+
+def _sweep_and_table():
+    for label, position, o1, o2, o3 in TUPLES:
+        try:
+            reconstruct(make_announcements(o2, o3, label, o1, position))
+        except NoMatch:
+            pass
+    table1()
+
+
+def test_constant_tables_fill_to_their_domains_and_stop_missing():
+    # The cached tables are keyed on small finite domains, never on a state
+    # or a trace: one pass over every tuple (plus the collapse table, which
+    # decomposes under both pairings) fills each to its domain size, and a
+    # second pass adds no miss anywhere.
+    sized = {
+        "bell_terms": symexact.bell_terms,
+        "bell_products": symexact._bell_products,
+        "expansion": recon._expansion,
+        "gate_images": recon._gate_images,
+    }
+    tables = {**sized, "shifts": symexact._shifts, "layouts": symexact._check_layout}
+    for table in tables.values():
+        table.cache_clear()
+    _sweep_and_table()
+    pairs_used = {(1, 6), (2, 5), (3, 4), (2, 3), (4, 5)}
+    sizes = {name: table.cache_info().currsize for name, table in sized.items()}
+    assert sizes == {
+        "bell_terms": 4 * len(pairs_used),
+        "bell_products": 2,
+        "expansion": 16,
+        "gate_images": 8,
+    }
+    misses = {name: table.cache_info().misses for name, table in tables.items()}
+    _sweep_and_table()
+    assert {name: table.cache_info().misses for name, table in tables.items()} == misses

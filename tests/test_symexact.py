@@ -14,11 +14,13 @@ from ghzshare.qcore import (
     StateLabel,
     apply_gate,
     bell_probabilities,
+    bits_to_index,
     global_phase_equal,
     partial_inner,
     prepare_state,
 )
 from ghzshare.symexact import (
+    BellProductExpr,
     EmptyState,
     NotBellExpressible,
     OverlappingQubits,
@@ -37,10 +39,7 @@ A_P, A_M, B_P, B_M = BELL_OUTCOMES
 
 
 def state_of(qubits, signed_bits, k=0):
-    terms = [
-        Term(tuple(int(c) for c in bits), sign)
-        for bits, sign in signed_bits
-    ]
+    terms = [Term(int(bits, 2), sign) for bits, sign in signed_bits]
     return SymbolicState.from_terms(tuple(qubits), terms, k)
 
 
@@ -153,8 +152,8 @@ def test_to_statevector_four_terms_quarter_magnitudes():
 
 def test_cancellation_raises_empty_state():
     terms = [
-        Term((0,) * 6, 1),
-        Term((0,) * 6, -1),
+        Term(int("000000", 2), 1),
+        Term(int("000000", 2), -1),
     ]
     s = SymbolicState.from_terms((1, 2, 3, 4, 5, 6), terms, 0)
     assert s.terms == ()
@@ -164,32 +163,82 @@ def test_cancellation_raises_empty_state():
 
 def test_restrict():
     layout = (1, 2, 3, 4, 5, 6)
-    t = Term((0, 1, 1, 0, 0, 0), 1)
+    t = Term(int("011000", 2), 1)
     assert restrict(layout, t, (4, 5, 6)) == "000"
-    u = Term((1, 0, 0, 1, 1, 1), -1)
+    u = Term(int("100111", 2), -1)
     assert restrict(layout, u, (1, 2, 3)) == "100"
     assert restrict(layout, u, ()) == ""
-    assert restrict((2, 3, 4, 5), Term((0, 1, 1, 0), 1), (5, 2)) == "00"
+    assert restrict((2, 3, 4, 5), Term(int("0110", 2), 1), (5, 2)) == "00"
     with pytest.raises(ValueError):
-        restrict((2, 3, 4, 5), Term((0, 1, 1, 0), 1), (1,))
+        restrict((2, 3, 4, 5), Term(int("0110", 2), 1), (1,))
 
 
 @pytest.mark.parametrize(
     "qubits,bits",
-    [((2, 1), (0, 1)), ((1, 1), (0, 1)), ((1, 2, 3), (0, 1)), ((1, 2), (0, 1, 1))],
-    ids=["descending", "duplicate", "short-bits", "long-bits"],
+    [
+        ((2, 1), int("01", 2)),
+        ((1, 1), int("01", 2)),
+        ((), int("1", 2)),
+        ((1, 2), int("111", 2)),
+        ((1, 2), int("100", 2)),
+        ((1, 2, 3), 2**64),
+    ],
+    ids=["descending", "duplicate", "empty-layout", "long-bits", "at-limit", "far-out"],
 )
 def test_from_terms_rejects_bad_layout(qubits, bits):
     with pytest.raises(ValueError):
         SymbolicState.from_terms(qubits, [Term(bits, 1)])
 
 
+def test_from_terms_range_check_covers_cancelled_patterns():
+    out_of_range = int("100", 2)
+    with pytest.raises(ValueError):
+        SymbolicState.from_terms((1, 2), [Term(out_of_range, 1), Term(out_of_range, -1)])
+
+
 @pytest.mark.parametrize(
-    "bits,sign", [((0, 1), 0), ((0, 1), 2), ((0, 1), -2), ((0, 2), 1), ((1, -1), 1)]
+    "bits,sign",
+    [
+        (int("01", 2), 0),
+        (int("01", 2), 2),
+        (int("01", 2), -2),
+        ((0, 2), 1),
+        ((1, -1), 1),
+        (-1, 1),
+        (True, 1),
+        (1.0, 1),
+        ("01", 1),
+        (None, 1),
+    ],
 )
 def test_term_rejects_bad_sign_or_bits(bits, sign):
     with pytest.raises(ValueError):
         Term(bits, sign)
+
+
+def test_bit_order_matches_qcore_index_on_all_six_qubit_patterns():
+    # qcore.bits_to_index is the independent oracle for the first-qubit-MSB
+    # order that integer patterns, rendering and the dense bridge share.
+    qubits = (1, 2, 3, 4, 5, 6)
+    for pattern in itertools.product((0, 1), repeat=6):
+        key = "".join(str(b) for b in pattern)
+        index = bits_to_index(pattern)
+        for sign in (1, -1):
+            s = SymbolicState.from_terms(qubits, [Term(int(key, 2), sign)])
+            assert s.term_signs() == ((key, sign),)
+            vec = to_statevector(s)
+            assert np.flatnonzero(vec).tolist() == [index]
+            assert vec[index] == sign
+            assert from_statevector(vec, qubits) == s
+
+
+def test_empty_bell_product_expr_expands_to_cancelled_state():
+    expr = BellProductExpr(((2, 5), (3, 4)), ())
+    assert expr.render() == "0"
+    s = expr.expand()
+    assert s.qubits == (2, 3, 4, 5)
+    assert s.terms == ()
+    assert s.render() == "0"
 
 
 def _pipeline_states():
