@@ -9,6 +9,7 @@ expected-vs-observed values for each assertion.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -149,6 +150,17 @@ def _unit(vec: np.ndarray) -> np.ndarray:
     return vec / float(np.linalg.norm(vec))
 
 
+@functools.cache
+def _announced_product(o1: BellOutcome, o2: BellOutcome, o3: BellOutcome) -> np.ndarray:
+    """Dense product of the three announced Bell kets, read-only (64 entries at most)."""
+    product = expand_product(
+        [bell_terms(o1, (1, 6)), bell_terms(o2, (2, 5)), bell_terms(o3, (3, 4))]
+    )
+    vec = to_statevector(product)
+    vec.flags.writeable = False
+    return vec
+
+
 def _stage_failures(branch: Branch, trace: PipelineTrace) -> list[str]:
     """Symbolic pipeline stages vs oracle post-measurement states, up to phase."""
     failures = []
@@ -166,69 +178,77 @@ def _stage_failures(branch: Branch, trace: PipelineTrace) -> list[str]:
     ):
         failures.append("attached state differs from the post-P1 state")
     # no-signaling: the final state is exactly the product of announced kets
-    product = expand_product(
-        [
-            bell_terms(branch.o1, (1, 6)),
-            bell_terms(branch.o2, (2, 5)),
-            bell_terms(branch.o3, (3, 4)),
-        ]
-    )
-    if not global_phase_equal(to_statevector(product), branch.after_p3, PHASE_TOL):
+    product = _announced_product(branch.o1, branch.o2, branch.o3)
+    if not global_phase_equal(product, branch.after_p3, PHASE_TOL):
         failures.append("final state is not the product of the announced kets")
     return failures
+
+
+def _honest_runs() -> Iterator[
+    tuple[StateLabel, PauliGate, int, Branch, PipelineTrace | NoMatch]
+]:
+    """Every honest branch of every configuration with its reconstruction.
+
+    Yields (label, gate, position, branch, trace), where trace is the
+    reconstruction's PipelineTrace or the NoMatch it raised.
+    """
+    for label, gate, position in configurations():
+        encoded = apply_gate(prepare_state(label), gate, position)
+        for branch in enumerate_branches(encoded):
+            announcements = make_announcements(
+                branch.o2, branch.o3, label, branch.o1, position
+            )
+            try:
+                trace: PipelineTrace | NoMatch = reconstruct_trace(announcements)
+            except NoMatch as exc:
+                trace = exc
+            yield label, gate, position, branch, trace
 
 
 def exhaustive_verify() -> list[BranchRecord]:
     """Reconstruct every positive-probability branch of every configuration."""
     records = []
-    for label, gate, position in configurations():
+    for label, gate, position, branch, trace in _honest_runs():
         action = GateAction(gate, position)
         secret = decode_secret(action)
-        encoded = apply_gate(prepare_state(label), gate, position)
-        for branch in enumerate_branches(encoded):
-            failures = []
-            announcements = make_announcements(
-                branch.o2, branch.o3, label, branch.o1, position
-            )
-            reconstructed_action = None
-            reconstructed_secret = None
-            tamper = None
-            try:
-                trace = reconstruct_trace(announcements)
-            except NoMatch as exc:
-                failures.append(f"reconstruction failed: {exc}")
-            else:
-                assert trace.result is not None
-                reconstructed_action = trace.result.action.render()
-                reconstructed_secret = trace.result.secret
-                tamper = trace.result.tamper.render() if trace.result.tamper else None
-                if trace.result.secret != secret:
-                    failures.append(
-                        f"reconstructed {trace.result.secret!r}, encoded {secret!r}"
-                    )
-                if trace.result.action != action:
-                    failures.append(
-                        f"reconstructed {trace.result.action.render()}, "
-                        f"encoded {action.render()}"
-                    )
-                failures.extend(_stage_failures(branch, trace))
-            records.append(
-                BranchRecord(
-                    label=label.value,
-                    gate=gate.value,
-                    position=position,
-                    secret=secret,
-                    p1=branch.o1.ascii,
-                    p2=branch.o2.ascii,
-                    p3=branch.o3.ascii,
-                    probability=branch.probability,
-                    reconstructed_action=reconstructed_action,
-                    reconstructed_secret=reconstructed_secret,
-                    tamper=tamper,
-                    passed=not failures,
-                    failures=tuple(failures),
+        failures = []
+        reconstructed_action = None
+        reconstructed_secret = None
+        tamper = None
+        if isinstance(trace, NoMatch):
+            failures.append(f"reconstruction failed: {trace}")
+        else:
+            assert trace.result is not None
+            reconstructed_action = trace.result.action.render()
+            reconstructed_secret = trace.result.secret
+            tamper = trace.result.tamper.render() if trace.result.tamper else None
+            if trace.result.secret != secret:
+                failures.append(
+                    f"reconstructed {trace.result.secret!r}, encoded {secret!r}"
                 )
+            if trace.result.action != action:
+                failures.append(
+                    f"reconstructed {trace.result.action.render()}, "
+                    f"encoded {action.render()}"
+                )
+            failures.extend(_stage_failures(branch, trace))
+        records.append(
+            BranchRecord(
+                label=label.value,
+                gate=gate.value,
+                position=position,
+                secret=secret,
+                p1=branch.o1.ascii,
+                p2=branch.o2.ascii,
+                p3=branch.o3.ascii,
+                probability=branch.probability,
+                reconstructed_action=reconstructed_action,
+                reconstructed_secret=reconstructed_secret,
+                tamper=tamper,
+                passed=not failures,
+                failures=tuple(failures),
             )
+        )
     return records
 
 
@@ -737,8 +757,11 @@ def scenario_eve_intercept() -> ScenarioReport:
     except NoMatch as exc:
         counterfactual_action = f"no-match ({exc})"
 
-    records = exhaustive_verify()
-    false_positives = sum(1 for r in records if r.tamper is not None)
+    false_positives = sum(
+        1
+        for *_, trace in _honest_runs()
+        if not isinstance(trace, NoMatch) and trace.result.tamper
+    )
 
     assertions = (
         _check_bool(

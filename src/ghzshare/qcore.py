@@ -8,11 +8,16 @@ index (basis string q1q2q3q4q5q6).
 
 Every amplitude reachable here is a signed power of 1/sqrt(2), so the
 absolute tolerance 1e-12 used throughout is loose.
+
+Gates and Bell measurements read and write amplitudes through small
+read-only index tables, cached per (gate, qubit) and per pair on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from enum import Enum
 
 import numpy as np
@@ -148,39 +153,89 @@ def bits_to_index(bits: tuple[int, ...]) -> int:
     return index
 
 
-def prepare_state(label: StateLabel) -> Statevector:
-    """Tensor product of the label's two GHZ halves: 4 amplitudes of +1/2."""
+@functools.cache
+def _prepared(label: StateLabel) -> Statevector:
     state = np.zeros(DIM)
     for first in label.half_support:
         for second in label.half_support:
             bits = tuple(int(c) for c in first + second)
             state[bits_to_index(bits)] = 0.5
+    state.flags.writeable = False
     return state
+
+
+def prepare_state(label: StateLabel) -> Statevector:
+    """Tensor product of the label's two GHZ halves: 4 amplitudes of +1/2."""
+    return _prepared(label).copy()
+
+
+@functools.cache
+def _gate_table(gate: PauliGate, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gate at qubit q as a signed permutation: out[i] = signs[i] * state[perm[i]].
+
+    Each row of a Pauli matrix has one non-zero entry; row b's entry sits in
+    column cols[b], so output amplitude i reads the input with qubit q set to
+    cols[b], where b is qubit q's bit of i.
+    """
+    matrix = gate.matrix
+    cols = np.abs(matrix).argmax(axis=1)
+    shift = N_QUBITS - q
+    index = np.arange(DIM)
+    bit = (index >> shift) & 1
+    perm = index ^ ((bit ^ cols[bit]) << shift)
+    signs = matrix[bit, cols[bit]]
+    perm.flags.writeable = False
+    signs.flags.writeable = False
+    return perm, signs
 
 
 def apply_gate(state: Statevector, gate: PauliGate, q: int) -> Statevector:
     """Apply a single-qubit gate at 1-based qubit position q."""
-    check_qubit(q)
-    psi = np.asarray(state).reshape((2,) * N_QUBITS)
-    out = np.tensordot(gate.matrix, psi, axes=([1], [q - 1]))
-    return np.moveaxis(out, 0, q - 1).reshape(DIM)
+    perm, signs = _gate_table(gate, operator.index(check_qubit(q)))
+    # + 0.0 turns the -0.0 that a sign flip leaves on a zero amplitude into 0.0
+    return np.asarray(state).reshape(DIM)[perm] * signs + 0.0
 
 
-def _projected_rest(state: Statevector, pair: BellPair, outcome: BellOutcome) -> np.ndarray:
-    """<outcome| applied to the pair, leaving the other four qubits.
+# Each outcome's two kets on the pair and their coefficients sign/sqrt2, in
+# _BELL_KET_SIGNS order: index [j, k] is ket j of outcome BELL_OUTCOMES[k].
+_BELL_KETS = tuple(zip(*(tuple(_BELL_KET_SIGNS[o].items()) for o in BELL_OUTCOMES)))
+_BELL_COEF = np.array([[[sign * _SQRT1_2] for _, sign in kets] for kets in _BELL_KETS])
+_BELL_COEF.flags.writeable = False
+_OUTCOME_ROW = {outcome: k for k, outcome in enumerate(BELL_OUTCOMES)}
 
-    The returned array has shape (2,2,2,2) over the remaining qubits in
-    ascending order and is unnormalized.
+
+def _pair_key(pair: BellPair) -> BellPair:
+    """The checked pair as a tuple of ints: a float qubit fails the same way, cached or not."""
+    first, second = check_pair(pair)
+    return operator.index(first), operator.index(second)
+
+
+@functools.cache
+def _bell_tables(pair: BellPair) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices (2, 4, 16) of a pair's Bell gather and of its post-state scatter.
+
+    gather[j, k, r] is the basis index with ket j of outcome k on the pair and
+    pattern r on the other four qubits (ascending, first most significant).
+    scatter adds 64 * k, indexing one (4, 64) block of post-states.
     """
-    check_pair(pair)
-    psi = np.asarray(state).reshape((2,) * N_QUBITS)
-    ax1, ax2 = pair[0] - 1, pair[1] - 1
-    rest = np.zeros((2,) * (N_QUBITS - 2))
-    for (k1, k2), sign in _BELL_KET_SIGNS[outcome].items():
-        idx: list[object] = [slice(None)] * N_QUBITS
-        idx[ax1], idx[ax2] = k1, k2
-        rest = rest + sign * _SQRT1_2 * psi[tuple(idx)]
-    return rest
+    first, second = pair
+    rest = [q for q in range(1, N_QUBITS + 1) if q not in pair]
+    base = np.array(
+        [
+            sum(((r >> (3 - i)) & 1) << (N_QUBITS - q) for i, q in enumerate(rest))
+            for r in range(16)
+        ]
+    )
+    gather = np.array(
+        [
+            [base | (k1 << (N_QUBITS - first)) | (k2 << (N_QUBITS - second)) for (k1, k2), _ in ks]
+            for ks in _BELL_KETS
+        ]
+    )
+    scatter = gather + DIM * np.arange(len(BELL_OUTCOMES))[:, None]
+    gather.flags.writeable = False
+    scatter.flags.writeable = False
+    return gather, scatter
 
 
 def partial_inner(state: Statevector, pair: BellPair, outcome: BellOutcome) -> np.ndarray:
@@ -188,7 +243,10 @@ def partial_inner(state: Statevector, pair: BellPair, outcome: BellOutcome) -> n
 
     The result indexes the four remaining qubits in ascending order.
     """
-    return _projected_rest(state, pair, outcome).reshape(-1)
+    gather = _bell_tables(_pair_key(pair))[0]
+    k = _OUTCOME_ROW[outcome]
+    terms = np.asarray(state).reshape(DIM)[gather[:, k]] * _BELL_COEF[:, k]
+    return (terms[0] + 0.0) + terms[1]
 
 
 def bell_probabilities(
@@ -199,22 +257,20 @@ def bell_probabilities(
     Outcomes with probability <= 1e-12 are reported with probability 0.0 and
     no post-state, so impossible branches cannot be sampled downstream.
     """
-    results: dict[BellOutcome, tuple[float, Statevector | None]] = {}
-    ax1, ax2 = pair[0] - 1, pair[1] - 1
-    for outcome in BELL_OUTCOMES:
-        rest = _projected_rest(state, pair, outcome)
-        prob = float(np.sum(rest * rest))
-        if prob <= ATOL:
-            results[outcome] = (0.0, None)
-            continue
-        rest = rest / math.sqrt(prob)
-        post = np.zeros((2,) * N_QUBITS)
-        for (k1, k2), sign in _BELL_KET_SIGNS[outcome].items():
-            idx: list[object] = [slice(None)] * N_QUBITS
-            idx[ax1], idx[ax2] = k1, k2
-            post[tuple(idx)] = sign * _SQRT1_2 * rest
-        results[outcome] = (prob, post.reshape(DIM))
-    return results
+    gather, scatter = _bell_tables(_pair_key(pair))
+    # ket j of outcome k times its coefficient, summed in ket order: <outcome| on the pair
+    terms = np.asarray(state).reshape(DIM)[gather] * _BELL_COEF
+    # start from 0.0, as a sum into a zero array does, so zero signs match too
+    rest = (terms[0] + 0.0) + terms[1]
+    probs = np.add.reduce(rest * rest, axis=1)
+    # rows at or below ATOL are dropped below; the floor only keeps their division finite
+    unit = rest / np.sqrt(np.maximum(probs, ATOL))[:, None]
+    posts = np.zeros((len(BELL_OUTCOMES), DIM), dtype=unit.dtype)
+    posts.reshape(-1)[scatter] = unit * _BELL_COEF
+    return {
+        outcome: (prob, posts[k]) if prob > ATOL else (0.0, None)
+        for k, (outcome, prob) in enumerate(zip(BELL_OUTCOMES, probs.tolist()))
+    }
 
 
 def measure_bell(state: Statevector, pair: BellPair, rng) -> tuple[BellOutcome, Statevector]:

@@ -64,7 +64,7 @@ class Term:
     sign: int
 
     def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
+        if type(self.sign) is not int or self.sign not in (1, -1):
             raise ValueError(f"term sign must be +/-1, got {self.sign!r}")
         if type(self.bits) is not int or self.bits < 0:
             raise ValueError(f"bits must be a non-negative int, got {self.bits!r}")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from ghzshare import harness
 from ghzshare.harness import (
     SCENARIOS,
     exhaustive_verify,
@@ -77,6 +78,19 @@ def test_worked_branch_present(records):
     assert len(matches) == 1
     assert matches[0].probability > 0
     assert matches[0].reconstructed_secret == "11"
+
+
+def test_no_signalling_oracle_is_a_read_only_table_over_the_outcome_triples():
+    harness._announced_product.cache_clear()
+    exhaustive_verify()
+    info = harness._announced_product.cache_info()
+    assert (info.currsize, info.misses) == (64, 64)
+    exhaustive_verify()
+    assert harness._announced_product.cache_info().misses == 64
+    for *_, branch, _ in harness._honest_runs():
+        product = harness._announced_product(branch.o1, branch.o2, branch.o3)
+        assert not product.flags.writeable
+        assert harness.global_phase_equal(product, branch.after_p3, harness.PHASE_TOL)
 
 
 def test_exhaustive_is_deterministic(records):
@@ -222,6 +236,15 @@ def test_eve_run_is_indistinguishable_from_an_honest_branch(eve, records):
     assert len(twins) == 1
     assert twins[0].probability > 0
     assert twins[0].tamper == "X on qubit 6"
+
+
+def test_eve_counts_tamper_reports_without_rerunning_the_verifier(monkeypatch):
+    def refuse():
+        raise AssertionError("exhaustive_verify called")
+
+    monkeypatch.setattr(harness, "exhaustive_verify", refuse)
+    report = scenario_eve_intercept()
+    assert report.assertion("tamper false positives across honest branches").observed == "256"
 
 
 def test_scenarios_are_reproducible():

@@ -1,11 +1,13 @@
 """Statevector engine tests: preparation, gates, Bell measurement."""
 
+import functools
 import math
 import random
 
 import numpy as np
 import pytest
 
+from ghzshare import qcore
 from ghzshare.qcore import (
     BELL_OUTCOMES,
     GATES,
@@ -227,3 +229,190 @@ def test_global_phase_equal_basics():
     e63 = np.zeros(64)
     e63[63] = 1.0
     assert not global_phase_equal(e0, e63)
+
+
+# ---------------------------------------------------------------------------
+# kernel oracles: the slice-based projection and kron-built gate matrices
+
+SQRT1_2 = 1.0 / math.sqrt(2.0)
+ORDERED_PAIRS = [(a, b) for a in range(1, 7) for b in range(1, 7) if a != b]
+REF_KETS = {
+    A_P: {(0, 0): 1, (1, 1): 1},
+    A_M: {(0, 0): 1, (1, 1): -1},
+    B_P: {(0, 1): 1, (1, 0): 1},
+    B_M: {(0, 1): 1, (1, 0): -1},
+}
+REF_MATRICES = {
+    PauliGate.I: np.array([[1.0, 0.0], [0.0, 1.0]]),
+    PauliGate.X: np.array([[0.0, 1.0], [1.0, 0.0]]),
+    PauliGate.IY: np.array([[0.0, 1.0], [-1.0, 0.0]]),
+    PauliGate.Z: np.array([[1.0, 0.0], [0.0, -1.0]]),
+}
+
+
+def ref_slice(pair, ket):
+    idx = [slice(None)] * 6
+    idx[pair[0] - 1], idx[pair[1] - 1] = ket
+    return tuple(idx)
+
+
+def ref_projection(state, pair, outcome):
+    """<outcome| on the pair by slicing the (2,)*6 tensor, ket by ket."""
+    psi = state.reshape((2,) * 6)
+    rest = np.zeros((2,) * 4)
+    for ket, sign in REF_KETS[outcome].items():
+        rest = rest + sign * SQRT1_2 * psi[ref_slice(pair, ket)]
+    return rest
+
+
+def ref_bell(state, pair):
+    results = {}
+    for outcome in BELL_OUTCOMES:
+        rest = ref_projection(state, pair, outcome)
+        prob = float(np.sum(rest * rest))
+        if prob <= 1e-12:
+            results[outcome] = (0.0, None)
+            continue
+        rest = rest / math.sqrt(prob)
+        post = np.zeros((2,) * 6)
+        for ket, sign in REF_KETS[outcome].items():
+            post[ref_slice(pair, ket)] = sign * SQRT1_2 * rest
+        results[outcome] = (prob, post.reshape(64))
+    return results
+
+
+@functools.cache
+def ref_gate_matrix(gate, q):
+    factors = [np.eye(2)] * 6
+    factors[q - 1] = REF_MATRICES[gate]
+    return functools.reduce(np.kron, factors)
+
+
+@pytest.fixture(scope="module")
+def reachable_states():
+    """Every state the (1,6) -> (2,5) -> (3,4) walk reaches from the 32 encoded states."""
+    states = {}
+
+    def visit(state, pairs):
+        states.setdefault(state.tobytes(), state)
+        if pairs:
+            for _, post in ref_bell(state, pairs[0]).values():
+                if post is not None:
+                    visit(post, pairs[1:])
+
+    for label in LABELS:
+        for gate in GATES:
+            for position in (1, 6):
+                encoded = ref_gate_matrix(gate, position) @ prepare_state(label)
+                visit(encoded, [(1, 6), (2, 5), (3, 4)])
+    return list(states.values())
+
+
+def test_reachable_states_cover_the_walk(reachable_states):
+    # 32 encoded states; the distinct post-measurement states after each pair
+    assert len(reachable_states) == 312
+
+
+def test_bell_probabilities_match_slice_reference(reachable_states):
+    impossible = 0
+    for state in reachable_states:
+        for pair in ORDERED_PAIRS:
+            got = bell_probabilities(state, pair)
+            want = ref_bell(state, pair)
+            assert list(got) == list(want)
+            for outcome, (prob, post) in want.items():
+                got_prob, got_post = got[outcome]
+                assert got_prob == prob, (pair, outcome)
+                if post is None:
+                    assert (got_prob, got_post) == (0.0, None)
+                    impossible += 1
+                else:
+                    assert np.array_equal(got_post, post), (pair, outcome)
+    assert impossible > 0
+
+
+def test_partial_inner_matches_slice_reference(reachable_states):
+    for state in reachable_states:
+        for pair in ORDERED_PAIRS:
+            for outcome in BELL_OUTCOMES:
+                got = partial_inner(state, pair, outcome)
+                assert got.shape == (16,)
+                assert np.array_equal(got, ref_projection(state, pair, outcome).reshape(-1))
+
+
+def test_apply_gate_matches_kron_matrix(reachable_states):
+    for state in reachable_states:
+        for gate in GATES:
+            for q in range(1, 7):
+                got = apply_gate(state, gate, q)
+                assert np.array_equal(got, ref_gate_matrix(gate, q) @ state), (gate, q)
+                assert not np.signbit(got[got == 0.0]).any()
+
+
+def test_list_pair_and_bad_pairs():
+    state = apply_gate(prepare_state(StateLabel.C), PauliGate.IY, 6)
+    as_list = bell_probabilities(state, [1, 6])
+    as_tuple = bell_probabilities(state, (1, 6))
+    for outcome in BELL_OUTCOMES:
+        assert as_list[outcome][0] == as_tuple[outcome][0]
+        assert np.array_equal(as_list[outcome][1], as_tuple[outcome][1])
+    assert np.array_equal(partial_inner(state, [1, 6], A_P), partial_inner(state, (1, 6), A_P))
+    for bad in [(1, 1), (0, 6), (1, 7), (1,), (1, 2, 3)]:
+        with pytest.raises(ValueError):
+            bell_probabilities(state, bad)
+        with pytest.raises(ValueError):
+            partial_inner(state, bad, A_P)
+        with pytest.raises(ValueError):
+            measure_bell(state, bad, random.Random(0))
+    # a float qubit equals and hashes like an int, so it must not reach a
+    # table cached for the int: it fails whether or not that table exists
+    with pytest.raises(TypeError):
+        bell_probabilities(state, (1.0, 6))
+    with pytest.raises(TypeError):
+        partial_inner(state, (1, 6.0), A_P)
+    with pytest.raises(TypeError):
+        apply_gate(state, PauliGate.X, 6.0)
+
+
+def test_returned_arrays_do_not_alias_cached_tables():
+    expected = amplitudes_of(prepare_state(StateLabel.B))
+    prepare_state(StateLabel.B)[:] = 7.0
+    assert amplitudes_of(prepare_state(StateLabel.B)) == expected
+
+    base = prepare_state(StateLabel.D)
+    gated = apply_gate(base, PauliGate.IY, 4)
+    before = gated.copy()
+    gated[:] = 7.0
+    assert np.array_equal(apply_gate(base, PauliGate.IY, 4), before)
+
+    first = bell_probabilities(base, (2, 5))
+    saved = {o: (p, None if post is None else post.copy()) for o, (p, post) in first.items()}
+    for _, post in first.values():
+        if post is not None:
+            post[:] = 7.0
+    again = bell_probabilities(base, (2, 5))
+    for outcome, (prob, post) in saved.items():
+        assert again[outcome][0] == prob
+        assert (post is None) == (again[outcome][1] is None)
+        if post is not None:
+            assert np.array_equal(again[outcome][1], post)
+
+    rest = partial_inner(base, (1, 6), B_M)
+    saved_rest = rest.copy()
+    rest[:] = 7.0
+    assert np.array_equal(partial_inner(base, (1, 6), B_M), saved_rest)
+
+
+def test_cached_tables_are_read_only():
+    arrays = [qcore._BELL_COEF]
+    for label in LABELS:
+        arrays.append(qcore._prepared(label))
+    for gate in GATES:
+        for q in range(1, 7):
+            arrays.extend(qcore._gate_table(gate, q))
+    for pair in ORDERED_PAIRS:
+        arrays.extend(qcore._bell_tables(pair))
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0

@@ -202,6 +202,9 @@ def test_from_terms_range_check_covers_cancelled_patterns():
         (int("01", 2), 0),
         (int("01", 2), 2),
         (int("01", 2), -2),
+        (int("01", 2), True),
+        (int("01", 2), False),
+        (int("01", 2), 1.0),
         ((0, 2), 1),
         ((1, -1), 1),
         (-1, 1),
