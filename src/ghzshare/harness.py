@@ -69,9 +69,7 @@ class Branch:
     o2: BellOutcome
     o3: BellOutcome
     probability: float
-    encoded: Statevector
     after_p1: Statevector
-    after_p2: Statevector
     after_p3: Statevector
 
 
@@ -138,7 +136,7 @@ def _walk(
                 prob3, s3 = probs3[o3]
                 if s3 is None:
                     continue
-                yield Branch(o1, o2, o3, prob1 * prob2 * prob3, state, s1, s2, s3)
+                yield Branch(o1, o2, o3, prob1 * prob2 * prob3, s1, s3)
 
 
 def enumerate_branches(state: Statevector) -> Iterator[Branch]:
@@ -146,8 +144,20 @@ def enumerate_branches(state: Statevector) -> Iterator[Branch]:
     yield from _walk(state, BELL_OUTCOMES, BELL_OUTCOMES, BELL_OUTCOMES)
 
 
-def _unit(vec: np.ndarray) -> np.ndarray:
+def _encoded(label: StateLabel, gate: PauliGate, position: int) -> Statevector:
+    """The dealer's state after encoding the gate at the position."""
+    return apply_gate(prepare_state(label), gate, position)
+
+
+def _collapse(state: Statevector, o1: BellOutcome) -> np.ndarray:
+    """The normalized (2,3,4,5) state left when (1,6) is found in outcome o1."""
+    vec = partial_inner(state, (1, 6), o1)
     return vec / float(np.linalg.norm(vec))
+
+
+def _phase_equal(vec: np.ndarray, state: SymbolicState) -> bool:
+    """Whether a dense vector is the symbolic state up to a global phase."""
+    return global_phase_equal(vec, to_statevector(state), PHASE_TOL)
 
 
 @functools.cache
@@ -165,17 +175,13 @@ def _stage_failures(branch: Branch, trace: PipelineTrace) -> list[str]:
     """Symbolic pipeline stages vs oracle post-measurement states, up to phase."""
     failures = []
     # P2 x P3 expansion vs the (2,3,4,5) factor of the fully measured state
-    oracle_mid = _unit(partial_inner(branch.after_p3, (1, 6), branch.o1))
-    if not global_phase_equal(to_statevector(trace.expansion), oracle_mid, PHASE_TOL):
+    if not _phase_equal(_collapse(branch.after_p3, branch.o1), trace.expansion):
         failures.append("expansion differs from the measured (2,3,4,5) factor")
     # kept terms vs the (2,3,4,5) collapse conditioned on P1's outcome alone
-    oracle_conditional = _unit(partial_inner(branch.after_p1, (1, 6), branch.o1))
-    if not global_phase_equal(to_statevector(trace.kept_mid), oracle_conditional, PHASE_TOL):
+    if not _phase_equal(_collapse(branch.after_p1, branch.o1), trace.kept_mid):
         failures.append("kept terms differ from the P1-conditional collapse")
     # attached state vs the post-P1 six-qubit state
-    if trace.attached is None or not global_phase_equal(
-        to_statevector(trace.attached), branch.after_p1, PHASE_TOL
-    ):
+    if trace.attached is None or not _phase_equal(branch.after_p1, trace.attached):
         failures.append("attached state differs from the post-P1 state")
     # no-signaling: the final state is exactly the product of announced kets
     product = _announced_product(branch.o1, branch.o2, branch.o3)
@@ -184,54 +190,47 @@ def _stage_failures(branch: Branch, trace: PipelineTrace) -> list[str]:
     return failures
 
 
+def _reconstruction(
+    o2: BellOutcome, o3: BellOutcome, label: StateLabel, o1: BellOutcome, position: int
+) -> PipelineTrace | NoMatch:
+    """The reconstruction from these announcements: its trace, or the NoMatch it raised."""
+    try:
+        return reconstruct_trace(make_announcements(o2, o3, label, o1, position))
+    except NoMatch as exc:
+        return exc
+
+
 def _honest_runs() -> Iterator[
     tuple[StateLabel, PauliGate, int, Branch, PipelineTrace | NoMatch]
 ]:
     """Every honest branch of every configuration with its reconstruction.
 
-    Yields (label, gate, position, branch, trace), where trace is the
-    reconstruction's PipelineTrace or the NoMatch it raised.
+    Yields (label, gate, position, branch, run), run being what _reconstruction returns.
     """
     for label, gate, position in configurations():
-        encoded = apply_gate(prepare_state(label), gate, position)
-        for branch in enumerate_branches(encoded):
-            announcements = make_announcements(
-                branch.o2, branch.o3, label, branch.o1, position
-            )
-            try:
-                trace: PipelineTrace | NoMatch = reconstruct_trace(announcements)
-            except NoMatch as exc:
-                trace = exc
-            yield label, gate, position, branch, trace
+        for branch in enumerate_branches(_encoded(label, gate, position)):
+            run = _reconstruction(branch.o2, branch.o3, label, branch.o1, position)
+            yield label, gate, position, branch, run
 
 
 def exhaustive_verify() -> list[BranchRecord]:
     """Reconstruct every positive-probability branch of every configuration."""
     records = []
-    for label, gate, position, branch, trace in _honest_runs():
+    for label, gate, position, branch, run in _honest_runs():
         action = GateAction(gate, position)
         secret = decode_secret(action)
         failures = []
-        reconstructed_action = None
-        reconstructed_secret = None
-        tamper = None
-        if isinstance(trace, NoMatch):
-            failures.append(f"reconstruction failed: {trace}")
+        result = None if isinstance(run, NoMatch) else run.result
+        if result is None:
+            failures.append(f"reconstruction failed: {run}")
         else:
-            assert trace.result is not None
-            reconstructed_action = trace.result.action.render()
-            reconstructed_secret = trace.result.secret
-            tamper = trace.result.tamper.render() if trace.result.tamper else None
-            if trace.result.secret != secret:
+            if result.secret != secret:
+                failures.append(f"reconstructed {result.secret!r}, encoded {secret!r}")
+            if result.action != action:
                 failures.append(
-                    f"reconstructed {trace.result.secret!r}, encoded {secret!r}"
+                    f"reconstructed {result.action.render()}, encoded {action.render()}"
                 )
-            if trace.result.action != action:
-                failures.append(
-                    f"reconstructed {trace.result.action.render()}, "
-                    f"encoded {action.render()}"
-                )
-            failures.extend(_stage_failures(branch, trace))
+            failures.extend(_stage_failures(branch, run))
         records.append(
             BranchRecord(
                 label=label.value,
@@ -242,9 +241,9 @@ def exhaustive_verify() -> list[BranchRecord]:
                 p2=branch.o2.ascii,
                 p3=branch.o3.ascii,
                 probability=branch.probability,
-                reconstructed_action=reconstructed_action,
-                reconstructed_secret=reconstructed_secret,
-                tamper=tamper,
+                reconstructed_action=result.action.render() if result else None,
+                reconstructed_secret=result.secret if result else None,
+                tamper=result.tamper.render() if result and result.tamper else None,
                 passed=not failures,
                 failures=tuple(failures),
             )
@@ -338,39 +337,27 @@ def table1() -> list[Table1Row]:
     """
     rows = []
     for gate, outcome, printed_entries, printed_subs in PRINTED_TABLE:
-        encoded = apply_gate(prepare_state(StateLabel.A), gate, 1)
-        collapse = _unit(partial_inner(encoded, (1, 6), outcome))
-        post = from_statevector(collapse, (2, 3, 4, 5))
-        decomp_2345 = bell_decompose(post, PAIRING_2345)
-        decomp_2534 = bell_decompose(post, PAIRING_2534)
-        matched = []
-        if _entries_match(printed_entries, decomp_2345):
-            matched.append("(2,3)(4,5)")
-        if _entries_match(printed_entries, decomp_2534):
-            matched.append("(2,5)(3,4)")
+        post = from_statevector(_collapse(_encoded(StateLabel.A, gate, 1), outcome), (2, 3, 4, 5))
+        decomps = {p: bell_decompose(post, p) for p in (PAIRING_2345, PAIRING_2534)}
+        matched = [p for p, expr in decomps.items() if _entries_match(printed_entries, expr)]
         flags = []
-        if "(2,3)(4,5)" not in matched and "(2,5)(3,4)" in matched:
+        if matched == [PAIRING_2534]:
             flags.append("pairing-(2,5)(3,4)")
-        canonical = {"(2,3)(4,5)": _S2345, "(2,5)(3,4)": ((2, 5), (3, 4))}
-        subs_ok = any(
-            all(sub == canonical[p] for sub in printed_subs) for p in matched
-        )
-        if matched and not subs_ok:
+        if matched and not any(all(sub == p for sub in printed_subs) for p in matched):
             flags.append("subscript-typo")
         printed_render = " ".join(
-            ("+" if s > 0 else "-")
-            + f"{o1.ascii}({sa[0]},{sa[1]}){o2.ascii}({sb[0]},{sb[1]})"
-            for (o1, o2, s), (sa, sb) in zip(printed_entries, printed_subs)
+            BellProductExpr(subs, (entry,)).render()
+            for entry, subs in zip(printed_entries, printed_subs)
         )
         rows.append(
             Table1Row(
                 gate=gate.value,
                 p1_outcome=outcome.ascii,
                 post_terms=post.render(),
-                oracle_2345=decomp_2345.render(),
-                oracle_2534=decomp_2534.render(),
+                oracle_2345=decomps[PAIRING_2345].render(),
+                oracle_2534=decomps[PAIRING_2534].render(),
                 printed=printed_render,
-                matched_pairings=tuple(matched),
+                matched_pairings=tuple("".join(f"({a},{b})" for a, b in p) for p in matched),
                 flags=tuple(flags),
                 flagged=bool(flags),
             )
@@ -404,7 +391,10 @@ class ScenarioReport:
     script: dict
     states: dict
     assertions: tuple[AssertionRecord, ...]
-    verdict: bool
+
+    @property
+    def verdict(self) -> bool:
+        return all(a.passed for a in self.assertions)
 
     def to_dict(self) -> dict:
         return {
@@ -422,12 +412,19 @@ class ScenarioReport:
         raise KeyError(name)
 
 
-def _check(name: str, expected: str, observed: str) -> AssertionRecord:
-    return AssertionRecord(name, expected, observed, expected == observed)
+def _check(
+    name: str, expected: str, observed: str, passed: Optional[bool] = None
+) -> AssertionRecord:
+    """One assertion; unless told otherwise, it passes when observed equals expected."""
+    if passed is None:
+        passed = expected == observed
+    return AssertionRecord(name, expected, observed, passed)
 
 
-def _check_bool(name: str, condition: bool, expected: str, observed: str) -> AssertionRecord:
-    return AssertionRecord(name, expected, observed, condition)
+def _check_terms(name: str, state: SymbolicState, printed: str) -> AssertionRecord:
+    """A state's signed patterns against the printed ones, such as "+0011 -1100"."""
+    signed = " ".join(("+" if sign > 0 else "-") + key for key, sign in state.term_signs())
+    return _check(name, printed, state.render(), signed == printed)
 
 
 def _branch_probability(
@@ -436,38 +433,47 @@ def _branch_probability(
     return next((b.probability for b in _walk(encoded, (o1,), (o2,), (o3,))), 0.0)
 
 
-def _announce_and_run(o2, o3, label, o1, position):
-    """Reconstruction outcome rendered as a string, trace attached."""
-    announcements = make_announcements(o2, o3, label, o1, position)
-    try:
-        trace = reconstruct_trace(announcements)
-    except NoMatch as exc:
-        return f"no-match ({exc})", exc.trace
-    assert trace.result is not None
-    return trace.result.action.render(), trace
+def _deduced(run: PipelineTrace | NoMatch) -> tuple[str, str]:
+    """The reconstructed action and secret as reported; a failure reads the same in both."""
+    if isinstance(run, NoMatch):
+        return (f"no-match ({run})",) * 2
+    return run.result.action.render(), run.result.secret
 
 
-def _secret_of(deduction: str) -> str:
-    """Decode a rendered action like 'iY1'; pass no-match strings through."""
-    for gate in GATES:
-        for position in (1, 6):
-            if deduction == f"{gate.value}{position}":
-                return decode_secret(GateAction(gate, position))
-    return deduction
+def _trace_of(run: PipelineTrace | NoMatch) -> PipelineTrace:
+    """The stages a reconstruction reached, whether or not it succeeded."""
+    return run.trace if isinstance(run, NoMatch) else run
+
+
+def _stage_renders(trace: PipelineTrace, stages: int = 4) -> dict[str, str]:
+    """The first pipeline stages of a trace, rendered ("" for a stage it did not reach)."""
+    keys = ("expansion", "kept_after_state_filter", "attached", "final_kept")
+    states = (trace.expansion, trace.kept_mid, trace.attached, trace.final_kept)
+    return {k: s.render() if s is not None else "" for k, s in zip(keys[:stages], states)}
+
+
+def _reconstructed_branch(
+    o2: BellOutcome, o3: BellOutcome, label: StateLabel, o1: BellOutcome, position: int
+) -> tuple[PipelineTrace | NoMatch, bool]:
+    """A tuple's reconstruction, and whether its action's honest branch can occur."""
+    run = _reconstruction(o2, o3, label, o1, position)
+    if isinstance(run, NoMatch):
+        return run, False
+    encoded = _encoded(label, run.result.action.gate, position)
+    return run, _branch_probability(encoded, o1, o2, o3) > PROB_TOL
 
 
 def misannouncement_matrix(gate: PauliGate = PauliGate.X, position: int = 1) -> dict:
     """Deductions per (true label, announced label) over all honest branches."""
     matrix: dict[str, dict[str, list[str]]] = {}
     for true_label in LABELS:
-        encoded = apply_gate(prepare_state(true_label), gate, position)
         row: dict[str, set[str]] = {lab.value: set() for lab in LABELS}
-        for branch in enumerate_branches(encoded):
+        for branch in enumerate_branches(_encoded(true_label, gate, position)):
             for announced in LABELS:
-                outcome, _ = _announce_and_run(
-                    branch.o2, branch.o3, announced, branch.o1, position
+                run = _reconstruction(branch.o2, branch.o3, announced, branch.o1, position)
+                row[announced.value].add(
+                    "no-match" if isinstance(run, NoMatch) else run.result.action.render()
                 )
-                row[announced.value].add(outcome.split(" ")[0])
         matrix[true_label.value] = {k: sorted(v) for k, v in row.items()}
     return matrix
 
@@ -479,43 +485,38 @@ def misannouncement_matrix(gate: PauliGate = PauliGate.X, position: int = 1) -> 
 def scenario_lie_state() -> ScenarioReport:
     """Dealer prepared C and applied X at qubit 1, but announces state A."""
     true_gate, position = PauliGate.X, 1
-    encoded = apply_gate(prepare_state(StateLabel.C), true_gate, position)
+    encoded = _encoded(StateLabel.C, true_gate, position)
     branches = list(_walk(encoded, (A_P,), BELL_OUTCOMES, BELL_OUTCOMES))
     p1_prob = sum(b.probability for b in branches)
-    collapse = _unit(partial_inner(encoded, (1, 6), A_P))
+    collapse = _collapse(encoded, A_P)
     post = from_statevector(collapse, (2, 3, 4, 5))
     claimed = BellProductExpr(PAIRING_2345, ((A_P, A_P, 1), (A_M, A_M, -1)))
-    claimed_vec = to_statevector(claimed.expand())
-    collapse_matches = global_phase_equal(collapse, claimed_vec, PHASE_TOL)
 
     o2, o3 = branches[0].o2, branches[0].o3
-    deduction, trace = _announce_and_run(o2, o3, StateLabel.A, A_P, position)
-
-    true_secret = decode_secret(GateAction(true_gate, position))
-    deduced_secret = _secret_of(deduction)
+    run = _reconstruction(o2, o3, StateLabel.A, A_P, position)
+    deduction, deduced_secret = _deduced(run)
     assertions = (
-        _check_bool(
+        _check(
             "scripted branch has positive probability",
-            p1_prob > PROB_TOL,
             "P(a+ on (1,6)) > 0",
             f"P = {p1_prob:.6f}",
+            p1_prob > PROB_TOL,
         ),
-        _check_bool(
+        _check(
             "collapse matches the printed a+a+ - a-a- pattern",
-            collapse_matches,
             "collapse ~ +a+(2,3)a+(4,5) -a-(2,3)a-(4,5)",
             f"collapse = {post.render()}",
+            _phase_equal(collapse, claimed.expand()),
         ),
         _check("deduction", "I1", deduction),
         _check("deduced secret", "00", deduced_secret),
-        _check("true secret", "01", true_secret),
+        _check("true secret", "01", decode_secret(GateAction(true_gate, position))),
     )
     states = {
         "collapse_terms": post.render(),
         "collapse_pairing_23_45": bell_decompose(post, PAIRING_2345).render(),
         "collapse_pairing_25_34": bell_decompose(post, PAIRING_2534).render(),
-        "expansion": trace.expansion.render() if trace else "",
-        "kept_after_state_filter": trace.kept_mid.render() if trace else "",
+        **_stage_renders(_trace_of(run), 2),
         "misannouncement_matrix": misannouncement_matrix(),
     }
     script = {
@@ -527,33 +528,31 @@ def scenario_lie_state() -> ScenarioReport:
         "p2_outcome": o2.ascii,
         "p3_outcome": o3.ascii,
     }
-    return ScenarioReport(
-        "lie-state", script, states, assertions, all(a.passed for a in assertions)
-    )
+    return ScenarioReport("lie-state", script, states, assertions)
 
 
 def scenario_lie_position() -> ScenarioReport:
     """Dealer applied iY at qubit 1 but announces qubit 6."""
     label, gate, true_position = StateLabel.A, PauliGate.IY, 1
-    encoded = apply_gate(prepare_state(label), gate, true_position)
     o1, o2, o3 = B_P, A_M, A_P
-    prob = _branch_probability(encoded, o1, o2, o3)
-    deduction, trace = _announce_and_run(o2, o3, label, o1, 6)
+    prob = _branch_probability(_encoded(label, gate, true_position), o1, o2, o3)
+    run = _reconstruction(o2, o3, label, o1, 6)
+    trace = _trace_of(run)
     expected_kept = (("000001", 1), ("111110", -1))
-    observed_kept = trace.final_kept.term_signs() if trace and trace.final_kept else ()
-    deduced_secret = _secret_of(deduction)
+    observed_kept = trace.final_kept.term_signs() if trace.final_kept else ()
+    deduction, deduced_secret = _deduced(run)
     assertions = (
-        _check_bool(
+        _check(
             "scripted branch has positive probability",
-            prob > PROB_TOL,
             "P(b+, a-, a+) > 0",
             f"P = {prob:.6f}",
+            prob > PROB_TOL,
         ),
-        _check_bool(
+        _check(
             "kept terms are the two cross-correlated terms",
-            observed_kept == expected_kept,
             str(expected_kept),
             str(observed_kept),
+            observed_kept == expected_kept,
         ),
         _check("deduction", "iY6", deduction),
         _check("deduced secret", "00", deduced_secret),
@@ -568,15 +567,7 @@ def scenario_lie_position() -> ScenarioReport:
         "p2_outcome": o2.ascii,
         "p3_outcome": o3.ascii,
     }
-    states = {
-        "expansion": trace.expansion.render() if trace else "",
-        "kept_after_state_filter": trace.kept_mid.render() if trace else "",
-        "attached": trace.attached.render() if trace and trace.attached else "",
-        "final_kept": trace.final_kept.render() if trace and trace.final_kept else "",
-    }
-    return ScenarioReport(
-        "lie-position", script, states, assertions, all(a.passed for a in assertions)
-    )
+    return ScenarioReport("lie-position", script, _stage_renders(trace), assertions)
 
 
 def scenario_p1_withholds() -> ScenarioReport:
@@ -585,44 +576,40 @@ def scenario_p1_withholds() -> ScenarioReport:
     o2, o3 = A_M, A_P
     expected_map = {A_M: "I1", B_M: "X1", B_P: "iY1", A_P: "Z1"}
     display = BellProductExpr(PAIRING_2345, ((A_P, A_M, 1), (A_M, A_P, 1)))
-    display_vec = to_statevector(display.expand())
+    display_state = display.expand()
 
     observed_map: dict[str, str] = {}
     consistent: set[str] = set()
     all_positive = True
     all_display = True
-    for o1, expected_action in expected_map.items():
-        deduction, _ = _announce_and_run(o2, o3, label, o1, position)
-        observed_map[o1.ascii] = deduction
-        if "no-match" not in deduction:
-            consistent.add(deduction)
-            gate = PauliGate(deduction[:-1])
-            encoded = apply_gate(prepare_state(label), gate, position)
-            if _branch_probability(encoded, o1, o2, o3) <= PROB_TOL:
-                all_positive = False
-            collapse = _unit(partial_inner(encoded, (1, 6), o1))
-            if not global_phase_equal(collapse, display_vec, PHASE_TOL):
-                all_display = False
+    for o1 in expected_map:
+        run, positive = _reconstructed_branch(o2, o3, label, o1, position)
+        observed_map[o1.ascii] = _deduced(run)[0]
+        if not isinstance(run, NoMatch):
+            consistent.add(observed_map[o1.ascii])
+            all_positive = all_positive and positive
+            collapse = _collapse(_encoded(label, run.result.action.gate, position), o1)
+            all_display = all_display and _phase_equal(collapse, display_state)
 
+    expected_deductions = {o.ascii: a for o, a in expected_map.items()}
     assertions = (
-        _check_bool(
+        _check(
             "one consistent gate per withheld outcome",
-            observed_map == {o.ascii: a for o, a in expected_map.items()},
-            str({o.ascii: a for o, a in expected_map.items()}),
+            str(expected_deductions),
             str(observed_map),
+            observed_map == expected_deductions,
         ),
         _check("ambiguity set size", "4", str(len(consistent))),
-        _check_bool(
+        _check(
             "each consistent branch has positive probability",
-            all_positive,
             "all positive",
             "all positive" if all_positive else "some zero",
         ),
-        _check_bool(
+        _check(
             "every consistent configuration collapses to the same display state",
-            all_display,
             "collapse ~ +a+(2,3)a-(4,5) +a-(2,3)a+(4,5)",
             "match" if all_display else "mismatch",
+            all_display,
         ),
     )
     script = {
@@ -633,9 +620,7 @@ def scenario_p1_withholds() -> ScenarioReport:
         "p1_outcome": "withheld",
     }
     states = {"display": display.render(), "deductions": observed_map}
-    return ScenarioReport(
-        "p1-withholds", script, states, assertions, all(a.passed for a in assertions)
-    )
+    return ScenarioReport("p1-withholds", script, states, assertions)
 
 
 def scenario_no_collusion() -> ScenarioReport:
@@ -646,44 +631,30 @@ def scenario_no_collusion() -> ScenarioReport:
     def consistent_gates(p1_outcome: BellOutcome) -> list[str]:
         gates = set()
         for o3 in BELL_OUTCOMES:
-            deduction, _ = _announce_and_run(p2_outcome, o3, label, p1_outcome, position)
-            if "no-match" in deduction:
-                continue
-            gate = PauliGate(deduction[:-1])
-            encoded = apply_gate(prepare_state(label), gate, position)
-            if _branch_probability(encoded, p1_outcome, p2_outcome, o3) > PROB_TOL:
-                gates.add(deduction)
+            run, positive = _reconstructed_branch(p2_outcome, o3, label, p1_outcome, position)
+            if positive:
+                gates.add(run.result.action.render())
         return sorted(gates)
 
     def p3_outcomes_seen(gate: PauliGate) -> list[str]:
-        encoded = apply_gate(prepare_state(label), gate, position)
-        seen = {
-            b.o3.ascii for b in enumerate_branches(encoded) if b.o2 is p2_outcome
-        }
-        return sorted(seen)
+        encoded = _encoded(label, gate, position)
+        return sorted({b.o3.ascii for b in enumerate_branches(encoded) if b.o2 is p2_outcome})
 
     iy_gates = consistent_gates(B_P)
     i_gates = consistent_gates(A_P)
     iy_p3 = p3_outcomes_seen(PauliGate.IY)
     i_p3 = p3_outcomes_seen(PauliGate.I)
-
-    iy_collapse = _unit(
-        partial_inner(apply_gate(prepare_state(label), PauliGate.IY, 1), (1, 6), B_P)
-    )
     eq3 = BellProductExpr(PAIRING_2534, ((A_P, A_M, 1), (A_M, A_P, 1)))
-    i_collapse = _unit(
-        partial_inner(apply_gate(prepare_state(label), PauliGate.I, 1), (1, 6), A_P)
-    )
     eq9_corrected = BellProductExpr(PAIRING_2534, ((A_P, A_P, 1), (A_M, A_M, 1)))
 
     assertions = (
         _check("consistent gates, toggled run (P1=b+)", "['X1', 'iY1']", str(iy_gates)),
         _check("consistent gates, identity run (P1=a+)", "['I1', 'Z1']", str(i_gates)),
-        _check_bool(
+        _check(
             "ambiguity at least two in both runs",
-            len(iy_gates) >= 2 and len(i_gates) >= 2,
             ">= 2",
             f"{len(iy_gates)} and {len(i_gates)}",
+            len(iy_gates) >= 2 and len(i_gates) >= 2,
         ),
         _check(
             "P2's marginal admits both P3 outcomes (toggled run)",
@@ -695,17 +666,17 @@ def scenario_no_collusion() -> ScenarioReport:
             "['a+', 'a-']",
             str(i_p3),
         ),
-        _check_bool(
+        _check(
             "toggled-run collapse re-pairs to a+a- + a-a+ on (2,5),(3,4)",
-            global_phase_equal(iy_collapse, to_statevector(eq3.expand()), PHASE_TOL),
             eq3.render(),
             "match",
+            _phase_equal(_collapse(_encoded(label, PauliGate.IY, 1), B_P), eq3.expand()),
         ),
-        _check_bool(
+        _check(
             "identity-run collapse re-pairs to a+a+ + a-a- on (2,5),(3,4)",
-            global_phase_equal(i_collapse, to_statevector(eq9_corrected.expand()), PHASE_TOL),
             eq9_corrected.render() + " (corrected from a duplicated printed term)",
             "match",
+            _phase_equal(_collapse(_encoded(label, PauliGate.I, 1), A_P), eq9_corrected.expand()),
         ),
     )
     script = {
@@ -719,16 +690,13 @@ def scenario_no_collusion() -> ScenarioReport:
         "toggled_run_gates": iy_gates,
         "identity_run_gates": i_gates,
     }
-    return ScenarioReport(
-        "no-collusion", script, states, assertions, all(a.passed for a in assertions)
-    )
+    return ScenarioReport("no-collusion", script, states, assertions)
 
 
 def scenario_eve_intercept() -> ScenarioReport:
     """Eve flips qubit 6 of a Z1-encoded state in transit."""
     label, dealer_gate, position = StateLabel.A, PauliGate.Z, 1
-    dealt = apply_gate(prepare_state(label), dealer_gate, position)
-    modified = apply_gate(dealt, PauliGate.X, 6)
+    modified = apply_gate(_encoded(label, dealer_gate, position), PauliGate.X, 6)
 
     expected_modified = np.zeros(64)
     expected_modified[0b000001] = 0.5
@@ -738,14 +706,12 @@ def scenario_eve_intercept() -> ScenarioReport:
     modified_ok = bool(np.max(np.abs(modified - expected_modified)) <= PHASE_TOL)
 
     prob = _branch_probability(modified, A_P, B_M, B_P)
-    collapse = _unit(partial_inner(modified, (1, 6), A_P))
     collapse_expr = BellProductExpr(PAIRING_2534, ((B_P, B_M, 1), (B_M, B_P, 1)))
-    collapse_ok = global_phase_equal(
-        collapse, to_statevector(collapse_expr.expand()), PHASE_TOL
-    )
+    collapse_ok = _phase_equal(_collapse(modified, A_P), collapse_expr.expand())
 
-    deduction, trace = _announce_and_run(B_M, B_P, label, A_P, position)
-    assert trace is not None and trace.result is not None and trace.final_kept is not None
+    trace = _reconstruction(B_M, B_P, label, A_P, position)
+    assert isinstance(trace, PipelineTrace)
+    deduction, deduced_secret = _deduced(trace)
     tamper = trace.result.tamper
 
     counterfactual = filter_untouched(trace.attached, label, 6)
@@ -759,55 +725,46 @@ def scenario_eve_intercept() -> ScenarioReport:
 
     false_positives = sum(
         1
-        for *_, trace in _honest_runs()
-        if not isinstance(trace, NoMatch) and trace.result.tamper
+        for *_, run in _honest_runs()
+        if not isinstance(run, NoMatch) and run.result.tamper
     )
 
     assertions = (
-        _check_bool(
+        _check(
             "modified state matches the intercepted product state",
-            modified_ok,
             "(|000>-|111>)(|001>+|110>)/2",
             "exact" if modified_ok else "mismatch",
+            modified_ok,
         ),
-        _check_bool(
+        _check(
             "collapse after P1=a+ re-pairs to b+b- + b-b+ on (2,5),(3,4)",
-            collapse_ok,
             collapse_expr.render(),
             "match" if collapse_ok else "mismatch",
+            collapse_ok,
         ),
-        _check_bool(
+        _check(
             "scripted branch has positive probability",
-            prob > PROB_TOL,
             "P(a+, b-, b+) > 0",
             f"P = {prob:.6f}",
+            prob > PROB_TOL,
         ),
-        _check_bool(
+        _check_terms(
             "expansion matches the four printed terms",
-            trace.expansion.term_signs()
-            == (("0011", 1), ("0101", 1), ("1010", -1), ("1100", -1)),
+            trace.expansion,
             "+0011 +0101 -1010 -1100",
-            trace.expansion.render(),
         ),
-        _check_bool(
-            "state filter keeps the first and fourth term",
-            trace.kept_mid.term_signs() == (("0011", 1), ("1100", -1)),
-            "+0011 -1100",
-            trace.kept_mid.render(),
+        _check_terms(
+            "state filter keeps the first and fourth term", trace.kept_mid, "+0011 -1100"
         ),
-        _check_bool(
+        _check_terms(
             "attached state matches the four printed six-qubit terms",
-            trace.attached is not None
-            and trace.attached.term_signs()
-            == (("000110", 1), ("011000", -1), ("100111", 1), ("111001", -1)),
+            trace.attached,
             "+000110 -011000 +100111 -111001",
-            trace.attached.render() if trace.attached else "",
         ),
-        _check_bool(
+        _check_terms(
             "position filter keeps the second and third term",
-            trace.final_kept.term_signs() == (("011000", -1), ("100111", 1)),
+            trace.final_kept,
             "-011000 +100111",
-            trace.final_kept.render(),
         ),
         _check("deduction", "iY1", deduction),
         _check(
@@ -815,11 +772,10 @@ def scenario_eve_intercept() -> ScenarioReport:
             "X on qubit 6",
             tamper.render() if tamper else "none",
         ),
-        _check_bool(
+        _check_terms(
             "counterfactual keeps the first and fourth term",
-            counterfactual_state.term_signs() == (("000110", 1), ("111001", -1)),
+            counterfactual_state,
             "+000110 -111001",
-            counterfactual_state.render(),
         ),
         _check("counterfactual deduction (dealer announces qubit 6)", "X6",
                counterfactual_action),
@@ -841,17 +797,12 @@ def scenario_eve_intercept() -> ScenarioReport:
     }
     states = {
         "modified_state": from_statevector(modified, (1, 2, 3, 4, 5, 6)).render(),
-        "expansion": trace.expansion.render(),
-        "kept_after_state_filter": trace.kept_mid.render(),
-        "attached": trace.attached.render() if trace.attached else "",
-        "final_kept": trace.final_kept.render(),
+        **_stage_renders(trace),
         "counterfactual_kept": counterfactual_state.render(),
         "true_secret": decode_secret(GateAction(dealer_gate, position)),
-        "deduced_secret": trace.result.secret,
+        "deduced_secret": deduced_secret,
     }
-    return ScenarioReport(
-        "eve-intercept", script, states, assertions, all(a.passed for a in assertions)
-    )
+    return ScenarioReport("eve-intercept", script, states, assertions)
 
 
 SCENARIOS = {

@@ -34,18 +34,22 @@ _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
 def check_qubit(q: int) -> int:
-    if q not in (1, 2, 3, 4, 5, 6):
+    """The qubit as an int, fit for a cache key.
+
+    A bool is rejected although True == 1; a float such as 1.0 raises TypeError.
+    """
+    if isinstance(q, bool) or q not in (1, 2, 3, 4, 5, 6):
         raise ValueError(f"qubit index must be in 1..6, got {q!r}")
-    return q
+    return operator.index(q)
 
 
 def check_pair(pair: BellPair) -> BellPair:
+    """The pair as a tuple of two distinct checked qubits."""
     first, second = pair
-    check_qubit(first)
-    check_qubit(second)
+    first, second = check_qubit(first), check_qubit(second)
     if first == second:
         raise ValueError(f"measurement pair must use two distinct qubits, got {pair!r}")
-    return pair
+    return first, second
 
 
 class PauliGate(Enum):
@@ -116,13 +120,6 @@ class BellOutcome(Enum):
     def ascii(self) -> str:
         return self.value
 
-    @property
-    def pretty(self) -> str:
-        return {"a": "α", "b": "β"}[self.value[0]] + {
-            "+": "⁺",
-            "-": "⁻",
-        }[self.value[1]]
-
 
 _BELL_KET_SIGNS = {
     BellOutcome.A_PLUS: {(0, 0): 1, (1, 1): 1},
@@ -191,7 +188,7 @@ def _gate_table(gate: PauliGate, q: int) -> tuple[np.ndarray, np.ndarray]:
 
 def apply_gate(state: Statevector, gate: PauliGate, q: int) -> Statevector:
     """Apply a single-qubit gate at 1-based qubit position q."""
-    perm, signs = _gate_table(gate, operator.index(check_qubit(q)))
+    perm, signs = _gate_table(gate, check_qubit(q))
     # + 0.0 turns the -0.0 that a sign flip leaves on a zero amplitude into 0.0
     return np.asarray(state).reshape(DIM)[perm] * signs + 0.0
 
@@ -202,12 +199,6 @@ _BELL_KETS = tuple(zip(*(tuple(_BELL_KET_SIGNS[o].items()) for o in BELL_OUTCOME
 _BELL_COEF = np.array([[[sign * _SQRT1_2] for _, sign in kets] for kets in _BELL_KETS])
 _BELL_COEF.flags.writeable = False
 _OUTCOME_ROW = {outcome: k for k, outcome in enumerate(BELL_OUTCOMES)}
-
-
-def _pair_key(pair: BellPair) -> BellPair:
-    """The checked pair as a tuple of ints: a float qubit fails the same way, cached or not."""
-    first, second = check_pair(pair)
-    return operator.index(first), operator.index(second)
 
 
 @functools.cache
@@ -243,7 +234,7 @@ def partial_inner(state: Statevector, pair: BellPair, outcome: BellOutcome) -> n
 
     The result indexes the four remaining qubits in ascending order.
     """
-    gather = _bell_tables(_pair_key(pair))[0]
+    gather = _bell_tables(check_pair(pair))[0]
     k = _OUTCOME_ROW[outcome]
     terms = np.asarray(state).reshape(DIM)[gather[:, k]] * _BELL_COEF[:, k]
     return (terms[0] + 0.0) + terms[1]
@@ -257,7 +248,7 @@ def bell_probabilities(
     Outcomes with probability <= 1e-12 are reported with probability 0.0 and
     no post-state, so impossible branches cannot be sampled downstream.
     """
-    gather, scatter = _bell_tables(_pair_key(pair))
+    gather, scatter = _bell_tables(check_pair(pair))
     # ket j of outcome k times its coefficient, summed in ket order: <outcome| on the pair
     terms = np.asarray(state).reshape(DIM)[gather] * _BELL_COEF
     # start from 0.0, as a sum into a zero array does, so zero signs match too

@@ -33,6 +33,7 @@ from .symexact import (
     SymbolicState,
     Term,
     apply_gate_sym,
+    bell_products,
     bell_terms,
     equal_up_to_global_sign,
     expand_product,
@@ -103,10 +104,12 @@ class PipelineTrace:
     result: Optional[ReconstructionResult]
 
 
-def _support_pairs(label: StateLabel) -> set[str]:
-    # (q4,q5) values allowed by the label: the first two bits of each
-    # second-half support string.
-    return {h[0] + h[1] for h in label.half_support}
+def _partition(state: SymbolicState, qubits: tuple[int, ...], allowed: set[str]) -> FilterResult:
+    """Split a state's terms by whether their bits on the given qubits are allowed."""
+    kept, discarded = [], []
+    for t in state.terms:
+        (kept if restrict(state.qubits, t, qubits) in allowed else discarded).append(t)
+    return FilterResult(tuple(kept), tuple(discarded))
 
 
 def filter_support(state: SymbolicState, label: StateLabel) -> FilterResult:
@@ -118,11 +121,8 @@ def filter_support(state: SymbolicState, label: StateLabel) -> FilterResult:
     """
     if state.qubits != MIDDLE_QUBITS:
         raise ValueError(f"expected a state over qubits {MIDDLE_QUBITS}, got {state.qubits}")
-    allowed = _support_pairs(label)
-    kept, discarded = [], []
-    for t in state.terms:
-        (kept if restrict(state.qubits, t, (4, 5)) in allowed else discarded).append(t)
-    return FilterResult(tuple(kept), tuple(discarded))
+    # (q4,q5) values allowed by the label: the first two bits of each second-half support string
+    return _partition(state, (4, 5), {h[:2] for h in label.half_support})
 
 
 def attach_p1(kept: SymbolicState, p1: BellOutcome) -> SymbolicState:
@@ -145,12 +145,7 @@ def filter_untouched(state: SymbolicState, label: StateLabel, position: int) -> 
     """Keep terms whose untouched-half triple is in the announced support."""
     if state.qubits != ALL_QUBITS:
         raise ValueError(f"expected a state over qubits 1..6, got {state.qubits}")
-    half = untouched_half(position)
-    allowed = set(label.half_support)
-    kept, discarded = [], []
-    for t in state.terms:
-        (kept if restrict(state.qubits, t, half) in allowed else discarded).append(t)
-    return FilterResult(tuple(kept), tuple(discarded))
+    return _partition(state, untouched_half(position), set(label.half_support))
 
 
 def _half_reference(label: StateLabel, qubits: tuple[int, int, int]) -> SymbolicState:
@@ -245,16 +240,11 @@ def _validated(announcements: Sequence[Announcement]):
     return p2.outcome, p3.outcome, state_ann.label, p1.outcome, pos_ann.position
 
 
-@functools.cache
-def _expansion(o2: BellOutcome, o3: BellOutcome) -> SymbolicState:
-    """The P2 x P3 product of the announced (2,5) and (3,4) Bell kets, over qubits 2..5."""
-    return expand_product([bell_terms(o2, P2_PAIR), bell_terms(o3, P3_PAIR)])
-
-
 def reconstruct_trace(announcements: Sequence[Announcement]) -> PipelineTrace:
     """Run the full pipeline, keeping every intermediate for reporting."""
     o2, o3, label, o1, position = _validated(announcements)
-    expansion = _expansion(o2, o3)
+    # the P2 x P3 product of the announced (2,5) and (3,4) Bell kets, over qubits 2..5
+    expansion = bell_products((P2_PAIR, P3_PAIR))[o2, o3]
     support = filter_support(expansion, label)
     kept_mid = SymbolicState.from_terms(MIDDLE_QUBITS, support.kept, expansion.norm_exponent)
     if not kept_mid.terms:

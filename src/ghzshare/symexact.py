@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .qcore import BELL_OUTCOMES, BellOutcome, BellPair, PauliGate, _BELL_KET_SIGNS
+from .qcore import BELL_OUTCOMES, BellOutcome, BellPair, PauliGate, _BELL_KET_SIGNS, check_pair
 
 
 class SymexactError(Exception):
@@ -158,12 +158,15 @@ def identity_state() -> SymbolicState:
     return SymbolicState((), (Term(0, 1),), 0)
 
 
-@functools.cache
 def bell_terms(outcome: BellOutcome, pair: BellPair) -> SymbolicState:
     """Two-term expansion of a Bell ket on a qubit pair (norm exponent 1)."""
+    return _bell_ket(outcome, check_pair(pair))
+
+
+@functools.cache
+def _bell_ket(outcome: BellOutcome, pair: BellPair) -> SymbolicState:
+    """bell_terms on a checked pair of ints, so that no other key reaches the table."""
     first, second = pair
-    if first == second:
-        raise ValueError(f"pair must use two distinct qubits, got {pair!r}")
     ascending = first < second
     qubits = (first, second) if ascending else (second, first)
     terms = []
@@ -171,6 +174,11 @@ def bell_terms(outcome: BellOutcome, pair: BellPair) -> SymbolicState:
         bits = k1 << 1 | k2 if ascending else k2 << 1 | k1
         terms.append(Term(bits, sign))
     return SymbolicState.from_terms(qubits, terms, 1)
+
+
+# bell_terms reports and clears the table it reads, as a cached function would
+bell_terms.cache_info = _bell_ket.cache_info
+bell_terms.cache_clear = _bell_ket.cache_clear
 
 
 def _spread(bits: int, shifts: tuple[int, ...]) -> int:
@@ -241,7 +249,7 @@ def equal_up_to_global_sign(a: SymbolicState, b: SymbolicState) -> bool:
 
 
 @functools.cache
-def _bell_products(
+def bell_products(
     pairing: tuple[BellPair, BellPair],
 ) -> Mapping[tuple[BellOutcome, BellOutcome], SymbolicState]:
     """The sixteen Bell(x)Bell product expansions of one pairing, by outcome pair."""
@@ -269,7 +277,7 @@ class BellProductExpr:
         four qubits, the value that ``render`` writes as ``0``.
         """
         pair1, pair2 = self.pairing
-        products = _bell_products(self.pairing)
+        products = bell_products(self.pairing)
         raw = [
             Term(t.bits, t.sign * sign)
             for o1, o2, sign in self.entries
@@ -311,7 +319,7 @@ def bell_decompose(
     state_signs = {t.bits: t.sign for t in state.terms}
     entries = []
     overlaps = []
-    for (o1, o2), candidate in _bell_products(pairing).items():
+    for (o1, o2), candidate in bell_products(pairing).items():
         m = sum(state_signs.get(t.bits, 0) * t.sign for t in candidate.terms)
         if m:
             entries.append((o1, o2, 1 if m > 0 else -1))

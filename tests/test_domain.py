@@ -79,8 +79,7 @@ def test_constant_tables_fill_to_their_domains_and_stop_missing():
     # second pass adds no miss anywhere.
     sized = {
         "bell_terms": symexact.bell_terms,
-        "bell_products": symexact._bell_products,
-        "expansion": recon._expansion,
+        "bell_products": symexact.bell_products,
         "gate_images": recon._gate_images,
     }
     tables = {**sized, "shifts": symexact._shifts, "layouts": symexact._check_layout}
@@ -92,7 +91,6 @@ def test_constant_tables_fill_to_their_domains_and_stop_missing():
     assert sizes == {
         "bell_terms": 4 * len(pairs_used),
         "bell_products": 2,
-        "expansion": 16,
         "gate_images": 8,
     }
     misses = {name: table.cache_info().misses for name, table in tables.items()}

@@ -57,6 +57,26 @@ GOLDEN = {
         "97425bf5716dd2bb8874bec022b81be2ad3852d0a357bd2e174f0d7b79a1dcd9",
         0,
     ),
+    ("scenario", "lie-state"): (
+        "877272a25050a26ba529752f4f1bb85797da174ebc37183d527e4b707a73b159",
+        1,
+    ),
+    ("scenario", "lie-position"): (
+        "37b7f0d239b6ebeb8489ab09dddee163f19bd66ec56005591018a9cf292af056",
+        0,
+    ),
+    ("scenario", "p1-withholds"): (
+        "ac979ee8fe1121e839d6ee4d1976967d7391fc4c8a693bd8446fa73e8e9dbc2b",
+        0,
+    ),
+    ("scenario", "no-collusion"): (
+        "e98eeed5d754074680db408c6af33f61a21512585dadf33ef9f34bb6dd9b0d1f",
+        0,
+    ),
+    ("scenario", "eve-intercept"): (
+        "bdb986576f93129e1709aa7063b89346462d267eea0f16991b8dfc625990d88f",
+        1,
+    ),
 }
 
 

@@ -1,0 +1,108 @@
+"""Static checks over the package source, with the standard library's ``ast``.
+
+Two kinds of leftover fail here: an import that its module never uses, and
+a private module-level name (``_x``) that nothing in the package refers
+to.  Names listed in a module's ``__all__`` count as used, so a package
+re-export is not an unused import.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ghzshare"
+SOURCES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _annotation_strings(tree: ast.AST):
+    """Parsed string annotations, such as ``"PipelineTrace | None"``."""
+    for node in ast.walk(tree):
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for annotation in annotations:
+            if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                yield ast.parse(annotation.value, mode="eval")
+
+
+def used_names(tree: ast.AST) -> set[str]:
+    """Names a module reads: bare names, attribute names and ``__all__`` entries."""
+    used = set()
+    for root in (tree, *_annotation_strings(tree)):
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def imported_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def package_references() -> set[str]:
+    """Every name read anywhere in the package, or imported by one module from another."""
+    refs = set()
+    for tree in SOURCES.values():
+        refs |= used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                refs.update(a.name for a in node.names)
+    return refs
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_no_unused_imports(module):
+    tree = SOURCES[module]
+    unused = [name for name in imported_names(tree) if name not in used_names(tree)]
+    assert not unused, f"{module}: unused imports {unused}"
+
+
+def test_every_private_module_name_is_referenced():
+    refs = package_references()
+    unreferenced = [
+        f"{module}:{name}"
+        for module, tree in SOURCES.items()
+        for name in private_definitions(tree)
+        if name not in refs
+    ]
+    assert not unreferenced, f"defined but never referenced: {unreferenced}"
+
+
+def test_checks_catch_planted_leftovers():
+    planted = ast.parse(
+        "import os\nfrom typing import Optional\n\n"
+        "def _unit(v):\n    return v\n\nx: Optional[int] = 1\n"
+    )
+    assert [n for n in imported_names(planted) if n not in used_names(planted)] == ["os"]
+    assert private_definitions(planted) == ["_unit"]
+    assert "_unit" not in used_names(planted)

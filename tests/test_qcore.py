@@ -18,6 +18,7 @@ from ghzshare.qcore import (
     apply_gate,
     bell_probabilities,
     bits_to_index,
+    check_pair,
     global_phase_equal,
     measure_bell,
     norm,
@@ -372,6 +373,28 @@ def test_list_pair_and_bad_pairs():
         partial_inner(state, (1, 6.0), A_P)
     with pytest.raises(TypeError):
         apply_gate(state, PauliGate.X, 6.0)
+
+
+def test_bool_qubits_are_rejected_cached_or_not():
+    # True == 1 and hashes alike, so a bool would otherwise run as qubit 1
+    state = apply_gate(prepare_state(StateLabel.C), PauliGate.IY, 6)
+    qcore._gate_table.cache_clear()
+    qcore._bell_tables.cache_clear()
+    for _ in range(2):
+        for qubit in (True, False):
+            with pytest.raises(ValueError):
+                apply_gate(state, PauliGate.X, qubit)
+        for pair in [(True, 6), (6, True), (False, 6)]:
+            with pytest.raises(ValueError):
+                bell_probabilities(state, pair)
+            with pytest.raises(ValueError):
+                partial_inner(state, pair, A_P)
+        # the second round runs with the int tables for qubit 1 and (1, 6) cached
+        apply_gate(state, PauliGate.X, 1)
+        bell_probabilities(state, (1, 6))
+        bell_probabilities(state, (6, 1))
+    assert check_pair([1, 6]) == (1, 6)
+    assert all(type(q) is int for q in check_pair((np.int64(1), 6)))
 
 
 def test_returned_arrays_do_not_alias_cached_tables():

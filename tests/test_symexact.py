@@ -51,6 +51,21 @@ def test_bell_terms_conventions():
     assert bell_terms(A_P, (1, 6)).norm_exponent == 1
 
 
+def test_bell_terms_checks_the_pair_before_its_table():
+    # True == 1 and hashes alike: an unchecked (True, 6) would be stored and
+    # then served for every later (1, 6)
+    bell_terms.cache_clear()
+    for bad in [(True, 6), (1, 7), (2, 2)]:
+        with pytest.raises(ValueError):
+            bell_terms(A_P, bad)
+    state = bell_terms(A_P, (1, 6))
+    assert state.qubits == (1, 6)
+    assert all(type(q) is int for q in state.qubits)
+    assert state.render() == "+|00> +|11> on (1,6)"
+    assert bell_terms(A_P, [1, 6]) is state
+    assert bell_terms(B_M, (6, 1)).term_signs() == (("01", -1), ("10", 1))
+
+
 def test_expand_product_reproduces_four_term_expansion():
     product = expand_product([bell_terms(A_M, (2, 5)), bell_terms(A_P, (3, 4))])
     assert product.qubits == (2, 3, 4, 5)
