@@ -49,7 +49,7 @@ class Party:
 
 
 def check_secret(bits: str) -> str:
-    if len(bits) != 2 or any(c not in "01" for c in bits):
+    if not isinstance(bits, str) or len(bits) != 2 or any(c not in "01" for c in bits):
         raise ValueError(f"secret must be a 2-character 0/1 string, got {bits!r}")
     return bits
 

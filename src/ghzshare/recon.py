@@ -7,6 +7,12 @@ violates the announced state's support, and matches the two surviving
 terms against each candidate gate applied to the perfectly correlated
 reference state.  A pure function of the announcements throughout; the
 transcript's ground truth is never consulted.
+
+Every step reads ``Term.bits`` directly: a filter is a mask and a set
+lookup, gate inference one lookup in a per-(label, position) table built
+from the symbolic gate images, and the tamper report one lookup in a
+per-(label, position) table of single-qubit flips.  Strings are rendered
+only for a NoMatch message.
 """
 
 from __future__ import annotations
@@ -32,12 +38,10 @@ from .symexact import (
     EmptyState,
     SymbolicState,
     Term,
+    _shifts,
     apply_gate_sym,
     bell_products,
     bell_terms,
-    equal_up_to_global_sign,
-    expand_product,
-    restrict,
 )
 
 MIDDLE_QUBITS = (2, 3, 4, 5)
@@ -61,7 +65,7 @@ class NoMatch(ReconError):
 
 
 class Ambiguous(ReconError):
-    """More than one candidate gate fits (never occurs in honest runs)."""
+    """Two candidate gates share an image; raised when a gate table is built."""
 
 
 @dataclass(frozen=True)
@@ -104,12 +108,39 @@ class PipelineTrace:
     result: Optional[ReconstructionResult]
 
 
-def _partition(state: SymbolicState, qubits: tuple[int, ...], allowed: set[str]) -> FilterResult:
+@functools.cache
+def _support_mask(
+    layout: tuple[int, ...], qubits: tuple[int, ...], label: StateLabel
+) -> tuple[int, frozenset[int]]:
+    """Mask of ``qubits`` in a pattern over ``layout``, and the masked values the label allows.
+
+    The allowed values are the label's half-support strings cut to the
+    first ``len(qubits)`` bits: (q4,q5) are the first two qubits of the
+    second GHZ half, and an untouched half is a whole triple.
+    """
+    shifts = _shifts(layout, qubits)
+    mask = sum(1 << s for s in shifts)
+    allowed = frozenset(
+        sum(int(bit) << s for bit, s in zip(h, shifts)) for h in label.half_support
+    )
+    return mask, allowed
+
+
+def _partition(state: SymbolicState, qubits: tuple[int, ...], label: StateLabel) -> FilterResult:
     """Split a state's terms by whether their bits on the given qubits are allowed."""
+    mask, allowed = _support_mask(state.qubits, qubits, label)
     kept, discarded = [], []
     for t in state.terms:
-        (kept if restrict(state.qubits, t, qubits) in allowed else discarded).append(t)
+        (kept if t.bits & mask in allowed else discarded).append(t)
     return FilterResult(tuple(kept), tuple(discarded))
+
+
+def _kept_state(source: SymbolicState, split: FilterResult) -> SymbolicState:
+    """A filter's kept terms as a state over the source's layout.
+
+    Terms kept in order from a canonical state are canonical already.
+    """
+    return SymbolicState(source.qubits, split.kept, source.norm_exponent)
 
 
 def filter_support(state: SymbolicState, label: StateLabel) -> FilterResult:
@@ -121,15 +152,25 @@ def filter_support(state: SymbolicState, label: StateLabel) -> FilterResult:
     """
     if state.qubits != MIDDLE_QUBITS:
         raise ValueError(f"expected a state over qubits {MIDDLE_QUBITS}, got {state.qubits}")
-    # (q4,q5) values allowed by the label: the first two bits of each second-half support string
-    return _partition(state, (4, 5), {h[:2] for h in label.half_support})
+    return _partition(state, (4, 5), label)
+
+
+@functools.cache
+def _placed_p1(p1: BellOutcome) -> tuple[tuple[int, int], ...]:
+    """The (1,6) Bell ket's terms as (pattern over qubits 1..6, sign), with q2..q5 clear."""
+    return tuple((t.bits >> 1 << 5 | t.bits & 1, t.sign) for t in bell_terms(p1, P1_PAIR).terms)
 
 
 def attach_p1(kept: SymbolicState, p1: BellOutcome) -> SymbolicState:
     """Tensor the announced (1,6) Bell ket onto the kept middle terms."""
+    if kept.qubits != MIDDLE_QUBITS:
+        raise ValueError(f"expected a state over qubits {MIDDLE_QUBITS}, got {kept.qubits}")
     if not kept.terms:
         raise EmptyState("no kept terms to attach the (1,6) outcome to")
-    return expand_product([bell_terms(p1, P1_PAIR), kept])
+    # the ket's two terms differ on q1, the top bit, so ket-major order is canonical;
+    # the ket's 1/sqrt2 adds 1 to the norm exponent
+    terms = [Term(b | t.bits << 1, s * t.sign) for b, s in _placed_p1(p1) for t in kept.terms]
+    return SymbolicState(ALL_QUBITS, tuple(terms), kept.norm_exponent + 1)
 
 
 def untouched_half(position: int) -> tuple[int, int, int]:
@@ -145,7 +186,7 @@ def filter_untouched(state: SymbolicState, label: StateLabel, position: int) -> 
     """Keep terms whose untouched-half triple is in the announced support."""
     if state.qubits != ALL_QUBITS:
         raise ValueError(f"expected a state over qubits 1..6, got {state.qubits}")
-    return _partition(state, untouched_half(position), set(label.half_support))
+    return _partition(state, untouched_half(position), label)
 
 
 def _half_reference(label: StateLabel, qubits: tuple[int, int, int]) -> SymbolicState:
@@ -160,6 +201,35 @@ def _gate_images(label: StateLabel, position: int) -> tuple[tuple[PauliGate, Sym
     return tuple((gate, apply_gate_sym(reference, gate, position)) for gate in GATES)
 
 
+def _pair_key(a: int, sign_a: int, b: int, sign_b: int) -> tuple[int, int, int]:
+    """Two signed triples up to order and global sign: (low, high, relative sign)."""
+    return (a, b, sign_a * sign_b) if a < b else (b, a, sign_a * sign_b)
+
+
+def _triple_shift(half: tuple[int, int, int]) -> int:
+    """Right shift that brings a GHZ half's triple to the low bits of a pattern over 1..6."""
+    return _shifts(ALL_QUBITS, half)[-1]
+
+
+@functools.cache
+def _gate_table(
+    label: StateLabel, position: int
+) -> tuple[int, dict[tuple[int, int, int], PauliGate]]:
+    """The toggled half's triple shift, and each gate keyed by its image's two signed triples.
+
+    Raises Ambiguous if two gates share an image, so that a lookup names at
+    most one gate.
+    """
+    table: dict[tuple[int, int, int], PauliGate] = {}
+    for gate, image in _gate_images(label, position):
+        (a, b) = image.terms
+        key = _pair_key(a.bits, a.sign, b.bits, b.sign)
+        if key in table:
+            raise Ambiguous(f"gates {table[key].value} and {gate.value} share {image.render()}")
+        table[key] = gate
+    return _triple_shift(toggled_half(position)), table
+
+
 def infer_gate(kept: SymbolicState, label: StateLabel, position: int) -> GateAction:
     """Identify the gate whose action on the reference state yields the kept pair.
 
@@ -170,23 +240,37 @@ def infer_gate(kept: SymbolicState, label: StateLabel, position: int) -> GateAct
     signs, up to a single global sign.  Relative sign is preserved: it is
     the Z/I and iY/X discriminator.
     """
+    if kept.qubits != ALL_QUBITS:
+        raise ValueError(f"expected a state over qubits 1..6, got {kept.qubits}")
     if len(kept.terms) != 2:
         raise NoMatch(f"expected exactly 2 kept terms, got {len(kept.terms)}")
-    half = toggled_half(position)
-    restricted = [Term(int(restrict(kept.qubits, t, half), 2), t.sign) for t in kept.terms]
-    if restricted[0].bits == restricted[1].bits:
+    shift, table = _gate_table(label, position)
+    first, second = kept.terms
+    a, b = first.bits >> shift & 7, second.bits >> shift & 7
+    if a == b:
         raise NoMatch("kept terms collapse onto one toggled-half pattern")
-    target = SymbolicState.from_terms(half, restricted, 1)
-    matches = [
-        gate
-        for gate, image in _gate_images(label, position)
-        if equal_up_to_global_sign(image, target)
-    ]
-    if not matches:
+    gate = table.get(_pair_key(a, first.sign, b, second.sign))
+    if gate is None:
+        half = toggled_half(position)
+        target = SymbolicState.from_terms(half, [Term(a, first.sign), Term(b, second.sign)], 1)
         raise NoMatch(f"no gate maps the reference onto {target.render()}")
-    if len(matches) > 1:
-        raise Ambiguous(f"gates {[g.value for g in matches]} all match {target.render()}")
-    return GateAction(matches[0], position)
+    return GateAction(gate, position)
+
+
+@functools.cache
+def _flip_table(label: StateLabel, position: int) -> tuple[int, tuple[Optional[int], ...]]:
+    """The untouched half's triple shift, and per triple the qubit whose flip reaches support.
+
+    The flip is read against the nearest support string; the entry is None
+    where that string is not at Hamming distance 1.
+    """
+    half = untouched_half(position)
+    support = [int(h, 2) for h in label.half_support]
+    flips = []
+    for triple in range(8):
+        diff = min((triple ^ h for h in support), key=int.bit_count)
+        flips.append(half[3 - diff.bit_length()] if diff.bit_count() == 1 else None)
+    return _triple_shift(half), tuple(flips)
 
 
 def tamper_report(
@@ -201,22 +285,16 @@ def tamper_report(
     """
     if not untouched_discarded:
         return None
-    half = untouched_half(position)
+    shift, table = _flip_table(label, position)
     flips = set()
     for term in untouched_discarded:
-        triple = restrict(ALL_QUBITS, term, half)
-        best = min(label.half_support, key=lambda h: _hamming(triple, h))
-        nearest = _hamming(triple, best)
-        if nearest != 1:
+        flipped = table[term.bits >> shift & 7]
+        if flipped is None:
             return None
-        flips.add(next(half[i] for i in range(3) if triple[i] != best[i]))
+        flips.add(flipped)
     if len(flips) != 1:
         return None
     return TamperReport((flips.pop(),), PauliGate.X)
-
-
-def _hamming(a: str, b: str) -> int:
-    return sum(x != y for x, y in zip(a, b))
 
 
 def _validated(announcements: Sequence[Announcement]):
@@ -246,7 +324,7 @@ def reconstruct_trace(announcements: Sequence[Announcement]) -> PipelineTrace:
     # the P2 x P3 product of the announced (2,5) and (3,4) Bell kets, over qubits 2..5
     expansion = bell_products((P2_PAIR, P3_PAIR))[o2, o3]
     support = filter_support(expansion, label)
-    kept_mid = SymbolicState.from_terms(MIDDLE_QUBITS, support.kept, expansion.norm_exponent)
+    kept_mid = _kept_state(expansion, support)
     if not kept_mid.terms:
         raise NoMatch(
             "announced state is inconsistent with every expanded term",
@@ -254,22 +332,23 @@ def reconstruct_trace(announcements: Sequence[Announcement]) -> PipelineTrace:
         )
     attached = attach_p1(kept_mid, o1)
     untouched = filter_untouched(attached, label, position)
-    final_kept = SymbolicState.from_terms(ALL_QUBITS, untouched.kept, attached.norm_exponent)
-    partial = PipelineTrace(expansion, support, kept_mid, attached, untouched, final_kept, None)
+    final_kept = _kept_state(attached, untouched)
+    stages = (expansion, support, kept_mid, attached, untouched, final_kept)
     if len(final_kept.terms) != 2:
         raise NoMatch(
-            f"{len(final_kept.terms)} terms survive the untouched-half filter", partial
+            f"{len(final_kept.terms)} terms survive the untouched-half filter",
+            PipelineTrace(*stages, None),
         )
     try:
         action = infer_gate(final_kept, label, position)
     except NoMatch as exc:
-        raise NoMatch(str(exc), partial) from None
+        raise NoMatch(str(exc), PipelineTrace(*stages, None)) from None
     result = ReconstructionResult(
         action=action,
         secret=decode_secret(action),
         tamper=tamper_report(untouched.discarded, label, position),
     )
-    return PipelineTrace(expansion, support, kept_mid, attached, untouched, final_kept, result)
+    return PipelineTrace(*stages, result)
 
 
 def reconstruct(announcements: Sequence[Announcement]) -> ReconstructionResult:

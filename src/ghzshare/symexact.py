@@ -153,11 +153,6 @@ class SymbolicState:
         return tuple((self.key(t), t.sign) for t in self.terms)
 
 
-def identity_state() -> SymbolicState:
-    """The empty tensor factor: one sign-+1 term over no qubits."""
-    return SymbolicState((), (Term(0, 1),), 0)
-
-
 def bell_terms(outcome: BellOutcome, pair: BellPair) -> SymbolicState:
     """Two-term expansion of a Bell ket on a qubit pair (norm exponent 1)."""
     return _bell_ket(outcome, check_pair(pair))

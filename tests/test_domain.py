@@ -81,6 +81,10 @@ def test_constant_tables_fill_to_their_domains_and_stop_missing():
         "bell_terms": symexact.bell_terms,
         "bell_products": symexact.bell_products,
         "gate_images": recon._gate_images,
+        "gate_tables": recon._gate_table,
+        "flip_tables": recon._flip_table,
+        "support_masks": recon._support_mask,
+        "placed_p1": recon._placed_p1,
     }
     tables = {**sized, "shifts": symexact._shifts, "layouts": symexact._check_layout}
     for table in tables.values():
@@ -92,6 +96,12 @@ def test_constant_tables_fill_to_their_domains_and_stop_missing():
         "bell_terms": 4 * len(pairs_used),
         "bell_products": 2,
         "gate_images": 8,
+        # one per (label, position)
+        "gate_tables": 8,
+        "flip_tables": 8,
+        # one per label for the (q4,q5) filter, one per (label, position) for the untouched half
+        "support_masks": 4 + 8,
+        "placed_p1": 4,
     }
     misses = {name: table.cache_info().misses for name, table in tables.items()}
     _sweep_and_table()

@@ -7,6 +7,7 @@ meant to alter output, and say so in the change.
 """
 
 import hashlib
+import itertools
 
 import pytest
 
@@ -85,3 +86,53 @@ def test_cli_output_is_byte_identical(argv, capsys):
     code = main(list(argv))
     stdout = capsys.readouterr().out.encode()
     assert (hashlib.sha256(stdout).hexdigest(), code) == GOLDEN[argv]
+
+
+def _domain_text() -> str:
+    """Every announcement tuple's outcome and stage renders, one block per tuple."""
+    from ghzshare.protocol import make_announcements
+    from ghzshare.qcore import BELL_OUTCOMES, LABELS
+    from ghzshare.recon import NoMatch, reconstruct_trace
+    from ghzshare.symexact import SymbolicState
+
+    def state(s):
+        return "-" if s is None else f"{s.render()} k={s.norm_exponent}"
+
+    def split(source, result):
+        if result is None:
+            return ["-", "-"]
+        return [
+            state(SymbolicState(source.qubits, terms, source.norm_exponent))
+            for terms in (result.kept, result.discarded)
+        ]
+
+    lines = []
+    for label, position, o1, o2, o3 in itertools.product(
+        LABELS, (1, 6), BELL_OUTCOMES, BELL_OUTCOMES, BELL_OUTCOMES
+    ):
+        lines.append(f"{label.value} {position} {o1.value} {o2.value} {o3.value}")
+        try:
+            trace = reconstruct_trace(make_announcements(o2, o3, label, o1, position))
+        except NoMatch as exc:
+            trace = exc.trace
+            lines.append(f"{type(exc).__name__}: {exc}")
+        else:
+            r = trace.result
+            tamper = r.tamper.render() if r.tamper else "None"
+            lines.append(f"{r.action.render()} {r.secret} {tamper}")
+        lines.append(state(trace.expansion))
+        lines += split(trace.expansion, trace.support_filter)
+        lines.append(state(trace.kept_mid))
+        lines.append(state(trace.attached))
+        lines += split(trace.attached, trace.untouched_filter)
+        lines.append(state(trace.final_kept))
+    return "\n".join(lines) + "\n"
+
+
+DOMAIN_SHA256 = "27ba596c7aa390419f44dbd16f4829deb842e8cfa3908c93d910ed7f9f31bcc9"
+
+
+def test_all_512_tuples_reconstruct_byte_identically():
+    # Results, NoMatch messages and every stage's kept and discarded terms.
+    digest = hashlib.sha256(_domain_text().encode()).hexdigest()
+    assert digest == DOMAIN_SHA256

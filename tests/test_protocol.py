@@ -78,6 +78,15 @@ def test_rejects_malformed_secrets_and_positions():
         GateAction(PauliGate.I, 3)
 
 
+@pytest.mark.parametrize("bits", [("1", "1"), ["0", "1"], b"01", None], ids=repr)
+def test_rejects_non_string_secrets(bits):
+    # a two-item sequence of "0"/"1" passes the length and character checks
+    with pytest.raises(ValueError, match="secret must be a 2-character 0/1 string"):
+        encode_secret(bits, 1)
+    with pytest.raises(ValueError, match="secret must be a 2-character 0/1 string"):
+        run_protocol(StateLabel.A, bits, 1, seed=7)
+
+
 def test_honest_transcript_structure():
     transcript = run_protocol(StateLabel.A, "11", 1, seed=7)
     anns = transcript.announcements

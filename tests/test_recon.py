@@ -1,6 +1,11 @@
 """Reconstruction pipeline tests against the worked hand expansions."""
 
+import itertools
+import re
+
 import pytest
+
+from ghzshare import recon
 
 from ghzshare.protocol import GateAction, make_announcements
 from ghzshare.qcore import (
@@ -13,23 +18,30 @@ from ghzshare.qcore import (
 from ghzshare.recon import (
     Ambiguous,
     NoMatch,
+    _flip_table,
+    _gate_images,
+    _gate_table,
     attach_p1,
     filter_support,
     filter_untouched,
     infer_gate,
     reconstruct,
+    reconstruct_trace,
     tamper_report,
+    toggled_half,
 )
 from ghzshare.symexact import (
     EmptyState,
     SymbolicState,
     Term,
     bell_terms,
+    equal_up_to_global_sign,
     expand_product,
     restrict,
 )
 
 A_P, A_M, B_P, B_M = BELL_OUTCOMES
+ALL = (1, 2, 3, 4, 5, 6)
 
 
 def state_of(qubits, signed_bits, k=0):
@@ -310,3 +322,113 @@ def test_untouched_filter_soundness_everywhere():
                     half = (4, 5, 6) if position == 1 else (1, 2, 3)
                     for t in result.kept:
                         assert restrict(attached.qubits, t, half) in label.half_support
+
+
+# -- integer-mask tables against the string readers they replaced -----------
+
+TUPLES = tuple(itertools.product(LABELS, (1, 6), BELL_OUTCOMES, BELL_OUTCOMES, BELL_OUTCOMES))
+
+
+def _traces():
+    """The pipeline trace of every announcement tuple, complete or cut by NoMatch."""
+    for label, position, o1, o2, o3 in TUPLES:
+        try:
+            yield reconstruct_trace(make_announcements(o2, o3, label, o1, position))
+        except NoMatch as exc:
+            yield exc.trace
+
+
+def _string_partition(state, qubits, allowed):
+    kept = tuple(t for t in state.terms if restrict(state.qubits, t, qubits) in allowed)
+    return kept, tuple(t for t in state.terms if t not in kept)
+
+
+def test_mask_partitions_equal_string_partitions_on_every_stage_state():
+    middle, full = set(), set()
+    for trace in _traces():
+        middle.update({trace.expansion, trace.kept_mid})
+        full.update(s for s in (trace.attached, trace.final_kept) if s is not None)
+    assert len(middle) > 16 and len(full) > 64
+    for label in LABELS:
+        for state in middle:
+            result = filter_support(state, label)
+            oracle = _string_partition(state, (4, 5), {h[:2] for h in label.half_support})
+            assert (result.kept, result.discarded) == oracle
+        for state, position in itertools.product(full, (1, 6)):
+            result = filter_untouched(state, label, position)
+            half = (4, 5, 6) if position == 1 else (1, 2, 3)
+            oracle = _string_partition(state, half, set(label.half_support))
+            assert (result.kept, result.discarded) == oracle
+
+
+def test_gate_table_equals_the_signed_image_matches():
+    for label, position in itertools.product(LABELS, (1, 6)):
+        half = toggled_half(position)
+        images = _gate_images(label, position)
+        shift, table = _gate_table(label, position)
+        assert sorted(table.values(), key=GATES.index) == list(GATES)
+        assert restrict(ALL, Term(0b111 << shift, 1), half) == "111"
+        for a, b in itertools.permutations(range(8), 2):
+            for sign_a, sign_b in itertools.product((1, -1), repeat=2):
+                target = SymbolicState.from_terms(half, [Term(a, sign_a), Term(b, sign_b)], 1)
+                matches = [g for g, image in images if equal_up_to_global_sign(image, target)]
+                assert len(matches) <= 1
+                # any untouched bits: the gate is read off the toggled half alone
+                untouched = 0b101 << 3 - shift
+                terms = [Term(a << shift | untouched, sign_a), Term(b << shift, sign_b)]
+                kept = SymbolicState.from_terms(ALL, terms, 3)
+                if matches:
+                    assert infer_gate(kept, label, position) == GateAction(matches[0], position)
+                else:
+                    message = f"no gate maps the reference onto {target.render()}"
+                    with pytest.raises(NoMatch, match=re.escape(message) + "$"):
+                        infer_gate(kept, label, position)
+
+
+def _string_flip(triple: str, label, half):
+    """The nearest-support single flip, read with string Hamming distances."""
+    best = min(label.half_support, key=lambda h: sum(x != y for x, y in zip(triple, h)))
+    differ = [half[i] for i in range(3) if triple[i] != best[i]]
+    return differ[0] if len(differ) == 1 else None
+
+
+def test_flip_table_equals_string_hamming_nearest_support():
+    for label, position in itertools.product(LABELS, (1, 6)):
+        half = (4, 5, 6) if position == 1 else (1, 2, 3)
+        shift, table = _flip_table(label, position)
+        assert len(table) == 8
+        for triple in range(8):
+            term = Term(triple << shift, 1)
+            assert table[triple] == _string_flip(restrict(ALL, term, half), label, half)
+            report = tamper_report([term], label, position)
+            flipped = None if report is None else report.flipped_qubits[0]
+            assert flipped == table[triple]
+
+
+def test_attach_p1_equals_expand_product_on_every_reachable_kept_state():
+    kept_states = {trace.kept_mid for trace in _traces() if trace.kept_mid.terms}
+    assert len(kept_states) == 24
+    for kept in kept_states:
+        for outcome in BELL_OUTCOMES:
+            oracle = expand_product([bell_terms(outcome, (1, 6)), kept])
+            assert attach_p1(kept, outcome) == oracle
+
+
+def test_attach_p1_and_infer_gate_reject_foreign_layouts():
+    with pytest.raises(ValueError):
+        attach_p1(state_of((1, 2, 3, 4), [("0000", 1)], k=0), A_P)
+    with pytest.raises(ValueError):
+        infer_gate(state_of((2, 3, 4, 5), [("0000", 1), ("1111", 1)], k=1), StateLabel.A, 1)
+
+
+def test_colliding_gate_images_fail_the_table_build(monkeypatch):
+    images = dict(_gate_images(StateLabel.A, 1))
+    # Z's image given again under X: two gates now share one key
+    collided = tuple((g, images[PauliGate.Z if g is PauliGate.X else g]) for g in images)
+    monkeypatch.setattr(recon, "_gate_images", lambda label, position: collided)
+    _gate_table.cache_clear()
+    try:
+        with pytest.raises(Ambiguous, match="share"):
+            _gate_table(StateLabel.A, 1)
+    finally:
+        _gate_table.cache_clear()

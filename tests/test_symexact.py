@@ -30,7 +30,6 @@ from ghzshare.symexact import (
     bell_terms,
     expand_product,
     from_statevector,
-    identity_state,
     restrict,
     to_statevector,
 )
@@ -87,7 +86,9 @@ def test_expand_product_attaches_p1_share():
 
 def test_expand_product_identity_factor():
     kept = state_of((2, 3), [("00", 1), ("11", -1)], k=1)
-    product = expand_product([identity_state(), kept])
+    # the empty tensor factor: one sign-+1 term over no qubits
+    identity = SymbolicState((), (Term(0, 1),), 0)
+    product = expand_product([identity, kept])
     assert product == kept
 
 
