@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Optional, Sequence
-
-import numpy as np
 
 from .protocol import GateAction, decode_secret, make_announcements
 from .qcore import (
@@ -21,12 +20,13 @@ from .qcore import (
     GATES,
     LABELS,
     BellOutcome,
+    DenseState,
     PauliGate,
     StateLabel,
-    Statevector,
     apply_gate,
     bell_probabilities,
     global_phase_equal,
+    normalized,
     partial_inner,
     prepare_state,
 )
@@ -48,9 +48,6 @@ from .symexact import (
     to_statevector,
 )
 
-PHASE_TOL = 1e-12
-PROB_TOL = 1e-9
-
 PAIRING_2345: tuple[BellPair, BellPair] = ((2, 3), (4, 5))
 PAIRING_2534: tuple[BellPair, BellPair] = ((2, 5), (3, 4))
 
@@ -68,9 +65,9 @@ class Branch:
     o1: BellOutcome
     o2: BellOutcome
     o3: BellOutcome
-    probability: float
-    after_p1: Statevector
-    after_p3: Statevector
+    probability: Fraction
+    after_p1: DenseState
+    after_p3: DenseState
 
 
 @dataclass(frozen=True)
@@ -82,7 +79,7 @@ class BranchRecord:
     p1: str
     p2: str
     p3: str
-    probability: float
+    probability: Fraction
     reconstructed_action: Optional[str]
     reconstructed_secret: Optional[str]
     tamper: Optional[str]
@@ -98,7 +95,7 @@ class BranchRecord:
             "p1": self.p1,
             "p2": self.p2,
             "p3": self.p3,
-            "probability": round(self.probability, 12),
+            "probability": float(self.probability),
             "reconstructed_action": self.reconstructed_action,
             "reconstructed_secret": self.reconstructed_secret,
             "tamper": self.tamper,
@@ -115,7 +112,7 @@ def configurations() -> Iterator[tuple[StateLabel, PauliGate, int]]:
 
 
 def _walk(
-    state: Statevector,
+    state: DenseState,
     o1s: Sequence[BellOutcome],
     o2s: Sequence[BellOutcome],
     o3s: Sequence[BellOutcome],
@@ -131,44 +128,42 @@ def _walk(
             prob2, s2 = probs2[o2]
             if s2 is None:
                 continue
+            prob12 = prob1 * prob2
             probs3 = bell_probabilities(s2, (3, 4))
             for o3 in o3s:
                 prob3, s3 = probs3[o3]
                 if s3 is None:
                     continue
-                yield Branch(o1, o2, o3, prob1 * prob2 * prob3, s1, s3)
+                yield Branch(o1, o2, o3, prob12 * prob3, s1, s3)
 
 
-def enumerate_branches(state: Statevector) -> Iterator[Branch]:
+def enumerate_branches(state: DenseState) -> Iterator[Branch]:
     """All positive-probability (P1,P2,P3) outcome triples of one encoded state."""
     yield from _walk(state, BELL_OUTCOMES, BELL_OUTCOMES, BELL_OUTCOMES)
 
 
-def _encoded(label: StateLabel, gate: PauliGate, position: int) -> Statevector:
+def _encoded(label: StateLabel, gate: PauliGate, position: int) -> DenseState:
     """The dealer's state after encoding the gate at the position."""
     return apply_gate(prepare_state(label), gate, position)
 
 
-def _collapse(state: Statevector, o1: BellOutcome) -> np.ndarray:
+def _collapse(state: DenseState, o1: BellOutcome) -> DenseState:
     """The normalized (2,3,4,5) state left when (1,6) is found in outcome o1."""
-    vec = partial_inner(state, (1, 6), o1)
-    return vec / float(np.linalg.norm(vec))
+    return normalized(partial_inner(state, (1, 6), o1))
 
 
-def _phase_equal(vec: np.ndarray, state: SymbolicState) -> bool:
+def _phase_equal(vec: DenseState, state: SymbolicState) -> bool:
     """Whether a dense vector is the symbolic state up to a global phase."""
-    return global_phase_equal(vec, to_statevector(state), PHASE_TOL)
+    return global_phase_equal(vec, to_statevector(state))
 
 
 @functools.cache
-def _announced_product(o1: BellOutcome, o2: BellOutcome, o3: BellOutcome) -> np.ndarray:
-    """Dense product of the three announced Bell kets, read-only (64 entries at most)."""
+def _announced_product(o1: BellOutcome, o2: BellOutcome, o3: BellOutcome) -> DenseState:
+    """Dense product of the three announced Bell kets."""
     product = expand_product(
         [bell_terms(o1, (1, 6)), bell_terms(o2, (2, 5)), bell_terms(o3, (3, 4))]
     )
-    vec = to_statevector(product)
-    vec.flags.writeable = False
-    return vec
+    return to_statevector(product)
 
 
 def _stage_failures(branch: Branch, trace: PipelineTrace) -> list[str]:
@@ -185,7 +180,7 @@ def _stage_failures(branch: Branch, trace: PipelineTrace) -> list[str]:
         failures.append("attached state differs from the post-P1 state")
     # no-signaling: the final state is exactly the product of announced kets
     product = _announced_product(branch.o1, branch.o2, branch.o3)
-    if not global_phase_equal(product, branch.after_p3, PHASE_TOL):
+    if not global_phase_equal(product, branch.after_p3):
         failures.append("final state is not the product of the announced kets")
     return failures
 
@@ -428,9 +423,9 @@ def _check_terms(name: str, state: SymbolicState, printed: str) -> AssertionReco
 
 
 def _branch_probability(
-    encoded: Statevector, o1: BellOutcome, o2: BellOutcome, o3: BellOutcome
-) -> float:
-    return next((b.probability for b in _walk(encoded, (o1,), (o2,), (o3,))), 0.0)
+    encoded: DenseState, o1: BellOutcome, o2: BellOutcome, o3: BellOutcome
+) -> Fraction:
+    return next((b.probability for b in _walk(encoded, (o1,), (o2,), (o3,))), Fraction(0))
 
 
 def _deduced(run: PipelineTrace | NoMatch) -> tuple[str, str]:
@@ -460,7 +455,7 @@ def _reconstructed_branch(
     if isinstance(run, NoMatch):
         return run, False
     encoded = _encoded(label, run.result.action.gate, position)
-    return run, _branch_probability(encoded, o1, o2, o3) > PROB_TOL
+    return run, _branch_probability(encoded, o1, o2, o3) > 0
 
 
 def misannouncement_matrix(gate: PauliGate = PauliGate.X, position: int = 1) -> dict:
@@ -499,8 +494,8 @@ def scenario_lie_state() -> ScenarioReport:
         _check(
             "scripted branch has positive probability",
             "P(a+ on (1,6)) > 0",
-            f"P = {p1_prob:.6f}",
-            p1_prob > PROB_TOL,
+            f"P = {float(p1_prob):.6f}",
+            p1_prob > 0,
         ),
         _check(
             "collapse matches the printed a+a+ - a-a- pattern",
@@ -545,8 +540,8 @@ def scenario_lie_position() -> ScenarioReport:
         _check(
             "scripted branch has positive probability",
             "P(b+, a-, a+) > 0",
-            f"P = {prob:.6f}",
-            prob > PROB_TOL,
+            f"P = {float(prob):.6f}",
+            prob > 0,
         ),
         _check(
             "kept terms are the two cross-correlated terms",
@@ -698,12 +693,10 @@ def scenario_eve_intercept() -> ScenarioReport:
     label, dealer_gate, position = StateLabel.A, PauliGate.Z, 1
     modified = apply_gate(_encoded(label, dealer_gate, position), PauliGate.X, 6)
 
-    expected_modified = np.zeros(64)
-    expected_modified[0b000001] = 0.5
-    expected_modified[0b000110] = 0.5
-    expected_modified[0b111001] = -0.5
-    expected_modified[0b111110] = -0.5
-    modified_ok = bool(np.max(np.abs(modified - expected_modified)) <= PHASE_TOL)
+    expected_modified = DenseState(
+        ((0b000001, 1), (0b000110, 1), (0b111001, -1), (0b111110, -1)), 2
+    )
+    modified_ok = modified == expected_modified
 
     prob = _branch_probability(modified, A_P, B_M, B_P)
     collapse_expr = BellProductExpr(PAIRING_2534, ((B_P, B_M, 1), (B_M, B_P, 1)))
@@ -745,8 +738,8 @@ def scenario_eve_intercept() -> ScenarioReport:
         _check(
             "scripted branch has positive probability",
             "P(a+, b-, b+) > 0",
-            f"P = {prob:.6f}",
-            prob > PROB_TOL,
+            f"P = {float(prob):.6f}",
+            prob > 0,
         ),
         _check_terms(
             "expansion matches the four printed terms",

@@ -1,16 +1,19 @@
-"""Dense six-qubit statevector engine.
+"""Exact dense six-qubit engine.
 
 Prepares the four shared GHZ product states, applies the four single-qubit
 encoding gates, and performs projective Bell-basis measurement on qubit
-pairs.  Qubits carry the protocol's 1-based labels 1..6; in the flat
-64-amplitude vector, qubit 1 is the most significant bit of the basis
-index (basis string q1q2q3q4q5q6).
+pairs.  Qubits carry the protocol's 1-based labels 1..6; in a basis index,
+qubit 1 is the most significant bit (basis string q1q2q3q4q5q6).
 
-Every amplitude reachable here is a signed power of 1/sqrt(2), so the
-absolute tolerance 1e-12 used throughout is loose.
+Every amplitude reachable here is an integer times a power of 1/sqrt(2): the
+states start as GHZ products, the gates are real signed permutations and
+the Bell kets have +/-1/sqrt2 entries.  So a state is held exactly, as its
+nonzero integer amplitudes and one shared sqrt(2) exponent, and every Born
+probability is a dyadic fraction.  A result with no such exact form raises
+NotDyadic; nothing is rounded.
 
-Gates and Bell measurements read and write amplitudes through small
-read-only index tables, cached per (gate, qubit) and per pair on first use.
+Gates and Bell measurements visit only the nonzero amplitudes, through small
+index tables cached per (gate, qubit) and per pair on first use.
 """
 
 from __future__ import annotations
@@ -19,18 +22,57 @@ import functools
 import math
 import operator
 from enum import Enum
-
-import numpy as np
+from fractions import Fraction
+from typing import NamedTuple
 
 N_QUBITS = 6
 DIM = 2**N_QUBITS
-ATOL = 1e-12
 
-# A statevector is a numpy array of shape (64,), unit norm.
-Statevector = np.ndarray
 BellPair = tuple[int, int]
 
-_SQRT1_2 = 1.0 / math.sqrt(2.0)
+
+class NotDyadic(ValueError):
+    """A vector that cannot be normalized to integers over one power of sqrt(2)."""
+
+
+class DenseState(NamedTuple):
+    """An exact real vector over ``n_qubits`` qubits.
+
+    ``amplitudes`` holds the nonzero entries as (basis index, int) pairs in
+    ascending index order; entry i of the vector is its int times
+    2**(-exponent/2), the ``SymbolicState.norm_exponent`` convention.  The ints
+    are not all even, so each vector has one form and equality is exact.
+    """
+
+    amplitudes: tuple[tuple[int, int], ...]
+    exponent: int
+    n_qubits: int = N_QUBITS
+
+
+def _norm_exponent(squares: int, scale: int) -> int:
+    """The k with squares == scale**2 * 2**k, for a vector whose ints have gcd scale."""
+    reduced = squares // (scale * scale)
+    if reduced & (reduced - 1):
+        raise NotDyadic(f"squared norm {reduced} of the reduced ints is not a power of two")
+    return reduced.bit_length() - 1
+
+
+def normalized(vec: DenseState) -> DenseState:
+    """The unit vector along vec; NotDyadic if it has no exact form."""
+    if not vec.amplitudes:
+        raise ValueError("zero vector has no direction")
+    scale = 0
+    squares = 0
+    for _, amp in vec.amplitudes:
+        scale = math.gcd(scale, amp)
+        squares += amp * amp
+    unit = tuple([(index, amp // scale) for index, amp in vec.amplitudes])
+    return DenseState(unit, _norm_exponent(squares, scale), vec.n_qubits)
+
+
+def _check_width(state: DenseState) -> None:
+    if state.n_qubits != N_QUBITS:
+        raise ValueError(f"expected a {N_QUBITS}-qubit state, got {state.n_qubits} qubits")
 
 
 def check_qubit(q: int) -> int:
@@ -64,16 +106,14 @@ class PauliGate(Enum):
     IY = "iY"
     Z = "Z"
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return _GATE_MATRICES[self]
 
-
-_GATE_MATRICES = {
-    PauliGate.I: np.array([[1.0, 0.0], [0.0, 1.0]]),
-    PauliGate.X: np.array([[0.0, 1.0], [1.0, 0.0]]),
-    PauliGate.IY: np.array([[0.0, 1.0], [-1.0, 0.0]]),
-    PauliGate.Z: np.array([[1.0, 0.0], [0.0, -1.0]]),
+# Per gate, the images of |0> and |1> as (basis bit, sign): each gate is a
+# signed permutation of the two basis states.
+_GATE_IMAGES = {
+    PauliGate.I: ((0, 1), (1, 1)),
+    PauliGate.X: ((1, 1), (0, 1)),
+    PauliGate.IY: ((1, -1), (0, 1)),
+    PauliGate.Z: ((0, 1), (1, -1)),
 }
 
 GATES = (PauliGate.I, PauliGate.X, PauliGate.IY, PauliGate.Z)
@@ -151,150 +191,193 @@ def bits_to_index(bits: tuple[int, ...]) -> int:
 
 
 @functools.cache
-def _prepared(label: StateLabel) -> Statevector:
-    state = np.zeros(DIM)
-    for first in label.half_support:
-        for second in label.half_support:
-            bits = tuple(int(c) for c in first + second)
-            state[bits_to_index(bits)] = 0.5
-    state.flags.writeable = False
-    return state
-
-
-def prepare_state(label: StateLabel) -> Statevector:
+def prepare_state(label: StateLabel) -> DenseState:
     """Tensor product of the label's two GHZ halves: 4 amplitudes of +1/2."""
-    return _prepared(label).copy()
+    indices = sorted(
+        bits_to_index(tuple(int(c) for c in first + second))
+        for first in label.half_support
+        for second in label.half_support
+    )
+    return DenseState(tuple((i, 1) for i in indices), 2)
 
 
 @functools.cache
-def _gate_table(gate: PauliGate, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """The gate at qubit q as a signed permutation: out[i] = signs[i] * state[perm[i]].
-
-    Each row of a Pauli matrix has one non-zero entry; row b's entry sits in
-    column cols[b], so output amplitude i reads the input with qubit q set to
-    cols[b], where b is qubit q's bit of i.
-    """
-    matrix = gate.matrix
-    cols = np.abs(matrix).argmax(axis=1)
+def _gate_table(gate: PauliGate, q: int) -> tuple[tuple[int, int], ...]:
+    """Per basis index, the (index, sign) it moves to under the gate at qubit q."""
     shift = N_QUBITS - q
-    index = np.arange(DIM)
-    bit = (index >> shift) & 1
-    perm = index ^ ((bit ^ cols[bit]) << shift)
-    signs = matrix[bit, cols[bit]]
-    perm.flags.writeable = False
-    signs.flags.writeable = False
-    return perm, signs
+    table = []
+    for index in range(DIM):
+        image, sign = _GATE_IMAGES[gate][(index >> shift) & 1]
+        table.append((index & ~(1 << shift) | image << shift, sign))
+    return tuple(table)
 
 
-def apply_gate(state: Statevector, gate: PauliGate, q: int) -> Statevector:
+def apply_gate(state: DenseState, gate: PauliGate, q: int) -> DenseState:
     """Apply a single-qubit gate at 1-based qubit position q."""
-    perm, signs = _gate_table(gate, check_qubit(q))
-    # + 0.0 turns the -0.0 that a sign flip leaves on a zero amplitude into 0.0
-    return np.asarray(state).reshape(DIM)[perm] * signs + 0.0
-
-
-# Each outcome's two kets on the pair and their coefficients sign/sqrt2, in
-# _BELL_KET_SIGNS order: index [j, k] is ket j of outcome BELL_OUTCOMES[k].
-_BELL_KETS = tuple(zip(*(tuple(_BELL_KET_SIGNS[o].items()) for o in BELL_OUTCOMES)))
-_BELL_COEF = np.array([[[sign * _SQRT1_2] for _, sign in kets] for kets in _BELL_KETS])
-_BELL_COEF.flags.writeable = False
-_OUTCOME_ROW = {outcome: k for k, outcome in enumerate(BELL_OUTCOMES)}
+    table = _gate_table(gate, check_qubit(q))
+    _check_width(state)
+    moved = []
+    for index, amp in state.amplitudes:
+        target, sign = table[index]
+        moved.append((target, sign * amp))
+    moved.sort()
+    return DenseState(tuple(moved), state.exponent)
 
 
 @functools.cache
-def _bell_tables(pair: BellPair) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices (2, 4, 16) of a pair's Bell gather and of its post-state scatter.
+def _bell_tables(pair: BellPair) -> tuple[tuple, tuple, tuple]:
+    """A pair's Bell gather table and its two post-state placement tables.
 
-    gather[j, k, r] is the basis index with ket j of outcome k on the pair and
-    pattern r on the other four qubits (ascending, first most significant).
-    scatter adds 64 * k, indexing one (4, 64) block of post-states.
+    gather[i] is (r, k1, sign1, k2, sign2): basis index i has pattern r on the
+    other four qubits (ascending, first most significant), and its pair bits
+    form a ket of outcomes k1 and k2, with those signs.  spread[r] is the
+    basis index of pattern r with the pair's bits clear, and place[k] holds
+    outcome k's two kets as (their bits in a basis index, sign).
     """
     first, second = pair
     rest = [q for q in range(1, N_QUBITS + 1) if q not in pair]
-    base = np.array(
-        [
-            sum(((r >> (3 - i)) & 1) << (N_QUBITS - q) for i, q in enumerate(rest))
-            for r in range(16)
-        ]
+    spread = tuple(
+        sum(((r >> (3 - i)) & 1) << (N_QUBITS - q) for i, q in enumerate(rest))
+        for r in range(16)
     )
-    gather = np.array(
-        [
-            [base | (k1 << (N_QUBITS - first)) | (k2 << (N_QUBITS - second)) for (k1, k2), _ in ks]
-            for ks in _BELL_KETS
+    gather = []
+    for index in range(DIM):
+        r = bits_to_index(tuple((index >> (N_QUBITS - q)) & 1 for q in rest))
+        ket = ((index >> (N_QUBITS - first)) & 1, (index >> (N_QUBITS - second)) & 1)
+        # the pair bits form a ket of exactly two outcomes
+        contributions = [
+            (k, _BELL_KET_SIGNS[outcome][ket])
+            for k, outcome in enumerate(BELL_OUTCOMES)
+            if ket in _BELL_KET_SIGNS[outcome]
         ]
+        (k1, sign1), (k2, sign2) = contributions
+        gather.append((r, k1, sign1, k2, sign2))
+    place = tuple(
+        tuple(
+            (k1 << (N_QUBITS - first) | k2 << (N_QUBITS - second), sign)
+            for (k1, k2), sign in _BELL_KET_SIGNS[outcome].items()
+        )
+        for outcome in BELL_OUTCOMES
     )
-    scatter = gather + DIM * np.arange(len(BELL_OUTCOMES))[:, None]
-    gather.flags.writeable = False
-    scatter.flags.writeable = False
-    return gather, scatter
+    return tuple(gather), spread, place
 
 
-def partial_inner(state: Statevector, pair: BellPair, outcome: BellOutcome) -> np.ndarray:
-    """Unnormalized inner product <outcome|state on the pair, flattened.
+def _project(state: DenseState, pair: BellPair) -> tuple[dict[int, int], ...]:
+    """<outcome| on a checked pair, for each outcome in BELL_OUTCOMES order.
 
-    The result indexes the four remaining qubits in ascending order.
+    Row k maps each pattern of the other four qubits to an int: the amplitude
+    in units of 2**(-(exponent + 1)/2), zero where two kets cancel.
     """
-    gather = _bell_tables(check_pair(pair))[0]
-    k = _OUTCOME_ROW[outcome]
-    terms = np.asarray(state).reshape(DIM)[gather[:, k]] * _BELL_COEF[:, k]
-    return (terms[0] + 0.0) + terms[1]
+    gather = _bell_tables(pair)[0]
+    _check_width(state)
+    rows: tuple[dict[int, int], ...] = ({}, {}, {}, {})
+    for index, amp in state.amplitudes:
+        r, k1, sign1, k2, sign2 = gather[index]
+        row = rows[k1]
+        row[r] = row.get(r, 0) + sign1 * amp
+        row = rows[k2]
+        row[r] = row.get(r, 0) + sign2 * amp
+    return rows
+
+
+def _weights(state: DenseState, rows: tuple[dict[int, int], ...]) -> list[int]:
+    """Each row's sum of squares; ValueError unless they add up as for a unit vector."""
+    weights = []
+    for row in rows:
+        weight = 0
+        for amp in row.values():
+            weight += amp * amp
+        weights.append(weight)
+    if sum(weights) != 2 << state.exponent:
+        raise ValueError("state is not a unit vector")
+    return weights
+
+
+def _post(pair: BellPair, k: int, row: dict[int, int], weight: int) -> DenseState:
+    """The normalized post-state of outcome k: its Bell ket times the projected rest.
+
+    weight is the row's sum of squares; the ket's two terms double it.
+    """
+    _, spread, place = _bell_tables(pair)
+    (bits0, sign0), (bits1, sign1) = place[k]
+    scale = math.gcd(*row.values())
+    exponent = _norm_exponent(2 * weight, scale)
+    entries = []
+    for r, amp in row.items():
+        if amp:
+            amp //= scale
+            entries.append((spread[r] | bits0, sign0 * amp))
+            entries.append((spread[r] | bits1, sign1 * amp))
+    entries.sort()
+    return DenseState(tuple(entries), exponent)
+
+
+def partial_inner(state: DenseState, pair: BellPair, outcome: BellOutcome) -> DenseState:
+    """Unnormalized inner product <outcome|state on the pair.
+
+    The result is a vector over the four remaining qubits in ascending order.
+    """
+    row = _project(state, check_pair(pair))[BELL_OUTCOMES.index(outcome)]
+    entries = sorted([(r, amp) for r, amp in row.items() if amp])
+    # halve the ints while all are even, so that the vector has its one form
+    scale = math.gcd(*row.values())
+    twos = (scale & -scale).bit_length() - 1 if scale else 0
+    return DenseState(
+        tuple([(r, amp >> twos) for r, amp in entries]),
+        state.exponent + 1 - 2 * twos,
+        N_QUBITS - 2,
+    )
+
+
+# a probability's few possible (weight, scale) pairs, each reduced once
+_probability = functools.cache(Fraction)
 
 
 def bell_probabilities(
-    state: Statevector, pair: BellPair
-) -> dict[BellOutcome, tuple[float, Statevector | None]]:
-    """Born probabilities and normalized post-states for a Bell measurement.
+    state: DenseState, pair: BellPair
+) -> dict[BellOutcome, tuple[Fraction, DenseState | None]]:
+    """Exact Born probabilities and normalized post-states for a Bell measurement.
 
-    Outcomes with probability <= 1e-12 are reported with probability 0.0 and
-    no post-state, so impossible branches cannot be sampled downstream.
+    An outcome that cannot occur has probability 0 and no post-state, so
+    impossible branches cannot be sampled downstream.
     """
-    gather, scatter = _bell_tables(check_pair(pair))
-    # ket j of outcome k times its coefficient, summed in ket order: <outcome| on the pair
-    terms = np.asarray(state).reshape(DIM)[gather] * _BELL_COEF
-    # start from 0.0, as a sum into a zero array does, so zero signs match too
-    rest = (terms[0] + 0.0) + terms[1]
-    probs = np.add.reduce(rest * rest, axis=1)
-    # rows at or below ATOL are dropped below; the floor only keeps their division finite
-    unit = rest / np.sqrt(np.maximum(probs, ATOL))[:, None]
-    posts = np.zeros((len(BELL_OUTCOMES), DIM), dtype=unit.dtype)
-    posts.reshape(-1)[scatter] = unit * _BELL_COEF
+    pair = check_pair(pair)
+    rows = _project(state, pair)
+    weights = _weights(state, rows)
+    scale = 2 << state.exponent
     return {
-        outcome: (prob, posts[k]) if prob > ATOL else (0.0, None)
-        for k, (outcome, prob) in enumerate(zip(BELL_OUTCOMES, probs.tolist()))
+        outcome: (_probability(weight, scale), _post(pair, k, rows[k], weight) if weight else None)
+        for k, (outcome, weight) in enumerate(zip(BELL_OUTCOMES, weights))
     }
 
 
-def measure_bell(state: Statevector, pair: BellPair, rng) -> tuple[BellOutcome, Statevector]:
-    """Sample one Bell outcome with Born probabilities; deterministic per rng state."""
-    probs = bell_probabilities(state, pair)
-    r = rng.random()
-    acc = 0.0
-    chosen = None
-    for outcome in BELL_OUTCOMES:
-        p, post = probs[outcome]
-        acc += p
-        if r < acc and post is not None:
-            chosen = (outcome, post)
+def measure_bell(state: DenseState, pair: BellPair, rng) -> tuple[BellOutcome, DenseState]:
+    """Sample one Bell outcome with Born probabilities; deterministic per rng state.
+
+    rng.random() is compared exactly with the cumulative probabilities: both
+    sides are scaled by the same power of two, which a float multiplies exactly.
+    """
+    pair = check_pair(pair)
+    rows = _project(state, pair)
+    weights = _weights(state, rows)
+    # the weights of a unit vector sum to the scale, which the draw stays below
+    draw = rng.random() * (2 << state.exponent)
+    cumulative = 0
+    for k, weight in enumerate(weights):
+        cumulative += weight
+        if draw < cumulative:
             break
-    if chosen is None:
-        # r landed in the floating-point slack at the top of the cumulative sum
-        for outcome in reversed(BELL_OUTCOMES):
-            p, post = probs[outcome]
-            if post is not None:
-                chosen = (outcome, post)
-                break
-    assert chosen is not None
-    return chosen
+    return BELL_OUTCOMES[k], _post(pair, k, rows[k], weights[k])
 
 
-def norm(state: Statevector) -> float:
-    return float(np.linalg.norm(np.asarray(state).reshape(-1)))
+def global_phase_equal(a: DenseState, b: DenseState) -> bool:
+    """True iff a and b are equal up to an overall sign.
 
-
-def global_phase_equal(a: np.ndarray, b: np.ndarray, tol: float = ATOL) -> bool:
-    """True iff the unit vectors a and b agree up to a global phase."""
-    va = np.asarray(a).reshape(-1)
-    vb = np.asarray(b).reshape(-1)
-    if va.shape != vb.shape:
+    For unit vectors with real amplitudes, as every state here is, that is
+    equality up to a global phase.
+    """
+    if a.exponent != b.exponent or a.n_qubits != b.n_qubits:
         return False
-    return bool(abs(np.vdot(va, vb)) >= 1.0 - tol)
+    return a.amplitudes == b.amplitudes or a.amplitudes == tuple(
+        (i, -amp) for i, amp in b.amplitudes
+    )

@@ -10,7 +10,8 @@ A state holds its qubit layout once; a term is a sign and a bit pattern
 over that layout, stored as one integer whose most significant bit is the
 layout's first qubit, so a pattern's integer is its dense-vector index.
 Qubits are read and moved with shifts, masks and XOR.
-``to_statevector``/``from_statevector`` bridge to dense vectors.
+``to_statevector``/``from_statevector`` bridge to the exact dense vectors of
+``qcore``: a term is one nonzero amplitude, its pattern the basis index.
 
 Values that depend only on a few small keys (a Bell ket on a pair, the
 sixteen Bell-product expansions of a pairing) are cached tables, filled on
@@ -26,14 +27,20 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .qcore import BELL_OUTCOMES, BellOutcome, BellPair, PauliGate, _BELL_KET_SIGNS, check_pair
+from .qcore import (
+    BELL_OUTCOMES,
+    BellOutcome,
+    BellPair,
+    DenseState,
+    NotDyadic,
+    PauliGate,
+    _BELL_KET_SIGNS,
+    check_pair,
+)
 
 
 class SymexactError(Exception):
@@ -336,26 +343,31 @@ def bell_decompose(
     return expr
 
 
-def to_statevector(state: SymbolicState) -> np.ndarray:
+def to_statevector(state: SymbolicState) -> DenseState:
     """Normalized dense vector over the state's qubits, ascending order."""
     if not state.terms:
         raise EmptyState("all terms cancelled")
-    vec = np.zeros(1 << len(state.qubits))
-    for t in state.terms:
-        vec[t.bits] = t.sign
-    return vec / math.sqrt(len(state.terms))
+    count = len(state.terms)
+    if count & (count - 1):
+        raise NotDyadic(f"{count} equal terms do not normalize to a power of sqrt2")
+    return DenseState(
+        tuple([(t.bits, t.sign) for t in state.terms]),
+        count.bit_length() - 1,
+        len(state.qubits),
+    )
 
 
-def from_statevector(vec: np.ndarray, qubits: Sequence[int]) -> SymbolicState:
-    """Symbolic form of a uniform-magnitude real vector; inverse of to_statevector."""
-    flat = np.asarray(vec).reshape(-1)
-    if flat.size != 1 << len(qubits):
-        raise ValueError(f"vector of size {flat.size} does not span qubits {tuple(qubits)}")
-    support = [(bits, amp) for bits, amp in enumerate(flat.tolist()) if abs(amp) > 1e-9]
-    if not support:
+def from_statevector(vec: DenseState, qubits: Sequence[int]) -> SymbolicState:
+    """Symbolic form of a uniform-magnitude vector; inverse of to_statevector."""
+    if vec.n_qubits != len(qubits):
+        raise ValueError(f"vector over {vec.n_qubits} qubits does not span qubits {tuple(qubits)}")
+    if not vec.amplitudes:
         raise ValueError("zero vector")
-    mag = abs(support[0][1])
-    if any(abs(abs(amp) - mag) > 1e-9 for _, amp in support):
+    mag = abs(vec.amplitudes[0][1])
+    if any(abs(amp) != mag for _, amp in vec.amplitudes):
         raise ValueError("vector is not uniform-magnitude")
-    terms = [Term(bits, 1 if amp > 0 else -1) for bits, amp in support]
-    return SymbolicState.from_terms(qubits, terms, round(-2.0 * math.log2(mag)))
+    if mag & (mag - 1):
+        raise NotDyadic(f"magnitude {mag} is not a power of two")
+    terms = [Term(index, 1 if amp > 0 else -1) for index, amp in vec.amplitudes]
+    # each term's magnitude is mag * 2**(-exponent/2) = 2**(-k/2)
+    return SymbolicState.from_terms(qubits, terms, vec.exponent - 2 * (mag.bit_length() - 1))

@@ -8,6 +8,7 @@ reports for the analysis.
 """
 
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -31,8 +32,6 @@ from ghzshare.qcore import (
     bell_probabilities,
     prepare_state,
 )
-
-PROB_TOL = 1e-9
 
 _records = None
 _rows = None
@@ -112,21 +111,18 @@ def test_criterion_03_probability_conservation():
         for gate in GATES:
             for position in (1, 6):
                 state = apply_gate(prepare_state(label), gate, position)
-                stack = [(state, 1.0, 0)]
+                stack = [(state, Fraction(1), 0)]
                 pairs = ((1, 6), (2, 5), (3, 4))
                 while stack:
                     current, acc, depth = stack.pop()
                     if depth == 3:
-                        multiple = acc * 64
-                        if not (
-                            acc > 0 and abs(multiple - round(multiple)) <= PROB_TOL
-                        ):
+                        if not (acc > 0 and (acc * 64).denominator == 1):
                             ok = False
                             detail = f"branch probability {acc} not a multiple of 1/64"
                         continue
                     probs = bell_probabilities(current, pairs[depth])
                     total = sum(p for p, _ in probs.values())
-                    if abs(total - 1.0) > PROB_TOL:
+                    if total != 1:
                         ok = False
                         detail = f"probabilities sum to {total}"
                     for p, post in probs.values():

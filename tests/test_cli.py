@@ -1,6 +1,10 @@
 """Command-line interface tests: flags, exit codes, canonical output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -115,3 +119,51 @@ def test_invalid_secret_exit_code(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["run", "--secret", "abc"])
     assert excinfo.value.code == 2
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def imported_modules(*argv) -> set[str]:
+    """Every module a fresh interpreter imports for the given arguments.
+
+    ``-X importtime`` reports each first import on stderr, whatever the
+    program does with ``sys.modules`` or however it exits.
+    """
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("-c", "import ghzshare.cli"),
+        ("-m", "ghzshare.cli", "run", "--seed", "7"),
+    ],
+    ids=["import", "run"],
+)
+def test_numpy_is_not_imported_at_run_time(argv):
+    modules = imported_modules(*argv)
+    assert {"ghzshare.qcore", "ghzshare.harness"} <= modules
+    assert not [m for m in modules if m.split(".")[0] == "numpy"]
+
+
+def test_numpy_is_not_in_sys_modules_after_import():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = "import sys, ghzshare.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    ).stdout
+    assert out == "False\n"

@@ -136,3 +136,29 @@ def test_all_512_tuples_reconstruct_byte_identically():
     # Results, NoMatch messages and every stage's kept and discarded terms.
     digest = hashlib.sha256(_domain_text().encode()).hexdigest()
     assert digest == DOMAIN_SHA256
+
+
+def _sampled_transcripts() -> str:
+    """Transcripts of seeds 0-4095, each with its own label, secret and position."""
+    import random
+
+    from ghzshare.protocol import run_protocol
+    from ghzshare.qcore import LABELS
+
+    texts = []
+    for seed in range(4096):
+        pick = random.Random(f"sampling-pin-{seed}")
+        label = pick.choice((None, *LABELS))
+        secret = pick.choice(("00", "01", "10", "11"))
+        position = pick.choice((None, 1, 6))
+        texts.append(run_protocol(label, secret, position, seed).to_json())
+    return "\n".join(texts) + "\n"
+
+
+SAMPLING_SHA256 = "1060d20a8a0ca226960c96befc6d01b964169256ae33fd4bcdfd1366966a7d6f"
+
+
+def test_sampled_outcomes_are_pinned_for_4096_seeds():
+    # measure_bell's sampling: which outcome each rng.random() draw selects
+    digest = hashlib.sha256(_sampled_transcripts().encode()).hexdigest()
+    assert digest == SAMPLING_SHA256

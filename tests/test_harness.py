@@ -1,5 +1,7 @@
 """Harness tests: exhaustive verification, the collapse table, scenarios."""
 
+from fractions import Fraction
+
 import pytest
 
 from ghzshare import harness
@@ -61,11 +63,16 @@ def test_branch_probabilities_structure(records):
     assert len(by_config) == 32
     for probs in by_config.values():
         assert 4 <= len(probs) <= 64
-        assert abs(sum(probs) - 1.0) <= 1e-9
+        assert sum(probs) == 1
         for p in probs:
-            multiple = p * 64
             assert p > 0
-            assert abs(multiple - round(multiple)) <= 1e-9 and round(multiple) >= 1
+            assert (p * 64).denominator == 1
+
+
+def test_every_honest_branch_has_probability_exactly_one_eighth(records):
+    assert len(records) == 256
+    assert all(r.probability == Fraction(1, 8) for r in records)
+    assert {r.to_dict()["probability"] for r in records} == {0.125}
 
 
 def test_worked_branch_present(records):
@@ -89,8 +96,7 @@ def test_no_signalling_oracle_is_a_read_only_table_over_the_outcome_triples():
     assert harness._announced_product.cache_info().misses == 64
     for *_, branch, _ in harness._honest_runs():
         product = harness._announced_product(branch.o1, branch.o2, branch.o3)
-        assert not product.flags.writeable
-        assert harness.global_phase_equal(product, branch.after_p3, harness.PHASE_TOL)
+        assert harness.global_phase_equal(product, branch.after_p3)
 
 
 def test_exhaustive_is_deterministic(records):

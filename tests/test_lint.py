@@ -3,10 +3,13 @@
 Two kinds of leftover fail here: an import that its module never uses, and
 a private module-level name (``_x``) that nothing in the package refers
 to.  Names listed in a module's ``__all__`` count as used, so a package
-re-export is not an unused import.
+re-export is not an unused import.  A third check keeps the package free of
+third-party dependencies: every import is relative or from the standard
+library.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,6 +83,22 @@ def package_references() -> set[str]:
     return refs
 
 
+def foreign_imports(tree: ast.Module) -> list[str]:
+    """Top-level modules imported from neither the package nor the standard library."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append(node.module.split(".")[0])
+    return [n for n in names if n not in sys.stdlib_module_names]
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_imports_are_relative_or_standard_library(module):
+    assert not foreign_imports(SOURCES[module]), f"{module}: imports outside the standard library"
+
+
 @pytest.mark.parametrize("module", sorted(SOURCES))
 def test_no_unused_imports(module):
     tree = SOURCES[module]
@@ -106,3 +125,12 @@ def test_checks_catch_planted_leftovers():
     assert [n for n in imported_names(planted) if n not in used_names(planted)] == ["os"]
     assert private_definitions(planted) == ["_unit"]
     assert "_unit" not in used_names(planted)
+
+
+def test_import_check_catches_a_planted_third_party_import():
+    planted = ast.parse(
+        "from __future__ import annotations\nimport json, os.path\nimport numpy as np\n"
+        "from fractions import Fraction\nfrom . import qcore\nfrom .qcore import DIM\n"
+        "from numpy.linalg import norm\n"
+    )
+    assert foreign_imports(planted) == ["numpy", "numpy"]

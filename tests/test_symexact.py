@@ -1,21 +1,22 @@
 """Symbolic term algebra tests: expansion, decomposition, the numeric bridge."""
 
 import itertools
-import math
 
-import numpy as np
 import pytest
 
 from ghzshare.qcore import (
     BELL_OUTCOMES,
     GATES,
     LABELS,
+    DenseState,
+    NotDyadic,
     PauliGate,
     StateLabel,
     apply_gate,
     bell_probabilities,
     bits_to_index,
     global_phase_equal,
+    normalized,
     partial_inner,
     prepare_state,
 )
@@ -126,10 +127,10 @@ def test_bell_decompose_round_trip_reachable_states():
         for gate in GATES:
             encoded = apply_gate(prepare_state(label), gate, 1)
             for outcome, (p, _) in bell_probabilities(encoded, (1, 6)).items():
-                if p == 0.0:
+                if p == 0:
                     continue
                 rest = partial_inner(encoded, (1, 6), outcome)
-                s = from_statevector(rest / np.linalg.norm(rest), (2, 3, 4, 5))
+                s = from_statevector(normalized(rest), (2, 3, 4, 5))
                 for pairing in (((2, 3), (4, 5)), ((2, 5), (3, 4))):
                     expr = bell_decompose(s, pairing)
                     assert expr.expand().terms == s.terms
@@ -150,10 +151,8 @@ def test_bell_decompose_single_term_is_four_entry():
 
 def test_to_statevector_two_terms():
     s = state_of((1, 2, 3, 4, 5, 6), [("000000", 1), ("111111", -1)])
-    vec = to_statevector(s)
-    assert abs(vec[0] - 1 / math.sqrt(2)) <= 1e-12
-    assert abs(vec[63] + 1 / math.sqrt(2)) <= 1e-12
-    assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+    # +-1 each over sqrt(2)**1
+    assert to_statevector(s) == DenseState(((0, 1), (63, -1)), 1, 6)
 
 
 def test_to_statevector_four_terms_quarter_magnitudes():
@@ -162,8 +161,16 @@ def test_to_statevector_four_terms_quarter_magnitudes():
         [("000001", 1), ("011111", -1), ("100000", 1), ("111110", -1)],
     )
     vec = to_statevector(s)
-    for i in (int("000001", 2), int("011111", 2), int("100000", 2), int("111110", 2)):
-        assert abs(abs(vec[i]) - 0.5) <= 1e-12
+    # +-1 each over sqrt(2)**2
+    assert vec.exponent == 2
+    indices = (int("000001", 2), int("011111", 2), int("100000", 2), int("111110", 2))
+    assert vec.amplitudes == tuple(zip(indices, (1, -1, 1, -1)))
+
+
+def test_to_statevector_rejects_counts_that_are_not_powers_of_two():
+    s = state_of((1, 2), [("00", 1), ("01", 1), ("10", -1)])
+    with pytest.raises(NotDyadic):
+        to_statevector(s)
 
 
 def test_cancellation_raises_empty_state():
@@ -246,8 +253,7 @@ def test_bit_order_matches_qcore_index_on_all_six_qubit_patterns():
             s = SymbolicState.from_terms(qubits, [Term(int(key, 2), sign)])
             assert s.term_signs() == ((key, sign),)
             vec = to_statevector(s)
-            assert np.flatnonzero(vec).tolist() == [index]
-            assert vec[index] == sign
+            assert vec == DenseState(((index, sign),), 0, 6)
             assert from_statevector(vec, qubits) == s
 
 
@@ -295,23 +301,33 @@ def test_statevector_bridge_round_trips_encoded_states():
                 encoded = apply_gate(prepare_state(label), gate, position)
                 s = from_statevector(encoded, (1, 2, 3, 4, 5, 6))
                 assert s.norm_exponent == 2 and len(s.terms) == 4
-                assert np.allclose(to_statevector(s), encoded, rtol=0, atol=1e-12)
+                assert to_statevector(s) == encoded
+
+
+def test_from_statevector_reads_the_magnitude_into_the_norm_exponent():
+    # 2/sqrt(2)**4 = 1/2 = 1/sqrt(2)**2 per term, unnormalized vectors included
+    vec = DenseState(((0, 2), (3, -2)), 4, 2)
+    assert from_statevector(vec, (1, 2)) == state_of((1, 2), [("00", 1), ("11", -1)], 2)
+    vec = DenseState(((0, 1), (3, 1)), 4, 2)
+    assert from_statevector(vec, (1, 2)).norm_exponent == 4
 
 
 def test_from_statevector_rejects_bad_vectors():
     with pytest.raises(ValueError):
-        from_statevector(np.zeros(16), (2, 3, 4, 5))
+        from_statevector(DenseState((), 0, 4), (2, 3, 4, 5))
     with pytest.raises(ValueError):
-        from_statevector(np.array([0.8, 0.6, 0.0, 0.0]), (1, 2))
+        from_statevector(DenseState(((0, 1), (1, 2)), 0, 2), (1, 2))
     with pytest.raises(ValueError):
-        from_statevector(np.array([1.0, 0.0]), (1, 2))
+        from_statevector(DenseState(((0, 1),), 0, 1), (1, 2))
+    with pytest.raises(NotDyadic):
+        from_statevector(DenseState(((0, 3), (1, 3)), 0, 1), (1,))
 
 
 def test_canonical_order_is_ascending_and_stable():
     shuffled = state_of((2, 3), [("11", -1), ("00", 1)])
     ordered = state_of((2, 3), [("00", 1), ("11", -1)])
     assert shuffled == ordered
-    assert np.array_equal(to_statevector(shuffled), to_statevector(ordered))
+    assert to_statevector(shuffled) == to_statevector(ordered)
 
 
 @pytest.mark.parametrize("o1", BELL_OUTCOMES)
@@ -324,9 +340,9 @@ def test_symbolic_products_are_measurement_eigenstates(o1, o2):
             [bell_terms(o1, (1, 6)), bell_terms(o2, (2, 5)), bell_terms(o3, (3, 4))]
         )
         dense = to_statevector(full)
-        assert abs(np.linalg.norm(dense) - 1.0) <= 1e-12
+        assert sum(amp * amp for _, amp in dense.amplitudes) == 2**dense.exponent
         for pair, outcome in (((1, 6), o1), ((2, 5), o2), ((3, 4), o3)):
             probs = bell_probabilities(dense, pair)
-            assert abs(probs[outcome][0] - 1.0) <= 1e-12
+            assert probs[outcome][0] == 1
             post = probs[outcome][1]
             assert post is not None and global_phase_equal(post, dense)
