@@ -10,11 +10,20 @@ expected-vs-observed values for each assertion.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .protocol import GateAction, decode_secret, make_announcements
+from .protocol import (
+    ENCODING_POSITIONS,
+    P1_PAIR,
+    P2_PAIR,
+    P3_PAIR,
+    GateAction,
+    decode_secret,
+    make_announcements,
+)
 from .qcore import (
     BELL_OUTCOMES,
     GATES,
@@ -31,6 +40,8 @@ from .qcore import (
     prepare_state,
 )
 from .recon import (
+    ALL_QUBITS,
+    MIDDLE_QUBITS,
     NoMatch,
     PipelineTrace,
     filter_untouched,
@@ -49,7 +60,7 @@ from .symexact import (
 )
 
 PAIRING_2345: tuple[BellPair, BellPair] = ((2, 3), (4, 5))
-PAIRING_2534: tuple[BellPair, BellPair] = ((2, 5), (3, 4))
+PAIRING_2534: tuple[BellPair, BellPair] = (P2_PAIR, P3_PAIR)
 
 A_P, A_M, B_P, B_M = BELL_OUTCOMES
 
@@ -105,10 +116,7 @@ class BranchRecord:
 
 
 def configurations() -> Iterator[tuple[StateLabel, PauliGate, int]]:
-    for label in LABELS:
-        for gate in GATES:
-            for position in (1, 6):
-                yield label, gate, position
+    return itertools.product(LABELS, GATES, ENCODING_POSITIONS)
 
 
 def _walk(
@@ -118,18 +126,18 @@ def _walk(
     o3s: Sequence[BellOutcome],
 ) -> Iterator[Branch]:
     """Measure (1,6), (2,5), (3,4) in turn, following the listed outcomes that can occur."""
-    probs1 = bell_probabilities(state, (1, 6))
+    probs1 = bell_probabilities(state, P1_PAIR)
     for o1 in o1s:
         prob1, s1 = probs1[o1]
         if s1 is None:
             continue
-        probs2 = bell_probabilities(s1, (2, 5))
+        probs2 = bell_probabilities(s1, P2_PAIR)
         for o2 in o2s:
             prob2, s2 = probs2[o2]
             if s2 is None:
                 continue
             prob12 = prob1 * prob2
-            probs3 = bell_probabilities(s2, (3, 4))
+            probs3 = bell_probabilities(s2, P3_PAIR)
             for o3 in o3s:
                 prob3, s3 = probs3[o3]
                 if s3 is None:
@@ -149,7 +157,7 @@ def _encoded(label: StateLabel, gate: PauliGate, position: int) -> DenseState:
 
 def _collapse(state: DenseState, o1: BellOutcome) -> DenseState:
     """The normalized (2,3,4,5) state left when (1,6) is found in outcome o1."""
-    return normalized(partial_inner(state, (1, 6), o1))
+    return normalized(partial_inner(state, P1_PAIR, o1))
 
 
 def _phase_equal(vec: DenseState, state: SymbolicState) -> bool:
@@ -161,7 +169,7 @@ def _phase_equal(vec: DenseState, state: SymbolicState) -> bool:
 def _announced_product(o1: BellOutcome, o2: BellOutcome, o3: BellOutcome) -> DenseState:
     """Dense product of the three announced Bell kets."""
     product = expand_product(
-        [bell_terms(o1, (1, 6)), bell_terms(o2, (2, 5)), bell_terms(o3, (3, 4))]
+        [bell_terms(o1, P1_PAIR), bell_terms(o2, P2_PAIR), bell_terms(o3, P3_PAIR)]
     )
     return to_statevector(product)
 
@@ -260,24 +268,24 @@ def verify_summary(records: list[BranchRecord]) -> dict:
 
 
 # The table as printed: per row the two Bell-product entries with their signs
-# and the pair subscripts attached to each printed ket.
-_S2345 = ((2, 3), (4, 5))
-_S2545 = ((2, 5), (4, 5))
+# and the pair subscripts attached to each printed ket; the last Z rows print
+# (2,5) and (4,5), which pair no four qubits.
+_S2545 = (P2_PAIR, PAIRING_2345[1])
 
 PRINTED_TABLE: tuple[tuple, ...] = (
-    (PauliGate.I, A_P, ((A_P, A_P, 1), (A_M, A_M, 1)), (_S2345, _S2345)),
-    (PauliGate.I, A_M, ((A_P, A_M, 1), (A_M, A_P, 1)), (_S2345, _S2345)),
-    (PauliGate.I, B_P, ((B_P, B_P, 1), (B_M, B_M, 1)), (_S2345, _S2345)),
-    (PauliGate.I, B_M, ((B_P, B_M, 1), (B_M, B_P, 1)), (_S2345, _S2345)),
-    (PauliGate.X, A_P, ((B_P, B_P, 1), (B_M, B_M, 1)), (_S2345, _S2345)),
-    (PauliGate.X, A_M, ((B_P, B_M, -1), (B_M, B_P, -1)), (_S2345, _S2345)),
-    (PauliGate.X, B_P, ((A_P, A_P, 1), (A_M, A_M, 1)), (_S2345, _S2345)),
-    (PauliGate.X, B_M, ((A_P, A_M, -1), (A_M, A_P, -1)), (_S2345, _S2345)),
-    (PauliGate.IY, A_P, ((B_P, B_M, -1), (B_M, B_P, -1)), (_S2345, _S2345)),
-    (PauliGate.IY, A_M, ((B_P, B_P, 1), (B_M, B_M, 1)), (_S2345, _S2345)),
-    (PauliGate.IY, B_P, ((A_P, A_M, -1), (A_M, A_P, -1)), (_S2345, _S2345)),
-    (PauliGate.IY, B_M, ((A_P, A_P, 1), (A_M, A_M, 1)), (_S2345, _S2345)),
-    (PauliGate.Z, A_P, ((A_P, A_M, 1), (A_M, A_P, 1)), (_S2345, _S2545)),
+    (PauliGate.I, A_P, ((A_P, A_P, 1), (A_M, A_M, 1)), (PAIRING_2345, PAIRING_2345)),
+    (PauliGate.I, A_M, ((A_P, A_M, 1), (A_M, A_P, 1)), (PAIRING_2345, PAIRING_2345)),
+    (PauliGate.I, B_P, ((B_P, B_P, 1), (B_M, B_M, 1)), (PAIRING_2345, PAIRING_2345)),
+    (PauliGate.I, B_M, ((B_P, B_M, 1), (B_M, B_P, 1)), (PAIRING_2345, PAIRING_2345)),
+    (PauliGate.X, A_P, ((B_P, B_P, 1), (B_M, B_M, 1)), (PAIRING_2345, PAIRING_2345)),
+    (PauliGate.X, A_M, ((B_P, B_M, -1), (B_M, B_P, -1)), (PAIRING_2345, PAIRING_2345)),
+    (PauliGate.X, B_P, ((A_P, A_P, 1), (A_M, A_M, 1)), (PAIRING_2345, PAIRING_2345)),
+    (PauliGate.X, B_M, ((A_P, A_M, -1), (A_M, A_P, -1)), (PAIRING_2345, PAIRING_2345)),
+    (PauliGate.IY, A_P, ((B_P, B_M, -1), (B_M, B_P, -1)), (PAIRING_2345, PAIRING_2345)),
+    (PauliGate.IY, A_M, ((B_P, B_P, 1), (B_M, B_M, 1)), (PAIRING_2345, PAIRING_2345)),
+    (PauliGate.IY, B_P, ((A_P, A_M, -1), (A_M, A_P, -1)), (PAIRING_2345, PAIRING_2345)),
+    (PauliGate.IY, B_M, ((A_P, A_P, 1), (A_M, A_M, 1)), (PAIRING_2345, PAIRING_2345)),
+    (PauliGate.Z, A_P, ((A_P, A_M, 1), (A_M, A_P, 1)), (PAIRING_2345, _S2545)),
     (PauliGate.Z, A_M, ((A_P, A_P, 1), (A_M, A_M, 1)), (_S2545, _S2545)),
     (PauliGate.Z, B_P, ((B_P, B_M, 1), (B_M, B_P, 1)), (_S2545, _S2545)),
     (PauliGate.Z, B_M, ((B_P, B_P, 1), (B_M, B_M, 1)), (_S2545, _S2545)),
@@ -332,7 +340,7 @@ def table1() -> list[Table1Row]:
     """
     rows = []
     for gate, outcome, printed_entries, printed_subs in PRINTED_TABLE:
-        post = from_statevector(_collapse(_encoded(StateLabel.A, gate, 1), outcome), (2, 3, 4, 5))
+        post = from_statevector(_collapse(_encoded(StateLabel.A, gate, 1), outcome), MIDDLE_QUBITS)
         decomps = {p: bell_decompose(post, p) for p in (PAIRING_2345, PAIRING_2534)}
         matched = [p for p, expr in decomps.items() if _entries_match(printed_entries, expr)]
         flags = []
@@ -416,6 +424,21 @@ def _check(
     return AssertionRecord(name, expected, observed, passed)
 
 
+def _check_match(name: str, expected: str, matched: bool) -> AssertionRecord:
+    """A comparison whose observed value reads "match" or "mismatch"."""
+    return _check(name, expected, "match" if matched else "mismatch", matched)
+
+
+def _check_positive(outcomes: str, probability: Fraction) -> AssertionRecord:
+    """That the scripted branch, P(outcomes), can occur."""
+    return _check(
+        "scripted branch has positive probability",
+        f"P({outcomes}) > 0",
+        f"P = {float(probability):.6f}",
+        probability > 0,
+    )
+
+
 def _check_terms(name: str, state: SymbolicState, printed: str) -> AssertionRecord:
     """A state's signed patterns against the printed ones, such as "+0011 -1100"."""
     signed = " ".join(("+" if sign > 0 else "-") + key for key, sign in state.term_signs())
@@ -484,19 +507,14 @@ def scenario_lie_state() -> ScenarioReport:
     branches = list(_walk(encoded, (A_P,), BELL_OUTCOMES, BELL_OUTCOMES))
     p1_prob = sum(b.probability for b in branches)
     collapse = _collapse(encoded, A_P)
-    post = from_statevector(collapse, (2, 3, 4, 5))
+    post = from_statevector(collapse, MIDDLE_QUBITS)
     claimed = BellProductExpr(PAIRING_2345, ((A_P, A_P, 1), (A_M, A_M, -1)))
 
     o2, o3 = branches[0].o2, branches[0].o3
     run = _reconstruction(o2, o3, StateLabel.A, A_P, position)
     deduction, deduced_secret = _deduced(run)
     assertions = (
-        _check(
-            "scripted branch has positive probability",
-            "P(a+ on (1,6)) > 0",
-            f"P = {float(p1_prob):.6f}",
-            p1_prob > 0,
-        ),
+        _check_positive("a+ on (1,6)", p1_prob),
         _check(
             "collapse matches the printed a+a+ - a-a- pattern",
             "collapse ~ +a+(2,3)a+(4,5) -a-(2,3)a-(4,5)",
@@ -537,12 +555,7 @@ def scenario_lie_position() -> ScenarioReport:
     observed_kept = trace.final_kept.term_signs() if trace.final_kept else ()
     deduction, deduced_secret = _deduced(run)
     assertions = (
-        _check(
-            "scripted branch has positive probability",
-            "P(b+, a-, a+) > 0",
-            f"P = {float(prob):.6f}",
-            prob > 0,
-        ),
+        _check_positive("b+, a-, a+", prob),
         _check(
             "kept terms are the two cross-correlated terms",
             str(expected_kept),
@@ -600,10 +613,9 @@ def scenario_p1_withholds() -> ScenarioReport:
             "all positive",
             "all positive" if all_positive else "some zero",
         ),
-        _check(
+        _check_match(
             "every consistent configuration collapses to the same display state",
             "collapse ~ +a+(2,3)a-(4,5) +a-(2,3)a+(4,5)",
-            "match" if all_display else "mismatch",
             all_display,
         ),
     )
@@ -661,16 +673,14 @@ def scenario_no_collusion() -> ScenarioReport:
             "['a+', 'a-']",
             str(i_p3),
         ),
-        _check(
+        _check_match(
             "toggled-run collapse re-pairs to a+a- + a-a+ on (2,5),(3,4)",
             eq3.render(),
-            "match",
             _phase_equal(_collapse(_encoded(label, PauliGate.IY, 1), B_P), eq3.expand()),
         ),
-        _check(
+        _check_match(
             "identity-run collapse re-pairs to a+a+ + a-a- on (2,5),(3,4)",
             eq9_corrected.render() + " (corrected from a duplicated printed term)",
-            "match",
             _phase_equal(_collapse(_encoded(label, PauliGate.I, 1), A_P), eq9_corrected.expand()),
         ),
     )
@@ -700,7 +710,6 @@ def scenario_eve_intercept() -> ScenarioReport:
 
     prob = _branch_probability(modified, A_P, B_M, B_P)
     collapse_expr = BellProductExpr(PAIRING_2534, ((B_P, B_M, 1), (B_M, B_P, 1)))
-    collapse_ok = _phase_equal(_collapse(modified, A_P), collapse_expr.expand())
 
     trace = _reconstruction(B_M, B_P, label, A_P, position)
     assert isinstance(trace, PipelineTrace)
@@ -709,7 +718,7 @@ def scenario_eve_intercept() -> ScenarioReport:
 
     counterfactual = filter_untouched(trace.attached, label, 6)
     counterfactual_state = SymbolicState.from_terms(
-        (1, 2, 3, 4, 5, 6), counterfactual.kept, trace.attached.norm_exponent
+        ALL_QUBITS, counterfactual.kept, trace.attached.norm_exponent
     )
     try:
         counterfactual_action = infer_gate(counterfactual_state, label, 6).render()
@@ -729,18 +738,12 @@ def scenario_eve_intercept() -> ScenarioReport:
             "exact" if modified_ok else "mismatch",
             modified_ok,
         ),
-        _check(
+        _check_match(
             "collapse after P1=a+ re-pairs to b+b- + b-b+ on (2,5),(3,4)",
             collapse_expr.render(),
-            "match" if collapse_ok else "mismatch",
-            collapse_ok,
+            _phase_equal(_collapse(modified, A_P), collapse_expr.expand()),
         ),
-        _check(
-            "scripted branch has positive probability",
-            "P(a+, b-, b+) > 0",
-            f"P = {float(prob):.6f}",
-            prob > 0,
-        ),
+        _check_positive("a+, b-, b+", prob),
         _check_terms(
             "expansion matches the four printed terms",
             trace.expansion,
@@ -789,7 +792,7 @@ def scenario_eve_intercept() -> ScenarioReport:
         "p3_outcome": B_P.ascii,
     }
     states = {
-        "modified_state": from_statevector(modified, (1, 2, 3, 4, 5, 6)).render(),
+        "modified_state": from_statevector(modified, ALL_QUBITS).render(),
         **_stage_renders(trace),
         "counterfactual_kept": counterfactual_state.render(),
         "true_secret": decode_secret(GateAction(dealer_gate, position)),

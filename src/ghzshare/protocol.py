@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .qcore import (
+    LABELS,
     BellOutcome,
     BellPair,
     PauliGate,
@@ -52,6 +53,13 @@ def check_secret(bits: str) -> str:
     if not isinstance(bits, str) or len(bits) != 2 or any(c not in "01" for c in bits):
         raise ValueError(f"secret must be a 2-character 0/1 string, got {bits!r}")
     return bits
+
+
+def check_seed(seed: int) -> int:
+    """A seed a transcript can record: an int, never a bool or None (which would draw entropy)."""
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return seed
 
 
 def check_position(position: int) -> int:
@@ -213,9 +221,7 @@ class Transcript:
             announcements = tuple(announcement_from_dict(a) for a in data["announcements"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed transcript: {exc!r}") from exc
-        if type(seed) is not int:
-            raise ValueError(f"seed must be an integer, got {seed!r}")
-        return cls(seed, true_label, true_action, announcements)
+        return cls(check_seed(seed), true_label, true_action, announcements)
 
     @classmethod
     def from_json(cls, text: str) -> "Transcript":
@@ -235,9 +241,11 @@ def run_protocol(
     (1,6), (2,5), (3,4)).
     """
     check_secret(bits)
-    rng = random.Random(seed)
+    if label is not None and not isinstance(label, StateLabel):
+        raise ValueError(f"state label must be a StateLabel or None, got {label!r}")
+    rng = random.Random(check_seed(seed))
     if label is None:
-        label = (StateLabel.A, StateLabel.B, StateLabel.C, StateLabel.D)[rng.randrange(4)]
+        label = LABELS[rng.randrange(4)]
     if position is None:
         position = ENCODING_POSITIONS[rng.randrange(2)]
     action = encode_secret(bits, position)

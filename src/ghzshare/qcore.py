@@ -108,8 +108,9 @@ class PauliGate(Enum):
 
 
 # Per gate, the images of |0> and |1> as (basis bit, sign): each gate is a
-# signed permutation of the two basis states.
-_GATE_IMAGES = {
+# signed permutation of the two basis states.  The dense and the symbolic
+# engine both read this one table.
+GATE_IMAGES = {
     PauliGate.I: ((0, 1), (1, 1)),
     PauliGate.X: ((1, 1), (0, 1)),
     PauliGate.IY: ((1, -1), (0, 1)),
@@ -128,16 +129,16 @@ class StateLabel(Enum):
     D = "D"
 
     @property
-    def half_support(self) -> tuple[str, str]:
-        """The two 3-bit strings of one GHZ half (both halves are identical)."""
+    def half_support(self) -> tuple[int, int]:
+        """The two 3-bit patterns of one GHZ half (both halves alike), first qubit the top bit."""
         return _HALF_SUPPORT[self]
 
 
 _HALF_SUPPORT = {
-    StateLabel.A: ("000", "111"),
-    StateLabel.B: ("001", "110"),
-    StateLabel.C: ("011", "100"),
-    StateLabel.D: ("101", "010"),
+    StateLabel.A: (0b000, 0b111),
+    StateLabel.B: (0b001, 0b110),
+    StateLabel.C: (0b011, 0b100),
+    StateLabel.D: (0b101, 0b010),
 }
 
 LABELS = (StateLabel.A, StateLabel.B, StateLabel.C, StateLabel.D)
@@ -161,7 +162,7 @@ class BellOutcome(Enum):
         return self.value
 
 
-_BELL_KET_SIGNS = {
+BELL_KET_SIGNS = {
     BellOutcome.A_PLUS: {(0, 0): 1, (1, 1): 1},
     BellOutcome.A_MINUS: {(0, 0): 1, (1, 1): -1},
     BellOutcome.B_PLUS: {(0, 1): 1, (1, 0): 1},
@@ -193,11 +194,8 @@ def bits_to_index(bits: tuple[int, ...]) -> int:
 @functools.cache
 def prepare_state(label: StateLabel) -> DenseState:
     """Tensor product of the label's two GHZ halves: 4 amplitudes of +1/2."""
-    indices = sorted(
-        bits_to_index(tuple(int(c) for c in first + second))
-        for first in label.half_support
-        for second in label.half_support
-    )
+    support = label.half_support
+    indices = sorted(first << 3 | second for first in support for second in support)
     return DenseState(tuple((i, 1) for i in indices), 2)
 
 
@@ -207,7 +205,7 @@ def _gate_table(gate: PauliGate, q: int) -> tuple[tuple[int, int], ...]:
     shift = N_QUBITS - q
     table = []
     for index in range(DIM):
-        image, sign = _GATE_IMAGES[gate][(index >> shift) & 1]
+        image, sign = GATE_IMAGES[gate][(index >> shift) & 1]
         table.append((index & ~(1 << shift) | image << shift, sign))
     return tuple(table)
 
@@ -246,16 +244,16 @@ def _bell_tables(pair: BellPair) -> tuple[tuple, tuple, tuple]:
         ket = ((index >> (N_QUBITS - first)) & 1, (index >> (N_QUBITS - second)) & 1)
         # the pair bits form a ket of exactly two outcomes
         contributions = [
-            (k, _BELL_KET_SIGNS[outcome][ket])
+            (k, BELL_KET_SIGNS[outcome][ket])
             for k, outcome in enumerate(BELL_OUTCOMES)
-            if ket in _BELL_KET_SIGNS[outcome]
+            if ket in BELL_KET_SIGNS[outcome]
         ]
         (k1, sign1), (k2, sign2) = contributions
         gather.append((r, k1, sign1, k2, sign2))
     place = tuple(
         tuple(
             (k1 << (N_QUBITS - first) | k2 << (N_QUBITS - second), sign)
-            for (k1, k2), sign in _BELL_KET_SIGNS[outcome].items()
+            for (k1, k2), sign in BELL_KET_SIGNS[outcome].items()
         )
         for outcome in BELL_OUTCOMES
     )

@@ -8,18 +8,20 @@ terms against each candidate gate applied to the perfectly correlated
 reference state.  A pure function of the announcements throughout; the
 transcript's ground truth is never consulted.
 
-Every step reads ``Term.bits`` directly: a filter is a mask and a set
-lookup, gate inference one lookup in a per-(label, position) table built
-from the symbolic gate images, and the tamper report one lookup in a
-per-(label, position) table of single-qubit flips.  Strings are rendered
-only for a NoMatch message.
+Every step reads ``Term.bits`` directly.  What the announced state and
+position fix is one cached Decoder per (label, position): the untouched
+half's shift and allowed triples, a gate table built from the symbolic
+gate images, and a table of single-qubit flips.  A filter is then a mask
+and a set lookup, gate inference one lookup, and the tamper report one
+lookup per discard.  Strings are rendered only for a NoMatch message.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Collection, Mapping, Optional, Sequence
 
 from .protocol import (
     Announcement,
@@ -33,16 +35,8 @@ from .protocol import (
     StateLabelAnnouncement,
     decode_secret,
 )
-from .qcore import GATES, BellOutcome, PauliGate, StateLabel
-from .symexact import (
-    EmptyState,
-    SymbolicState,
-    Term,
-    _shifts,
-    apply_gate_sym,
-    bell_products,
-    bell_terms,
-)
+from .qcore import BELL_KET_SIGNS, GATES, BellOutcome, PauliGate, StateLabel
+from .symexact import EmptyState, SymbolicState, Term, apply_gate_sym, bell_products
 
 MIDDLE_QUBITS = (2, 3, 4, 5)
 ALL_QUBITS = (1, 2, 3, 4, 5, 6)
@@ -108,30 +102,27 @@ class PipelineTrace:
     result: Optional[ReconstructionResult]
 
 
-@functools.cache
-def _support_mask(
-    layout: tuple[int, ...], qubits: tuple[int, ...], label: StateLabel
-) -> tuple[int, frozenset[int]]:
-    """Mask of ``qubits`` in a pattern over ``layout``, and the masked values the label allows.
+@dataclass(frozen=True)
+class Decoder:
+    """What one announced (label, position) fixes for the last pipeline stages.
 
-    The allowed values are the label's half-support strings cut to the
-    first ``len(qubits)`` bits: (q4,q5) are the first two qubits of the
-    second GHZ half, and an untouched half is a whole triple.
+    ``untouched_shift`` brings the untouched GHZ half's triple to the low bits
+    of a pattern over qubits 1..6, and ``support`` holds the triples it may take.
     """
-    shifts = _shifts(layout, qubits)
-    mask = sum(1 << s for s in shifts)
-    allowed = frozenset(
-        sum(int(bit) << s for bit, s in zip(h, shifts)) for h in label.half_support
-    )
-    return mask, allowed
+
+    untouched_shift: int
+    support: frozenset[int]
+    gates: Mapping[tuple[int, int, int], PauliGate]
+    flips: tuple[Optional[int], ...]
 
 
-def _partition(state: SymbolicState, qubits: tuple[int, ...], label: StateLabel) -> FilterResult:
-    """Split a state's terms by whether their bits on the given qubits are allowed."""
-    mask, allowed = _support_mask(state.qubits, qubits, label)
+def _partition(
+    terms: Sequence[Term], shift: int, mask: int, allowed: Collection[int]
+) -> FilterResult:
+    """Split terms by whether their bits ``shift`` up, under ``mask``, are allowed."""
     kept, discarded = [], []
-    for t in state.terms:
-        (kept if t.bits & mask in allowed else discarded).append(t)
+    for t in terms:
+        (kept if t.bits >> shift & mask in allowed else discarded).append(t)
     return FilterResult(tuple(kept), tuple(discarded))
 
 
@@ -152,13 +143,15 @@ def filter_support(state: SymbolicState, label: StateLabel) -> FilterResult:
     """
     if state.qubits != MIDDLE_QUBITS:
         raise ValueError(f"expected a state over qubits {MIDDLE_QUBITS}, got {state.qubits}")
-    return _partition(state, (4, 5), label)
+    # (q4,q5), the two low bits, are the first two qubits of the second GHZ half
+    first, second = label.half_support
+    return _partition(state.terms, 0, 0b11, (first >> 1, second >> 1))
 
 
 @functools.cache
 def _placed_p1(p1: BellOutcome) -> tuple[tuple[int, int], ...]:
     """The (1,6) Bell ket's terms as (pattern over qubits 1..6, sign), with q2..q5 clear."""
-    return tuple((t.bits >> 1 << 5 | t.bits & 1, t.sign) for t in bell_terms(p1, P1_PAIR).terms)
+    return tuple(sorted((k1 << 5 | k6, sign) for (k1, k6), sign in BELL_KET_SIGNS[p1].items()))
 
 
 def attach_p1(kept: SymbolicState, p1: BellOutcome) -> SymbolicState:
@@ -182,52 +175,47 @@ def toggled_half(position: int) -> tuple[int, int, int]:
     return (1, 2, 3) if position == 1 else (4, 5, 6)
 
 
-def filter_untouched(state: SymbolicState, label: StateLabel, position: int) -> FilterResult:
-    """Keep terms whose untouched-half triple is in the announced support."""
-    if state.qubits != ALL_QUBITS:
-        raise ValueError(f"expected a state over qubits 1..6, got {state.qubits}")
-    return _partition(state, untouched_half(position), label)
-
-
-def _half_reference(label: StateLabel, qubits: tuple[int, int, int]) -> SymbolicState:
-    terms = [Term(int(h, 2), 1) for h in sorted(label.half_support)]
-    return SymbolicState.from_terms(qubits, terms, 1)
-
-
-@functools.cache
-def _gate_images(label: StateLabel, position: int) -> tuple[tuple[PauliGate, SymbolicState], ...]:
-    """Each candidate gate applied to the announced state's toggled GHZ half."""
-    reference = _half_reference(label, toggled_half(position))
-    return tuple((gate, apply_gate_sym(reference, gate, position)) for gate in GATES)
-
-
 def _pair_key(a: int, sign_a: int, b: int, sign_b: int) -> tuple[int, int, int]:
     """Two signed triples up to order and global sign: (low, high, relative sign)."""
     return (a, b, sign_a * sign_b) if a < b else (b, a, sign_a * sign_b)
 
 
-def _triple_shift(half: tuple[int, int, int]) -> int:
-    """Right shift that brings a GHZ half's triple to the low bits of a pattern over 1..6."""
-    return _shifts(ALL_QUBITS, half)[-1]
-
-
 @functools.cache
-def _gate_table(
-    label: StateLabel, position: int
-) -> tuple[int, dict[tuple[int, int, int], PauliGate]]:
-    """The toggled half's triple shift, and each gate keyed by its image's two signed triples.
+def _decoder(label: StateLabel, position: int) -> Decoder:
+    """The decoder of one announced (label, position).
 
-    Raises Ambiguous if two gates share an image, so that a lookup names at
-    most one gate.
+    ``gates`` keys each candidate gate by its image of the announced state's
+    toggled GHZ half, as two signed triples.  The build raises Ambiguous if
+    two gates share an image, so that a lookup names at most one gate.
+    ``flips`` holds, per untouched triple, the qubit whose flip reaches the
+    nearest support triple, or None where that is not at Hamming distance 1.
     """
-    table: dict[tuple[int, int, int], PauliGate] = {}
-    for gate, image in _gate_images(label, position):
+    support = label.half_support
+    toggled, untouched = toggled_half(position), untouched_half(position)
+    reference = SymbolicState.from_terms(toggled, [Term(h, 1) for h in support], 1)
+    gates: dict[tuple[int, int, int], PauliGate] = {}
+    for gate in GATES:
+        image = apply_gate_sym(reference, gate, position)
         (a, b) = image.terms
         key = _pair_key(a.bits, a.sign, b.bits, b.sign)
-        if key in table:
-            raise Ambiguous(f"gates {table[key].value} and {gate.value} share {image.render()}")
-        table[key] = gate
-    return _triple_shift(toggled_half(position)), table
+        if key in gates:
+            raise Ambiguous(f"gates {gates[key].value} and {gate.value} share {image.render()}")
+        gates[key] = gate
+    flips = []
+    for triple in range(8):
+        diff = min((triple ^ h for h in support), key=int.bit_count)
+        flips.append(untouched[3 - diff.bit_length()] if diff.bit_count() == 1 else None)
+    # a half's last qubit q is bit 6 - q of a pattern over qubits 1..6
+    shift = len(ALL_QUBITS) - untouched[-1]
+    return Decoder(shift, frozenset(support), MappingProxyType(gates), tuple(flips))
+
+
+def filter_untouched(state: SymbolicState, label: StateLabel, position: int) -> FilterResult:
+    """Keep terms whose untouched-half triple is in the announced support."""
+    if state.qubits != ALL_QUBITS:
+        raise ValueError(f"expected a state over qubits 1..6, got {state.qubits}")
+    decoder = _decoder(label, position)
+    return _partition(state.terms, decoder.untouched_shift, 0b111, decoder.support)
 
 
 def infer_gate(kept: SymbolicState, label: StateLabel, position: int) -> GateAction:
@@ -244,33 +232,19 @@ def infer_gate(kept: SymbolicState, label: StateLabel, position: int) -> GateAct
         raise ValueError(f"expected a state over qubits 1..6, got {kept.qubits}")
     if len(kept.terms) != 2:
         raise NoMatch(f"expected exactly 2 kept terms, got {len(kept.terms)}")
-    shift, table = _gate_table(label, position)
+    decoder = _decoder(label, position)
+    # the two halves are the two triples of a six-bit pattern
+    shift = 3 - decoder.untouched_shift
     first, second = kept.terms
     a, b = first.bits >> shift & 7, second.bits >> shift & 7
     if a == b:
         raise NoMatch("kept terms collapse onto one toggled-half pattern")
-    gate = table.get(_pair_key(a, first.sign, b, second.sign))
+    gate = decoder.gates.get(_pair_key(a, first.sign, b, second.sign))
     if gate is None:
         half = toggled_half(position)
         target = SymbolicState.from_terms(half, [Term(a, first.sign), Term(b, second.sign)], 1)
         raise NoMatch(f"no gate maps the reference onto {target.render()}")
     return GateAction(gate, position)
-
-
-@functools.cache
-def _flip_table(label: StateLabel, position: int) -> tuple[int, tuple[Optional[int], ...]]:
-    """The untouched half's triple shift, and per triple the qubit whose flip reaches support.
-
-    The flip is read against the nearest support string; the entry is None
-    where that string is not at Hamming distance 1.
-    """
-    half = untouched_half(position)
-    support = [int(h, 2) for h in label.half_support]
-    flips = []
-    for triple in range(8):
-        diff = min((triple ^ h for h in support), key=int.bit_count)
-        flips.append(half[3 - diff.bit_length()] if diff.bit_count() == 1 else None)
-    return _triple_shift(half), tuple(flips)
 
 
 def tamper_report(
@@ -285,10 +259,10 @@ def tamper_report(
     """
     if not untouched_discarded:
         return None
-    shift, table = _flip_table(label, position)
+    decoder = _decoder(label, position)
     flips = set()
     for term in untouched_discarded:
-        flipped = table[term.bits >> shift & 7]
+        flipped = decoder.flips[term.bits >> decoder.untouched_shift & 7]
         if flipped is None:
             return None
         flips.add(flipped)

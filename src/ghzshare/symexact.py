@@ -13,9 +13,8 @@ Qubits are read and moved with shifts, masks and XOR.
 ``to_statevector``/``from_statevector`` bridge to the exact dense vectors of
 ``qcore``: a term is one nonzero amplitude, its pattern the basis index.
 
-Values that depend only on a few small keys (a Bell ket on a pair, the
-sixteen Bell-product expansions of a pairing) are cached tables, filled on
-first use; states are immutable, so every caller may share them.
+The sixteen Bell-product expansions of a pairing are a cached table, filled
+on first use; states are immutable, so every caller may share them.
 
 Canonical form sorts terms by bit pattern and cancels opposite-sign
 duplicates; same-pattern terms that add instead of cancelling are
@@ -32,13 +31,14 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .qcore import (
+    BELL_KET_SIGNS,
     BELL_OUTCOMES,
+    GATE_IMAGES,
     BellOutcome,
     BellPair,
     DenseState,
     NotDyadic,
     PauliGate,
-    _BELL_KET_SIGNS,
     check_pair,
 )
 
@@ -162,25 +162,14 @@ class SymbolicState:
 
 def bell_terms(outcome: BellOutcome, pair: BellPair) -> SymbolicState:
     """Two-term expansion of a Bell ket on a qubit pair (norm exponent 1)."""
-    return _bell_ket(outcome, check_pair(pair))
-
-
-@functools.cache
-def _bell_ket(outcome: BellOutcome, pair: BellPair) -> SymbolicState:
-    """bell_terms on a checked pair of ints, so that no other key reaches the table."""
-    first, second = pair
+    first, second = check_pair(pair)
     ascending = first < second
     qubits = (first, second) if ascending else (second, first)
     terms = []
-    for (k1, k2), sign in _BELL_KET_SIGNS[outcome].items():
+    for (k1, k2), sign in BELL_KET_SIGNS[outcome].items():
         bits = k1 << 1 | k2 if ascending else k2 << 1 | k1
         terms.append(Term(bits, sign))
     return SymbolicState.from_terms(qubits, terms, 1)
-
-
-# bell_terms reports and clears the table it reads, as a cached function would
-bell_terms.cache_info = _bell_ket.cache_info
-bell_terms.cache_clear = _bell_ket.cache_clear
 
 
 def _spread(bits: int, shifts: tuple[int, ...]) -> int:
@@ -216,25 +205,14 @@ def expand_product(parts: Sequence[SymbolicState]) -> SymbolicState:
     return SymbolicState.from_terms(qubits, raw, norm_exponent)
 
 
-# Per gate: whether it flips the qubit, and the pre-gate bit value whose sign
-# it negates (Z: |1> -> -|1>; iY: |0> -> -|1>, |1> -> |0>).
-_GATE_ACTION = {
-    PauliGate.I: (False, None),
-    PauliGate.X: (True, None),
-    PauliGate.Z: (False, 1),
-    PauliGate.IY: (True, 0),
-}
-
-
 def apply_gate_sym(state: SymbolicState, gate: PauliGate, qubit: int) -> SymbolicState:
     """Apply an encoding gate at one qubit of a symbolic state."""
-    mask = 1 << _shifts(state.qubits, (qubit,))[0]
-    flip, negate_on = _GATE_ACTION[gate]
+    shift = _shifts(state.qubits, (qubit,))[0]
+    images = GATE_IMAGES[gate]
     new_terms = []
     for t in state.terms:
-        bit = 1 if t.bits & mask else 0
-        sign = -t.sign if bit == negate_on else t.sign
-        new_terms.append(Term(t.bits ^ mask if flip else t.bits, sign))
+        image, sign = images[t.bits >> shift & 1]
+        new_terms.append(Term(t.bits & ~(1 << shift) | image << shift, sign * t.sign))
     return SymbolicState.from_terms(state.qubits, new_terms, state.norm_exponent)
 
 

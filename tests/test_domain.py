@@ -78,31 +78,17 @@ def test_constant_tables_fill_to_their_domains_and_stop_missing():
     # decomposes under both pairings) fills each to its domain size, and a
     # second pass adds no miss anywhere.
     sized = {
-        "bell_terms": symexact.bell_terms,
         "bell_products": symexact.bell_products,
-        "gate_images": recon._gate_images,
-        "gate_tables": recon._gate_table,
-        "flip_tables": recon._flip_table,
-        "support_masks": recon._support_mask,
+        "decoders": recon._decoder,
         "placed_p1": recon._placed_p1,
     }
     tables = {**sized, "shifts": symexact._shifts, "layouts": symexact._check_layout}
     for table in tables.values():
         table.cache_clear()
     _sweep_and_table()
-    pairs_used = {(1, 6), (2, 5), (3, 4), (2, 3), (4, 5)}
     sizes = {name: table.cache_info().currsize for name, table in sized.items()}
-    assert sizes == {
-        "bell_terms": 4 * len(pairs_used),
-        "bell_products": 2,
-        "gate_images": 8,
-        # one per (label, position)
-        "gate_tables": 8,
-        "flip_tables": 8,
-        # one per label for the (q4,q5) filter, one per (label, position) for the untouched half
-        "support_masks": 4 + 8,
-        "placed_p1": 4,
-    }
+    # one decoder per (label, position)
+    assert sizes == {"bell_products": 2, "decoders": 8, "placed_p1": 4}
     misses = {name: table.cache_info().misses for name, table in tables.items()}
     _sweep_and_table()
     assert {name: table.cache_info().misses for name, table in tables.items()} == misses

@@ -256,3 +256,22 @@ def test_eve_counts_tamper_reports_without_rerunning_the_verifier(monkeypatch):
 def test_scenarios_are_reproducible():
     for name, fn in SCENARIOS.items():
         assert fn().to_dict() == fn().to_dict(), name
+
+
+def test_collapse_checks_report_mismatch_when_the_phase_check_fails(monkeypatch):
+    # every "match"/"mismatch" check reads what it compared, never a constant
+    monkeypatch.setattr(harness, "_phase_equal", lambda vec, state: False)
+    checks = {
+        "no-collusion": (
+            "toggled-run collapse re-pairs to a+a- + a-a+ on (2,5),(3,4)",
+            "identity-run collapse re-pairs to a+a+ + a-a- on (2,5),(3,4)",
+        ),
+        "eve-intercept": ("collapse after P1=a+ re-pairs to b+b- + b-b+ on (2,5),(3,4)",),
+        "p1-withholds": ("every consistent configuration collapses to the same display state",),
+    }
+    for name, assertion_names in checks.items():
+        report = SCENARIOS[name]()
+        for assertion_name in assertion_names:
+            record = report.assertion(assertion_name)
+            assert (record.observed, record.passed) == ("mismatch", False), (name, record)
+        assert not report.verdict

@@ -5,7 +5,8 @@ a private module-level name (``_x``) that nothing in the package refers
 to.  Names listed in a module's ``__all__`` count as used, so a package
 re-export is not an unused import.  A third check keeps the package free of
 third-party dependencies: every import is relative or from the standard
-library.
+library.  A fourth keeps each module's private names its own: a table that
+another module reads is public.
 """
 
 import ast
@@ -94,6 +95,21 @@ def foreign_imports(tree: ast.Module) -> list[str]:
     return [n for n in names if n not in sys.stdlib_module_names]
 
 
+def private_imports(tree: ast.Module) -> list[str]:
+    """Private names (``_x``) imported from another module of the package."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names += [a.name for a in node.names if a.name.startswith("_")]
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_no_private_names_cross_modules(module):
+    crossing = private_imports(SOURCES[module])
+    assert not crossing, f"{module}: imports private names {crossing}"
+
+
 @pytest.mark.parametrize("module", sorted(SOURCES))
 def test_imports_are_relative_or_standard_library(module):
     assert not foreign_imports(SOURCES[module]), f"{module}: imports outside the standard library"
@@ -134,3 +150,11 @@ def test_import_check_catches_a_planted_third_party_import():
         "from numpy.linalg import norm\n"
     )
     assert foreign_imports(planted) == ["numpy", "numpy"]
+
+
+def test_private_import_check_catches_a_planted_import():
+    planted = ast.parse(
+        "from os import _exit\nfrom . import qcore\n"
+        "from .qcore import GATE_IMAGES, _bell_tables\nfrom .symexact import (Term, _shifts)\n"
+    )
+    assert private_imports(planted) == ["_bell_tables", "_shifts"]

@@ -87,6 +87,25 @@ def test_rejects_non_string_secrets(bits):
         run_protocol(StateLabel.A, bits, 1, seed=7)
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, "abc", None], ids=repr)
+def test_run_protocol_rejects_seeds_a_transcript_cannot_hold(seed):
+    # None would seed from OS entropy; the others write transcripts from_json rejects
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        run_protocol(StateLabel.A, "01", 1, seed)
+
+
+@pytest.mark.parametrize("label", ["A", 0, PauliGate.I], ids=repr)
+def test_run_protocol_rejects_labels_that_are_not_state_labels(label):
+    with pytest.raises(ValueError, match="state label must be a StateLabel or None"):
+        run_protocol(label, "01", 1, seed=7)
+
+
+def test_every_seed_run_protocol_takes_survives_the_json_round_trip():
+    for seed in (0, 7, -3, 2**64 - 1, 2**70):
+        transcript = run_protocol(None, "10", None, seed)
+        assert Transcript.from_json(transcript.to_json()) == transcript
+
+
 def test_honest_transcript_structure():
     transcript = run_protocol(StateLabel.A, "11", 1, seed=7)
     anns = transcript.announcements

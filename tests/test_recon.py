@@ -18,9 +18,7 @@ from ghzshare.qcore import (
 from ghzshare.recon import (
     Ambiguous,
     NoMatch,
-    _flip_table,
-    _gate_images,
-    _gate_table,
+    _decoder,
     attach_p1,
     filter_support,
     filter_untouched,
@@ -34,6 +32,7 @@ from ghzshare.symexact import (
     EmptyState,
     SymbolicState,
     Term,
+    apply_gate_sym,
     bell_terms,
     equal_up_to_global_sign,
     expand_product,
@@ -43,10 +42,28 @@ from ghzshare.symexact import (
 A_P, A_M, B_P, B_M = BELL_OUTCOMES
 ALL = (1, 2, 3, 4, 5, 6)
 
+# Each state's GHZ half support as the paper writes it; the string oracles below read these.
+SUPPORT = {
+    StateLabel.A: ("000", "111"),
+    StateLabel.B: ("001", "110"),
+    StateLabel.C: ("011", "100"),
+    StateLabel.D: ("101", "010"),
+}
+
 
 def state_of(qubits, signed_bits, k=0):
     terms = [Term(int(bits, 2), sign) for bits, sign in signed_bits]
     return SymbolicState.from_terms(tuple(qubits), terms, k)
+
+
+def test_half_supports_are_the_papers_strings():
+    for label in LABELS:
+        assert tuple(format(h, "03b") for h in label.half_support) == SUPPORT[label]
+
+
+def half_reference(label, half):
+    """The announced state's GHZ half on the given qubits, read from the paper's strings."""
+    return state_of(half, [(h, 1) for h in SUPPORT[label]], k=1)
 
 
 def keys(state, terms):
@@ -157,13 +174,10 @@ def test_infer_gate_no_match_on_foreign_support():
 def test_infer_gate_unique_across_honest_candidates():
     # For each label/position, the four candidate actions are pairwise
     # distinguishable, so Ambiguous is unreachable on honest inputs.
-    from ghzshare.recon import _half_reference, toggled_half
-    from ghzshare.symexact import apply_gate_sym, equal_up_to_global_sign
-
     for label in LABELS:
         for position in (1, 6):
             half = toggled_half(position)
-            reference = _half_reference(label, half)
+            reference = half_reference(label, half)
             images = [apply_gate_sym(reference, g, position) for g in GATES]
             for i in range(4):
                 for j in range(i + 1, 4):
@@ -250,7 +264,7 @@ def test_honest_kept_pair_is_gate_on_a_correlated_reference():
     from ghzshare.protocol import make_announcements as announce
 
     def reference(label, cross):
-        halves = sorted(label.half_support)
+        halves = sorted(SUPPORT[label])
         pairs = zip(halves, reversed(halves)) if cross else zip(halves, halves)
         terms = [Term(int(a + b, 2), 1) for a, b in pairs]
         return SymbolicState.from_terms((1, 2, 3, 4, 5, 6), terms, 1)
@@ -321,7 +335,7 @@ def test_untouched_filter_soundness_everywhere():
                     result = filter_untouched(attached, label, position)
                     half = (4, 5, 6) if position == 1 else (1, 2, 3)
                     for t in result.kept:
-                        assert restrict(attached.qubits, t, half) in label.half_support
+                        assert restrict(attached.qubits, t, half) in SUPPORT[label]
 
 
 # -- integer-mask tables against the string readers they replaced -----------
@@ -352,20 +366,21 @@ def test_mask_partitions_equal_string_partitions_on_every_stage_state():
     for label in LABELS:
         for state in middle:
             result = filter_support(state, label)
-            oracle = _string_partition(state, (4, 5), {h[:2] for h in label.half_support})
+            oracle = _string_partition(state, (4, 5), {h[:2] for h in SUPPORT[label]})
             assert (result.kept, result.discarded) == oracle
         for state, position in itertools.product(full, (1, 6)):
             result = filter_untouched(state, label, position)
             half = (4, 5, 6) if position == 1 else (1, 2, 3)
-            oracle = _string_partition(state, half, set(label.half_support))
+            oracle = _string_partition(state, half, set(SUPPORT[label]))
             assert (result.kept, result.discarded) == oracle
 
 
 def test_gate_table_equals_the_signed_image_matches():
     for label, position in itertools.product(LABELS, (1, 6)):
         half = toggled_half(position)
-        images = _gate_images(label, position)
-        shift, table = _gate_table(label, position)
+        images = [(g, apply_gate_sym(half_reference(label, half), g, position)) for g in GATES]
+        decoder = _decoder(label, position)
+        shift, table = 3 - decoder.untouched_shift, decoder.gates
         assert sorted(table.values(), key=GATES.index) == list(GATES)
         assert restrict(ALL, Term(0b111 << shift, 1), half) == "111"
         for a, b in itertools.permutations(range(8), 2):
@@ -387,7 +402,7 @@ def test_gate_table_equals_the_signed_image_matches():
 
 def _string_flip(triple: str, label, half):
     """The nearest-support single flip, read with string Hamming distances."""
-    best = min(label.half_support, key=lambda h: sum(x != y for x, y in zip(triple, h)))
+    best = min(SUPPORT[label], key=lambda h: sum(x != y for x, y in zip(triple, h)))
     differ = [half[i] for i in range(3) if triple[i] != best[i]]
     return differ[0] if len(differ) == 1 else None
 
@@ -395,7 +410,8 @@ def _string_flip(triple: str, label, half):
 def test_flip_table_equals_string_hamming_nearest_support():
     for label, position in itertools.product(LABELS, (1, 6)):
         half = (4, 5, 6) if position == 1 else (1, 2, 3)
-        shift, table = _flip_table(label, position)
+        decoder = _decoder(label, position)
+        shift, table = decoder.untouched_shift, decoder.flips
         assert len(table) == 8
         for triple in range(8):
             term = Term(triple << shift, 1)
@@ -422,13 +438,16 @@ def test_attach_p1_and_infer_gate_reject_foreign_layouts():
 
 
 def test_colliding_gate_images_fail_the_table_build(monkeypatch):
-    images = dict(_gate_images(StateLabel.A, 1))
-    # Z's image given again under X: two gates now share one key
-    collided = tuple((g, images[PauliGate.Z if g is PauliGate.X else g]) for g in images)
-    monkeypatch.setattr(recon, "_gate_images", lambda label, position: collided)
-    _gate_table.cache_clear()
+    image_of = recon.apply_gate_sym
+
+    def collided(state, gate, qubit):
+        # Z's image given again under X: two gates now share one key
+        return image_of(state, PauliGate.Z if gate is PauliGate.X else gate, qubit)
+
+    monkeypatch.setattr(recon, "apply_gate_sym", collided)
+    _decoder.cache_clear()
     try:
         with pytest.raises(Ambiguous, match="share"):
-            _gate_table(StateLabel.A, 1)
+            _decoder(StateLabel.A, 1)
     finally:
-        _gate_table.cache_clear()
+        _decoder.cache_clear()
