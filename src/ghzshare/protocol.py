@@ -56,9 +56,13 @@ def check_secret(bits: str) -> str:
 
 
 def check_seed(seed: int) -> int:
-    """A seed a transcript can record: an int, never a bool or None (which would draw entropy)."""
-    if type(seed) is not int:
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    """A seed a transcript can record: a 64-bit unsigned int.
+
+    Never a bool or None (which would draw entropy), nor a negative int,
+    which ``random.Random`` seeds from its absolute value.
+    """
+    if type(seed) is not int or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return seed
 
 

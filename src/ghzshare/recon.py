@@ -13,7 +13,14 @@ position fix is one cached Decoder per (label, position): the untouched
 half's shift and allowed triples, a gate table built from the symbolic
 gate images, and a table of single-qubit flips.  A filter is then a mask
 and a set lookup, gate inference one lookup, and the tamper report one
-lookup per discard.  Strings are rendered only for a NoMatch message.
+lookup per discard.
+
+One stage sequence, ``_stages``, runs on tuples of terms drawn from
+constant tables: the (1,6) attach reads interned six-qubit terms, so a
+reconstruction constructs no term.  ``reconstruct`` builds no state,
+filter result or trace from its pieces unless it raises NoMatch;
+``reconstruct_trace`` and the public stage functions wrap the same steps.
+Strings are rendered only for a NoMatch message.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .protocol import (
     Party,
     PositionAnnouncement,
     StateLabelAnnouncement,
+    check_position,
     decode_secret,
 )
 from .qcore import BELL_KET_SIGNS, GATES, BellOutcome, PauliGate, StateLabel
@@ -108,30 +116,32 @@ class Decoder:
 
     ``untouched_shift`` brings the untouched GHZ half's triple to the low bits
     of a pattern over qubits 1..6, and ``support`` holds the triples it may take.
+    ``gates`` maps a kept pair's key to its gate's action and the secret it carries.
     """
 
     untouched_shift: int
     support: frozenset[int]
-    gates: Mapping[tuple[int, int, int], PauliGate]
+    gates: Mapping[tuple[int, int, int], tuple[GateAction, str]]
     flips: tuple[Optional[int], ...]
 
 
-def _partition(
-    terms: Sequence[Term], shift: int, mask: int, allowed: Collection[int]
-) -> FilterResult:
+_Terms = tuple[Term, ...]
+# a filter's (kept, discarded) terms, in their source order
+_Split = tuple[_Terms, _Terms]
+
+
+def _split(terms: Sequence[Term], shift: int, mask: int, allowed: Collection[int]) -> _Split:
     """Split terms by whether their bits ``shift`` up, under ``mask``, are allowed."""
     kept, discarded = [], []
     for t in terms:
         (kept if t.bits >> shift & mask in allowed else discarded).append(t)
-    return FilterResult(tuple(kept), tuple(discarded))
+    return tuple(kept), tuple(discarded)
 
 
-def _kept_state(source: SymbolicState, split: FilterResult) -> SymbolicState:
-    """A filter's kept terms as a state over the source's layout.
-
-    Terms kept in order from a canonical state are canonical already.
-    """
-    return SymbolicState(source.qubits, split.kept, source.norm_exponent)
+def _middle_split(terms: Sequence[Term], label: StateLabel) -> _Split:
+    # (q4,q5), the two low bits, are the first two qubits of the second GHZ half
+    first, second = label.half_support
+    return _split(terms, 0, 0b11, (first >> 1, second >> 1))
 
 
 def filter_support(state: SymbolicState, label: StateLabel) -> FilterResult:
@@ -143,15 +153,26 @@ def filter_support(state: SymbolicState, label: StateLabel) -> FilterResult:
     """
     if state.qubits != MIDDLE_QUBITS:
         raise ValueError(f"expected a state over qubits {MIDDLE_QUBITS}, got {state.qubits}")
-    # (q4,q5), the two low bits, are the first two qubits of the second GHZ half
-    first, second = label.half_support
-    return _partition(state.terms, 0, 0b11, (first >> 1, second >> 1))
+    return FilterResult(*_middle_split(state.terms, label))
 
 
 @functools.cache
-def _placed_p1(p1: BellOutcome) -> tuple[tuple[int, int], ...]:
-    """The (1,6) Bell ket's terms as (pattern over qubits 1..6, sign), with q2..q5 clear."""
-    return tuple(sorted((k1 << 5 | k6, sign) for (k1, k6), sign in BELL_KET_SIGNS[p1].items()))
+def _attached_terms(p1: BellOutcome) -> tuple[_Terms, _Terms]:
+    """The six-qubit terms of the (1,6) ket tensored onto each signed middle term.
+
+    One row per ket term, q1 first; entry ``bits << 1 | (sign < 0)`` of a row
+    is that ket term times the middle term (bits, sign) over qubits 2..5.
+    """
+    placed = sorted((k1 << 5 | k6, s) for (k1, k6), s in BELL_KET_SIGNS[p1].items())
+    return tuple(
+        tuple(Term(b | bits << 1, s * sign) for bits in range(16) for sign in (1, -1))
+        for b, s in placed
+    )
+
+
+def _attach(kept: Sequence[Term], p1: BellOutcome) -> _Terms:
+    # the ket's two terms differ on q1, the top bit, so ket-major order is canonical
+    return tuple([row[t.bits << 1 | (t.sign < 0)] for row in _attached_terms(p1) for t in kept])
 
 
 def attach_p1(kept: SymbolicState, p1: BellOutcome) -> SymbolicState:
@@ -160,10 +181,8 @@ def attach_p1(kept: SymbolicState, p1: BellOutcome) -> SymbolicState:
         raise ValueError(f"expected a state over qubits {MIDDLE_QUBITS}, got {kept.qubits}")
     if not kept.terms:
         raise EmptyState("no kept terms to attach the (1,6) outcome to")
-    # the ket's two terms differ on q1, the top bit, so ket-major order is canonical;
     # the ket's 1/sqrt2 adds 1 to the norm exponent
-    terms = [Term(b | t.bits << 1, s * t.sign) for b, s in _placed_p1(p1) for t in kept.terms]
-    return SymbolicState(ALL_QUBITS, tuple(terms), kept.norm_exponent + 1)
+    return SymbolicState(ALL_QUBITS, _attach(kept.terms, p1), kept.norm_exponent + 1)
 
 
 def untouched_half(position: int) -> tuple[int, int, int]:
@@ -182,7 +201,7 @@ def _pair_key(a: int, sign_a: int, b: int, sign_b: int) -> tuple[int, int, int]:
 
 @functools.cache
 def _decoder(label: StateLabel, position: int) -> Decoder:
-    """The decoder of one announced (label, position).
+    """The decoder of one announced (label, position); the position is checked already.
 
     ``gates`` keys each candidate gate by its image of the announced state's
     toggled GHZ half, as two signed triples.  The build raises Ambiguous if
@@ -193,14 +212,16 @@ def _decoder(label: StateLabel, position: int) -> Decoder:
     support = label.half_support
     toggled, untouched = toggled_half(position), untouched_half(position)
     reference = SymbolicState.from_terms(toggled, [Term(h, 1) for h in support], 1)
-    gates: dict[tuple[int, int, int], PauliGate] = {}
+    gates: dict[tuple[int, int, int], tuple[GateAction, str]] = {}
     for gate in GATES:
         image = apply_gate_sym(reference, gate, position)
         (a, b) = image.terms
         key = _pair_key(a.bits, a.sign, b.bits, b.sign)
         if key in gates:
-            raise Ambiguous(f"gates {gates[key].value} and {gate.value} share {image.render()}")
-        gates[key] = gate
+            shared = gates[key][0].gate
+            raise Ambiguous(f"gates {shared.value} and {gate.value} share {image.render()}")
+        action = GateAction(gate, position)
+        gates[key] = (action, decode_secret(action))
     flips = []
     for triple in range(8):
         diff = min((triple ^ h for h in support), key=int.bit_count)
@@ -210,12 +231,36 @@ def _decoder(label: StateLabel, position: int) -> Decoder:
     return Decoder(shift, frozenset(support), MappingProxyType(gates), tuple(flips))
 
 
+def _checked_decoder(label: StateLabel, position: int) -> Decoder:
+    # checked before the cache lookup: True and 1.0 hash and compare equal to 1
+    return _decoder(label, check_position(position))
+
+
+def _untouched_split(terms: Sequence[Term], decoder: Decoder) -> _Split:
+    return _split(terms, decoder.untouched_shift, 0b111, decoder.support)
+
+
 def filter_untouched(state: SymbolicState, label: StateLabel, position: int) -> FilterResult:
     """Keep terms whose untouched-half triple is in the announced support."""
     if state.qubits != ALL_QUBITS:
         raise ValueError(f"expected a state over qubits 1..6, got {state.qubits}")
-    decoder = _decoder(label, position)
-    return _partition(state.terms, decoder.untouched_shift, 0b111, decoder.support)
+    return FilterResult(*_untouched_split(state.terms, _checked_decoder(label, position)))
+
+
+def _infer(kept: _Terms, decoder: Decoder, position: int) -> tuple[GateAction, str] | str:
+    """The gate table's entry for two kept terms, or the NoMatch message if there is none."""
+    # the two halves are the two triples of a six-bit pattern
+    shift = 3 - decoder.untouched_shift
+    first, second = kept
+    a, b = first.bits >> shift & 7, second.bits >> shift & 7
+    if a == b:
+        return "kept terms collapse onto one toggled-half pattern"
+    entry = decoder.gates.get(_pair_key(a, first.sign, b, second.sign))
+    if entry is None:
+        half = toggled_half(position)
+        target = SymbolicState.from_terms(half, [Term(a, first.sign), Term(b, second.sign)], 1)
+        return f"no gate maps the reference onto {target.render()}"
+    return entry
 
 
 def infer_gate(kept: SymbolicState, label: StateLabel, position: int) -> GateAction:
@@ -230,21 +275,23 @@ def infer_gate(kept: SymbolicState, label: StateLabel, position: int) -> GateAct
     """
     if kept.qubits != ALL_QUBITS:
         raise ValueError(f"expected a state over qubits 1..6, got {kept.qubits}")
+    decoder = _checked_decoder(label, position)
     if len(kept.terms) != 2:
         raise NoMatch(f"expected exactly 2 kept terms, got {len(kept.terms)}")
-    decoder = _decoder(label, position)
-    # the two halves are the two triples of a six-bit pattern
-    shift = 3 - decoder.untouched_shift
-    first, second = kept.terms
-    a, b = first.bits >> shift & 7, second.bits >> shift & 7
-    if a == b:
-        raise NoMatch("kept terms collapse onto one toggled-half pattern")
-    gate = decoder.gates.get(_pair_key(a, first.sign, b, second.sign))
-    if gate is None:
-        half = toggled_half(position)
-        target = SymbolicState.from_terms(half, [Term(a, first.sign), Term(b, second.sign)], 1)
-        raise NoMatch(f"no gate maps the reference onto {target.render()}")
-    return GateAction(gate, position)
+    entry = _infer(kept.terms, decoder, position)
+    if isinstance(entry, str):
+        raise NoMatch(entry)
+    return entry[0]
+
+
+def _tamper(discarded: Sequence[Term], decoder: Decoder) -> Optional[TamperReport]:
+    if not discarded:
+        return None
+    shift, flips = decoder.untouched_shift, decoder.flips
+    flipped = {flips[t.bits >> shift & 7] for t in discarded}
+    if len(flipped) != 1 or None in flipped:
+        return None
+    return TamperReport((flipped.pop(),), PauliGate.X)
 
 
 def tamper_report(
@@ -257,76 +304,94 @@ def tamper_report(
     nearest support string; a report is issued only when a single common
     qubit at Hamming distance 1 explains every discard.
     """
-    if not untouched_discarded:
-        return None
-    decoder = _decoder(label, position)
-    flips = set()
-    for term in untouched_discarded:
-        flipped = decoder.flips[term.bits >> decoder.untouched_shift & 7]
-        if flipped is None:
-            return None
-        flips.add(flipped)
-    if len(flips) != 1:
-        return None
-    return TamperReport((flips.pop(),), PauliGate.X)
+    return _tamper(untouched_discarded, _checked_decoder(label, position))
+
+
+# (kind, party, pair) of each announcement, in the honest order
+_HONEST_ORDER = (
+    (MeasurementAnnouncement, Party.P2, P2_PAIR),
+    (MeasurementAnnouncement, Party.P3, P3_PAIR),
+    (StateLabelAnnouncement, None, None),
+    (MeasurementAnnouncement, Party.P1, P1_PAIR),
+    (PositionAnnouncement, None, None),
+)
 
 
 def _validated(announcements: Sequence[Announcement]):
-    expected = (
-        (MeasurementAnnouncement, Party.P2, P2_PAIR),
-        (MeasurementAnnouncement, Party.P3, P3_PAIR),
-        (StateLabelAnnouncement, None, None),
-        (MeasurementAnnouncement, Party.P1, P1_PAIR),
-        (PositionAnnouncement, None, None),
-    )
-    if len(announcements) != len(expected):
+    if len(announcements) != len(_HONEST_ORDER):
         raise IncompleteTranscript(
-            f"expected {len(expected)} announcements, got {len(announcements)}"
+            f"expected {len(_HONEST_ORDER)} announcements, got {len(announcements)}"
         )
-    for ann, (kind, party, pair) in zip(announcements, expected):
-        if not isinstance(ann, kind):
-            raise IncompleteTranscript(f"announcement {ann!r} out of order")
-        if party is not None and (ann.party != party or tuple(ann.pair) != pair):
+    for ann, (kind, party, pair) in zip(announcements, _HONEST_ORDER):
+        if not isinstance(ann, kind) or (
+            party is not None and (ann.party != party or tuple(ann.pair) != pair)
+        ):
             raise IncompleteTranscript(f"announcement {ann!r} out of order")
     p2, p3, state_ann, p1, pos_ann = announcements
     return p2.outcome, p3.outcome, state_ann.label, p1.outcome, pos_ann.position
 
 
-def reconstruct_trace(announcements: Sequence[Announcement]) -> PipelineTrace:
-    """Run the full pipeline, keeping every intermediate for reporting."""
-    o2, o3, label, o1, position = _validated(announcements)
+# A stage sequence's pieces: the P2 x P3 expansion and its support split, then,
+# once a term survives that split, the attached terms and their untouched split.
+_Pieces = tuple[SymbolicState, _Split] | tuple[SymbolicState, _Split, _Terms, _Split]
+
+
+def _stages(
+    o2: BellOutcome, o3: BellOutcome, label: StateLabel, o1: BellOutcome, position: int
+) -> tuple[_Pieces, ReconstructionResult | str]:
+    """The pipeline on term tuples: its pieces, and its result or the NoMatch message."""
     # the P2 x P3 product of the announced (2,5) and (3,4) Bell kets, over qubits 2..5
     expansion = bell_products((P2_PAIR, P3_PAIR))[o2, o3]
-    support = filter_support(expansion, label)
-    kept_mid = _kept_state(expansion, support)
-    if not kept_mid.terms:
-        raise NoMatch(
-            "announced state is inconsistent with every expanded term",
-            PipelineTrace(expansion, support, kept_mid, None, None, None, None),
-        )
-    attached = attach_p1(kept_mid, o1)
-    untouched = filter_untouched(attached, label, position)
-    final_kept = _kept_state(attached, untouched)
-    stages = (expansion, support, kept_mid, attached, untouched, final_kept)
-    if len(final_kept.terms) != 2:
-        raise NoMatch(
-            f"{len(final_kept.terms)} terms survive the untouched-half filter",
-            PipelineTrace(*stages, None),
-        )
-    try:
-        action = infer_gate(final_kept, label, position)
-    except NoMatch as exc:
-        raise NoMatch(str(exc), PipelineTrace(*stages, None)) from None
-    result = ReconstructionResult(
-        action=action,
-        secret=decode_secret(action),
-        tamper=tamper_report(untouched.discarded, label, position),
+    middle = _middle_split(expansion.terms, label)
+    if not middle[0]:
+        return (expansion, middle), "announced state is inconsistent with every expanded term"
+    attached = _attach(middle[0], o1)
+    decoder = _decoder(label, position)
+    untouched = _untouched_split(attached, decoder)
+    pieces = (expansion, middle, attached, untouched)
+    kept = untouched[0]
+    if len(kept) != 2:
+        return pieces, f"{len(kept)} terms survive the untouched-half filter"
+    entry = _infer(kept, decoder, position)
+    if isinstance(entry, str):
+        return pieces, entry
+    action, secret = entry
+    return pieces, ReconstructionResult(action, secret, _tamper(untouched[1], decoder))
+
+
+def _trace(pieces: _Pieces, result: Optional[ReconstructionResult]) -> PipelineTrace:
+    """The stage states and filter results of a stage sequence's pieces."""
+    expansion, middle, *rest = pieces
+    # terms kept in order from a canonical state are canonical already
+    kept_mid = SymbolicState(MIDDLE_QUBITS, middle[0], expansion.norm_exponent)
+    if not rest:
+        return PipelineTrace(expansion, FilterResult(*middle), kept_mid, None, None, None, None)
+    attached_terms, untouched = rest
+    attached = SymbolicState(ALL_QUBITS, attached_terms, kept_mid.norm_exponent + 1)
+    final_kept = SymbolicState(ALL_QUBITS, untouched[0], attached.norm_exponent)
+    return PipelineTrace(
+        expansion,
+        FilterResult(*middle),
+        kept_mid,
+        attached,
+        FilterResult(*untouched),
+        final_kept,
+        result,
     )
-    return PipelineTrace(*stages, result)
+
+
+def _run(announcements: Sequence[Announcement]) -> tuple[_Pieces, ReconstructionResult]:
+    pieces, outcome = _stages(*_validated(announcements))
+    if isinstance(outcome, str):
+        raise NoMatch(outcome, _trace(pieces, None))
+    return pieces, outcome
+
+
+def reconstruct_trace(announcements: Sequence[Announcement]) -> PipelineTrace:
+    """Run the full pipeline, keeping every intermediate for reporting."""
+    return _trace(*_run(announcements))
 
 
 def reconstruct(announcements: Sequence[Announcement]) -> ReconstructionResult:
     """Reconstruct the secret from announcements alone."""
-    trace = reconstruct_trace(announcements)
-    assert trace.result is not None
-    return trace.result
+    return _run(announcements)[1]

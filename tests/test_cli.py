@@ -121,6 +121,14 @@ def test_invalid_secret_exit_code(capsys):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("seed", ["-3", str(2**64)])
+def test_out_of_range_seed_exit_code(capsys, seed):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--seed", seed])
+    assert excinfo.value.code == 2
+    assert f"seed must be an integer in [0, 2**64), got {seed}" in capsys.readouterr().err
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 

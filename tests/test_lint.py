@@ -6,7 +6,10 @@ to.  Names listed in a module's ``__all__`` count as used, so a package
 re-export is not an unused import.  A third check keeps the package free of
 third-party dependencies: every import is relative or from the standard
 library.  A fourth keeps each module's private names its own: a table that
-another module reads is public.
+another module reads is public.  A fifth keeps every ``functools`` cache keyed
+on protocol vocabulary (labels, gates, Bell outcomes and pairs, ints, and
+tuples of these), so that no cache can memoise a whole result keyed on a
+state, a trace, an announcement list or a seed.
 """
 
 import ast
@@ -102,6 +105,85 @@ def private_imports(tree: ast.Module) -> list[str]:
         if isinstance(node, ast.ImportFrom) and node.level:
             names += [a.name for a in node.names if a.name.startswith("_")]
     return names
+
+
+# the types a cached function's parameters may have, and tuples of them
+VOCABULARY = {"StateLabel", "PauliGate", "BellOutcome", "BellPair", "int"}
+# the one cache applied by a call rather than as a decorator
+CACHE_CALLS = {"_probability = functools.cache(Fraction)"}
+
+
+def _names_a_cache(node: ast.expr) -> bool:
+    """``functools.cache``/``lru_cache``, or one of them imported by name."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return node.value.id == "functools" and node.attr in ("cache", "lru_cache")
+    return isinstance(node, ast.Name) and node.id in ("cache", "lru_cache")
+
+
+def _is_vocabulary(annotation: ast.expr | None) -> bool:
+    if isinstance(annotation, ast.Name):
+        return annotation.id in VOCABULARY
+    if isinstance(annotation, ast.Subscript) and isinstance(annotation.value, ast.Name):
+        items = annotation.slice
+        items = items.elts if isinstance(items, ast.Tuple) else [items]
+        return annotation.value.id == "tuple" and all(
+            _is_vocabulary(item) or (isinstance(item, ast.Constant) and item.value is ...)
+            for item in items
+        )
+    return False
+
+
+def cache_violations(tree: ast.Module) -> list[str]:
+    """Cached functions with a parameter outside the vocabulary, and other cache calls."""
+    violations, decorators = [], set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in node.decorator_list:
+            called = isinstance(decorator, ast.Call)
+            if _names_a_cache(decorator.func if called else decorator):
+                decorators.add(decorator)
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                params += [a for a in (args.vararg, args.kwarg) if a is not None]
+                if not all(_is_vocabulary(p.annotation) for p in params):
+                    violations.append(node.name)
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and ast.unparse(node) in CACHE_CALLS:
+            allowed.add(node.value)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _names_a_cache(node.func):
+            if node not in decorators and node not in allowed:
+                violations.append(ast.unparse(node))
+    return violations
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_caches_are_keyed_on_protocol_vocabulary(module):
+    violations = cache_violations(SOURCES[module])
+    assert not violations, f"{module}: caches keyed outside the vocabulary {violations}"
+
+
+def test_cache_check_catches_planted_result_caches():
+    planted = ast.parse(
+        "import functools\nfrom functools import lru_cache\n\n"
+        "@functools.cache\ndef _table(label: StateLabel, pairs: tuple[BellPair, ...], q: int):\n"
+        "    pass\n\n"
+        "@functools.cache\ndef _runs(announcements: tuple[Announcement, ...]):\n    pass\n\n"
+        "@lru_cache(maxsize=None)\ndef _collapse(state: SymbolicState, pair: BellPair):\n"
+        "    pass\n\n"
+        "@functools.cache\ndef _unannotated(label, *, seed: int):\n    pass\n\n"
+        "_probability = functools.cache(Fraction)\n_replayed = functools.cache(replay)\n"
+        "_held = functools.lru_cache(maxsize=8)(_table)\n"
+    )
+    assert cache_violations(planted) == [
+        "_runs",
+        "_collapse",
+        "_unannotated",
+        "functools.cache(replay)",
+        "functools.lru_cache(maxsize=8)",
+    ]
 
 
 @pytest.mark.parametrize("module", sorted(SOURCES))

@@ -7,7 +7,7 @@ import pytest
 
 from ghzshare import recon
 
-from ghzshare.protocol import GateAction, make_announcements
+from ghzshare.protocol import GateAction, decode_secret, make_announcements
 from ghzshare.qcore import (
     BELL_OUTCOMES,
     GATES,
@@ -184,6 +184,23 @@ def test_infer_gate_unique_across_honest_candidates():
                     assert not equal_up_to_global_sign(images[i], images[j])
 
 
+STAGES_AT_A_POSITION = {
+    "filter_untouched": lambda position: filter_untouched(ATTACHED, StateLabel.A, position),
+    "tamper_report": lambda position: tamper_report(
+        [Term(int("000110", 2), 1)], StateLabel.A, position
+    ),
+}
+
+
+@pytest.mark.parametrize("position", [True, 3, 1.0], ids=repr)
+@pytest.mark.parametrize("stage", STAGES_AT_A_POSITION.values(), ids=STAGES_AT_A_POSITION.keys())
+def test_stages_check_the_position_before_the_decoder_cache(stage, position):
+    # True and 1.0 equal 1 as cache keys, and 3 has no decoder to build
+    message = f"encoding position must be 1 or 6, got {position!r}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        stage(position)
+
+
 def test_tamper_report_single_common_flip():
     discards = [
         Term(int("000110", 2), 1),
@@ -352,6 +369,29 @@ def _traces():
             yield exc.trace
 
 
+def _outcome(reconstruction, announcements):
+    try:
+        return reconstruction(announcements)
+    except NoMatch as exc:
+        return exc
+
+
+def test_reconstruct_and_reconstruct_trace_agree_on_every_tuple():
+    successes = 0
+    for label, position, o1, o2, o3 in TUPLES:
+        announcements = make_announcements(o2, o3, label, o1, position)
+        result = _outcome(reconstruct, announcements)
+        traced = _outcome(reconstruct_trace, announcements)
+        if isinstance(traced, NoMatch):
+            assert type(result) is type(traced)
+            assert str(result) == str(traced)
+            assert result.trace == traced.trace
+        else:
+            assert result == traced.result
+            successes += 1
+    assert successes == 256
+
+
 def _string_partition(state, qubits, allowed):
     kept = tuple(t for t in state.terms if restrict(state.qubits, t, qubits) in allowed)
     return kept, tuple(t for t in state.terms if t not in kept)
@@ -381,7 +421,9 @@ def test_gate_table_equals_the_signed_image_matches():
         images = [(g, apply_gate_sym(half_reference(label, half), g, position)) for g in GATES]
         decoder = _decoder(label, position)
         shift, table = 3 - decoder.untouched_shift, decoder.gates
-        assert sorted(table.values(), key=GATES.index) == list(GATES)
+        actions = [GateAction(g, position) for g in GATES]
+        entries = sorted(table.values(), key=lambda entry: GATES.index(entry[0].gate))
+        assert entries == [(action, decode_secret(action)) for action in actions]
         assert restrict(ALL, Term(0b111 << shift, 1), half) == "111"
         for a, b in itertools.permutations(range(8), 2):
             for sign_a, sign_b in itertools.product((1, -1), repeat=2):
