@@ -39,15 +39,7 @@ from .qcore import (
     partial_inner,
     prepare_state,
 )
-from .recon import (
-    ALL_QUBITS,
-    MIDDLE_QUBITS,
-    NoMatch,
-    PipelineTrace,
-    filter_untouched,
-    infer_gate,
-    reconstruct_trace,
-)
+from .recon import ALL_QUBITS, MIDDLE_QUBITS, NoMatch, PipelineTrace, reconstruct_trace
 from .symexact import (
     BellPair,
     BellProductExpr,
@@ -99,18 +91,8 @@ class BranchRecord:
 
     def to_dict(self) -> dict:
         return {
-            "label": self.label,
-            "gate": self.gate,
-            "position": self.position,
-            "secret": self.secret,
-            "p1": self.p1,
-            "p2": self.p2,
-            "p3": self.p3,
+            **vars(self),
             "probability": float(self.probability),
-            "reconstructed_action": self.reconstructed_action,
-            "reconstructed_secret": self.reconstructed_secret,
-            "tamper": self.tamper,
-            "passed": self.passed,
             "failures": list(self.failures),
         }
 
@@ -380,12 +362,7 @@ class AssertionRecord:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "expected": self.expected,
-            "observed": self.observed,
-            "passed": self.passed,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -481,14 +458,14 @@ def _reconstructed_branch(
     return run, _branch_probability(encoded, o1, o2, o3) > 0
 
 
-def misannouncement_matrix(gate: PauliGate = PauliGate.X, position: int = 1) -> dict:
-    """Deductions per (true label, announced label) over all honest branches."""
+def misannouncement_matrix() -> dict:
+    """Deductions per (true label, announced label) over all honest branches of X1."""
     matrix: dict[str, dict[str, list[str]]] = {}
     for true_label in LABELS:
         row: dict[str, set[str]] = {lab.value: set() for lab in LABELS}
-        for branch in enumerate_branches(_encoded(true_label, gate, position)):
+        for branch in enumerate_branches(_encoded(true_label, PauliGate.X, 1)):
             for announced in LABELS:
-                run = _reconstruction(branch.o2, branch.o3, announced, branch.o1, position)
+                run = _reconstruction(branch.o2, branch.o3, announced, branch.o1, 1)
                 row[announced.value].add(
                     "no-match" if isinstance(run, NoMatch) else run.result.action.render()
                 )
@@ -716,14 +693,10 @@ def scenario_eve_intercept() -> ScenarioReport:
     deduction, deduced_secret = _deduced(trace)
     tamper = trace.result.tamper
 
-    counterfactual = filter_untouched(trace.attached, label, 6)
-    counterfactual_state = SymbolicState.from_terms(
-        ALL_QUBITS, counterfactual.kept, trace.attached.norm_exponent
-    )
-    try:
-        counterfactual_action = infer_gate(counterfactual_state, label, 6).render()
-    except NoMatch as exc:
-        counterfactual_action = f"no-match ({exc})"
+    # the same announcements with the dealer naming qubit 6
+    counterfactual = _reconstruction(B_M, B_P, label, A_P, 6)
+    counterfactual_state = _trace_of(counterfactual).final_kept
+    counterfactual_action = _deduced(counterfactual)[0]
 
     false_positives = sum(
         1

@@ -121,6 +121,8 @@ class MeasurementAnnouncement:
         owned = Party.OWNED_PAIRS.get(self.party)
         if owned is None or tuple(self.pair) != owned:
             raise ValueError(f"{self.party} does not own pair {self.pair}")
+        if not isinstance(self.outcome, BellOutcome):
+            raise ValueError(f"outcome must be a BellOutcome, got {self.outcome!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -134,6 +136,10 @@ class MeasurementAnnouncement:
 @dataclass(frozen=True)
 class StateLabelAnnouncement:
     label: StateLabel
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.label, StateLabel):
+            raise ValueError(f"label must be a StateLabel, got {self.label!r}")
 
     def to_dict(self) -> dict:
         return {"type": "dealer_state", "state": self.label.value}

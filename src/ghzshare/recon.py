@@ -17,10 +17,10 @@ lookup per discard.
 
 One stage sequence, ``_stages``, runs on tuples of terms drawn from
 constant tables: the (1,6) attach reads interned six-qubit terms, so a
-reconstruction constructs no term.  ``reconstruct`` builds no state,
-filter result or trace from its pieces unless it raises NoMatch;
-``reconstruct_trace`` and the public stage functions wrap the same steps.
-Strings are rendered only for a NoMatch message.
+reconstruction constructs no term.  It raises each NoMatch where it
+decides it, with the partial trace; otherwise ``reconstruct`` builds no
+state or trace.  ``reconstruct_trace`` and the public stage functions
+wrap the same steps.  Strings are rendered only for a NoMatch message.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Collection, Mapping, Optional, Sequence
+from typing import Collection, Mapping, NamedTuple, Optional, Sequence
 
 from .protocol import (
     Announcement,
@@ -70,9 +70,8 @@ class Ambiguous(ReconError):
     """Two candidate gates share an image; raised when a gate table is built."""
 
 
-@dataclass(frozen=True)
-class FilterResult:
-    """Partition of a term list into kept and discarded terms."""
+class FilterResult(NamedTuple):
+    """Partition of a term list into kept and discarded terms, in their source order."""
 
     kept: tuple[Term, ...]
     discarded: tuple[Term, ...]
@@ -126,19 +125,17 @@ class Decoder:
 
 
 _Terms = tuple[Term, ...]
-# a filter's (kept, discarded) terms, in their source order
-_Split = tuple[_Terms, _Terms]
 
 
-def _split(terms: Sequence[Term], shift: int, mask: int, allowed: Collection[int]) -> _Split:
+def _split(terms: Sequence[Term], shift: int, mask: int, allowed: Collection[int]) -> FilterResult:
     """Split terms by whether their bits ``shift`` up, under ``mask``, are allowed."""
     kept, discarded = [], []
     for t in terms:
         (kept if t.bits >> shift & mask in allowed else discarded).append(t)
-    return tuple(kept), tuple(discarded)
+    return FilterResult(tuple(kept), tuple(discarded))
 
 
-def _middle_split(terms: Sequence[Term], label: StateLabel) -> _Split:
+def _middle_split(terms: Sequence[Term], label: StateLabel) -> FilterResult:
     # (q4,q5), the two low bits, are the first two qubits of the second GHZ half
     first, second = label.half_support
     return _split(terms, 0, 0b11, (first >> 1, second >> 1))
@@ -153,7 +150,7 @@ def filter_support(state: SymbolicState, label: StateLabel) -> FilterResult:
     """
     if state.qubits != MIDDLE_QUBITS:
         raise ValueError(f"expected a state over qubits {MIDDLE_QUBITS}, got {state.qubits}")
-    return FilterResult(*_middle_split(state.terms, label))
+    return _middle_split(state.terms, label)
 
 
 @functools.cache
@@ -201,7 +198,9 @@ def _pair_key(a: int, sign_a: int, b: int, sign_b: int) -> tuple[int, int, int]:
 
 @functools.cache
 def _decoder(label: StateLabel, position: int) -> Decoder:
-    """The decoder of one announced (label, position); the position is checked already.
+    """The decoder of one announced (label, position).
+
+    Callers check the position first: True and 1.0 hash and compare equal to 1.
 
     ``gates`` keys each candidate gate by its image of the announced state's
     toggled GHZ half, as two signed triples.  The build raises Ambiguous if
@@ -231,12 +230,7 @@ def _decoder(label: StateLabel, position: int) -> Decoder:
     return Decoder(shift, frozenset(support), MappingProxyType(gates), tuple(flips))
 
 
-def _checked_decoder(label: StateLabel, position: int) -> Decoder:
-    # checked before the cache lookup: True and 1.0 hash and compare equal to 1
-    return _decoder(label, check_position(position))
-
-
-def _untouched_split(terms: Sequence[Term], decoder: Decoder) -> _Split:
+def _untouched_split(terms: Sequence[Term], decoder: Decoder) -> FilterResult:
     return _split(terms, decoder.untouched_shift, 0b111, decoder.support)
 
 
@@ -244,7 +238,7 @@ def filter_untouched(state: SymbolicState, label: StateLabel, position: int) -> 
     """Keep terms whose untouched-half triple is in the announced support."""
     if state.qubits != ALL_QUBITS:
         raise ValueError(f"expected a state over qubits 1..6, got {state.qubits}")
-    return FilterResult(*_untouched_split(state.terms, _checked_decoder(label, position)))
+    return _untouched_split(state.terms, _decoder(label, check_position(position)))
 
 
 def _infer(kept: _Terms, decoder: Decoder, position: int) -> tuple[GateAction, str] | str:
@@ -275,7 +269,7 @@ def infer_gate(kept: SymbolicState, label: StateLabel, position: int) -> GateAct
     """
     if kept.qubits != ALL_QUBITS:
         raise ValueError(f"expected a state over qubits 1..6, got {kept.qubits}")
-    decoder = _checked_decoder(label, position)
+    decoder = _decoder(label, check_position(position))
     if len(kept.terms) != 2:
         raise NoMatch(f"expected exactly 2 kept terms, got {len(kept.terms)}")
     entry = _infer(kept.terms, decoder, position)
@@ -304,7 +298,7 @@ def tamper_report(
     nearest support string; a report is issued only when a single common
     qubit at Hamming distance 1 explains every discard.
     """
-    return _tamper(untouched_discarded, _checked_decoder(label, position))
+    return _tamper(untouched_discarded, _decoder(label, check_position(position)))
 
 
 # (kind, party, pair) of each announcement, in the honest order
@@ -331,67 +325,55 @@ def _validated(announcements: Sequence[Announcement]):
     return p2.outcome, p3.outcome, state_ann.label, p1.outcome, pos_ann.position
 
 
-# A stage sequence's pieces: the P2 x P3 expansion and its support split, then,
-# once a term survives that split, the attached terms and their untouched split.
-_Pieces = tuple[SymbolicState, _Split] | tuple[SymbolicState, _Split, _Terms, _Split]
+def _stages(announcements: Sequence[Announcement]) -> tuple[tuple, ReconstructionResult]:
+    """The pipeline on term tuples: the pieces ``_trace`` reads, and the result.
 
-
-def _stages(
-    o2: BellOutcome, o3: BellOutcome, label: StateLabel, o1: BellOutcome, position: int
-) -> tuple[_Pieces, ReconstructionResult | str]:
-    """The pipeline on term tuples: its pieces, and its result or the NoMatch message."""
+    Each failure raises NoMatch with the trace of the pieces it has reached.
+    """
+    o2, o3, label, o1, position = _validated(announcements)
     # the P2 x P3 product of the announced (2,5) and (3,4) Bell kets, over qubits 2..5
     expansion = bell_products((P2_PAIR, P3_PAIR))[o2, o3]
     middle = _middle_split(expansion.terms, label)
-    if not middle[0]:
-        return (expansion, middle), "announced state is inconsistent with every expanded term"
-    attached = _attach(middle[0], o1)
+    if not middle.kept:
+        message = "announced state is inconsistent with every expanded term"
+        raise NoMatch(message, _trace(expansion, middle))
+    attached = _attach(middle.kept, o1)
     decoder = _decoder(label, position)
     untouched = _untouched_split(attached, decoder)
     pieces = (expansion, middle, attached, untouched)
-    kept = untouched[0]
+    kept = untouched.kept
     if len(kept) != 2:
-        return pieces, f"{len(kept)} terms survive the untouched-half filter"
+        raise NoMatch(f"{len(kept)} terms survive the untouched-half filter", _trace(*pieces))
     entry = _infer(kept, decoder, position)
     if isinstance(entry, str):
-        return pieces, entry
+        raise NoMatch(entry, _trace(*pieces))
     action, secret = entry
-    return pieces, ReconstructionResult(action, secret, _tamper(untouched[1], decoder))
+    return pieces, ReconstructionResult(action, secret, _tamper(untouched.discarded, decoder))
 
 
-def _trace(pieces: _Pieces, result: Optional[ReconstructionResult]) -> PipelineTrace:
+def _trace(
+    expansion: SymbolicState,
+    middle: FilterResult,
+    attached_terms: _Terms = (),
+    untouched: Optional[FilterResult] = None,
+    result: Optional[ReconstructionResult] = None,
+) -> PipelineTrace:
     """The stage states and filter results of a stage sequence's pieces."""
-    expansion, middle, *rest = pieces
     # terms kept in order from a canonical state are canonical already
-    kept_mid = SymbolicState(MIDDLE_QUBITS, middle[0], expansion.norm_exponent)
-    if not rest:
-        return PipelineTrace(expansion, FilterResult(*middle), kept_mid, None, None, None, None)
-    attached_terms, untouched = rest
+    kept_mid = SymbolicState(MIDDLE_QUBITS, middle.kept, expansion.norm_exponent)
+    if untouched is None:
+        return PipelineTrace(expansion, middle, kept_mid, None, None, None, None)
     attached = SymbolicState(ALL_QUBITS, attached_terms, kept_mid.norm_exponent + 1)
-    final_kept = SymbolicState(ALL_QUBITS, untouched[0], attached.norm_exponent)
-    return PipelineTrace(
-        expansion,
-        FilterResult(*middle),
-        kept_mid,
-        attached,
-        FilterResult(*untouched),
-        final_kept,
-        result,
-    )
-
-
-def _run(announcements: Sequence[Announcement]) -> tuple[_Pieces, ReconstructionResult]:
-    pieces, outcome = _stages(*_validated(announcements))
-    if isinstance(outcome, str):
-        raise NoMatch(outcome, _trace(pieces, None))
-    return pieces, outcome
+    final_kept = SymbolicState(ALL_QUBITS, untouched.kept, attached.norm_exponent)
+    return PipelineTrace(expansion, middle, kept_mid, attached, untouched, final_kept, result)
 
 
 def reconstruct_trace(announcements: Sequence[Announcement]) -> PipelineTrace:
     """Run the full pipeline, keeping every intermediate for reporting."""
-    return _trace(*_run(announcements))
+    pieces, result = _stages(announcements)
+    return _trace(*pieces, result)
 
 
 def reconstruct(announcements: Sequence[Announcement]) -> ReconstructionResult:
     """Reconstruct the secret from announcements alone."""
-    return _run(announcements)[1]
+    return _stages(announcements)[1]

@@ -1,5 +1,6 @@
 """Command-line interface tests: flags, exit codes, canonical output."""
 
+import ast
 import json
 import os
 import subprocess
@@ -175,3 +176,29 @@ def test_numpy_is_not_in_sys_modules_after_import():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     ).stdout
     assert out == "False\n"
+
+
+def _traced_names() -> tuple:
+    """The (module, attribute path) pairs of perfbench/tracer.py's TRACED, read with ast."""
+    tree = ast.parse((SRC.parent / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TRACED":
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no TRACED")
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists_after_importing_the_cli():
+    # the tracer loads the package through this import and then wraps each name in place
+    import ghzshare.cli  # noqa: F401
+
+    traced = _traced_names()
+    assert len(traced) >= 30
+    for module, path in traced:
+        home = sys.modules[f"ghzshare.{module}"]
+        if "." in path:
+            owner, attr = path.split(".")
+            assert attr in vars(getattr(home, owner)), f"{module}.{path}"
+        else:
+            assert callable(getattr(home, path, None)), f"{module}.{path}"
+    # every Term construction is counted through this hook
+    assert "__post_init__" in vars(sys.modules["ghzshare.symexact"].Term)

@@ -186,6 +186,15 @@ def test_measurement_announcement_pair_ownership():
         MeasurementAnnouncement("P1", (2, 5), BellOutcome.A_PLUS)
 
 
+def test_announcements_reject_a_label_or_outcome_given_as_text():
+    # parsed transcripts hold enums; one built in code with text must fail typed
+    with pytest.raises(ValueError, match="label must be a StateLabel, got 'A'$"):
+        StateLabelAnnouncement("A")
+    with pytest.raises(ValueError, match=r"outcome must be a BellOutcome, got 'a\+'$"):
+        MeasurementAnnouncement("P1", (1, 6), "a+")
+    assert StateLabelAnnouncement(StateLabel.A).label is StateLabel.A
+
+
 def _valid_transcript_dict() -> dict:
     return run_protocol(None, "01", None, seed=42).to_dict()
 

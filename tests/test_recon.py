@@ -385,10 +385,31 @@ def test_reconstruct_and_reconstruct_trace_agree_on_every_tuple():
         if isinstance(traced, NoMatch):
             assert type(result) is type(traced)
             assert str(result) == str(traced)
+            assert traced.trace is not None
             assert result.trace == traced.trace
+            trace = traced.trace
         else:
             assert result == traced.result
             successes += 1
+            trace = traced
+        # the five public stage functions, chained, agree with the stage sequence;
+        # every tuple passes the support filter
+        expansion = expand_product([bell_terms(o2, (2, 5)), bell_terms(o3, (3, 4))])
+        support = filter_support(expansion, label)
+        assert support == trace.support_filter
+        kept_mid = SymbolicState.from_terms((2, 3, 4, 5), support.kept, expansion.norm_exponent)
+        attached = attach_p1(kept_mid, o1)
+        assert attached == trace.attached
+        untouched = filter_untouched(attached, label, position)
+        assert untouched == trace.untouched_filter
+        final_kept = SymbolicState.from_terms(ALL, untouched.kept, attached.norm_exponent)
+        if trace.result is None:
+            with pytest.raises(NoMatch) as raised:
+                infer_gate(final_kept, label, position)
+            assert raised.value.trace is None
+        else:
+            assert infer_gate(final_kept, label, position) == trace.result.action
+            assert tamper_report(untouched.discarded, label, position) == trace.result.tamper
     assert successes == 256
 
 
