@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .protocol import (
     ENCODING_POSITIONS,
@@ -61,8 +60,7 @@ A_P, A_M, B_P, B_M = BELL_OUTCOMES
 # branch enumeration and exhaustive verification
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """One positive-probability outcome triple with its oracle states."""
 
     o1: BellOutcome
@@ -73,8 +71,7 @@ class Branch:
     after_p3: DenseState
 
 
-@dataclass(frozen=True)
-class BranchRecord:
+class BranchRecord(NamedTuple):
     label: str
     gate: str
     position: int
@@ -91,7 +88,7 @@ class BranchRecord:
 
     def to_dict(self) -> dict:
         return {
-            **vars(self),
+            **self._asdict(),
             "probability": float(self.probability),
             "failures": list(self.failures),
         }
@@ -285,8 +282,7 @@ def _entries_match(
     return a == b or a == neg
 
 
-@dataclass(frozen=True)
-class Table1Row:
+class Table1Row(NamedTuple):
     gate: str
     p1_outcome: str
     post_terms: str
@@ -354,19 +350,17 @@ def table1() -> list[Table1Row]:
 # scenario machinery
 
 
-@dataclass(frozen=True)
-class AssertionRecord:
+class AssertionRecord(NamedTuple):
     name: str
     expected: str
     observed: str
     passed: bool
 
     def to_dict(self) -> dict:
-        return dict(vars(self))
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
+class ScenarioReport(NamedTuple):
     name: str
     script: dict
     states: dict

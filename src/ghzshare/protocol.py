@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .qcore import (
     LABELS,
@@ -72,15 +71,21 @@ def check_position(position: int) -> int:
     return position
 
 
-@dataclass(frozen=True)
-class GateAction:
-    """The carrier of the secret: a gate and the qubit it toggles."""
-
+# A NamedTuple's own body may not define __new__, so each record that checks
+# its fields subclasses a private one and builds itself with tuple.__new__, as
+# the generated __new__ does.  _make and _replace would skip the checks.
+class _GateAction(NamedTuple):
     gate: PauliGate
     position: int
 
-    def __post_init__(self) -> None:
-        check_position(self.position)
+
+class GateAction(_GateAction):
+    """The carrier of the secret: a gate and the qubit it toggles."""
+
+    __slots__ = ()
+
+    def __new__(cls, gate: PauliGate, position: int) -> GateAction:
+        return tuple.__new__(cls, (gate, check_position(position)))
 
     def render(self) -> str:
         return f"{self.gate.value}{self.position}"
@@ -111,18 +116,26 @@ def decode_secret(action: GateAction) -> str:
     return _DECODE[(action.gate, action.position)]
 
 
-@dataclass(frozen=True)
-class MeasurementAnnouncement:
+class _MeasurementAnnouncement(NamedTuple):
     party: str
     pair: BellPair
     outcome: BellOutcome
 
-    def __post_init__(self) -> None:
-        owned = Party.OWNED_PAIRS.get(self.party)
-        if owned is None or tuple(self.pair) != owned:
-            raise ValueError(f"{self.party} does not own pair {self.pair}")
-        if not isinstance(self.outcome, BellOutcome):
-            raise ValueError(f"outcome must be a BellOutcome, got {self.outcome!r}")
+
+class MeasurementAnnouncement(_MeasurementAnnouncement):
+    __slots__ = ()
+
+    def __new__(cls, party: str, pair: BellPair, outcome: BellOutcome) -> MeasurementAnnouncement:
+        owned = Party.OWNED_PAIRS.get(party)
+        if owned is None or tuple(pair) != owned:
+            raise ValueError(f"{party} does not own pair {pair}")
+        # True == 1 and 2.0 == 2, but neither writes back to JSON as the int it equals
+        first, second = pair
+        if type(first) is not int or type(second) is not int:
+            raise ValueError(f"pair qubits must be ints, got {pair!r}")
+        if not isinstance(outcome, BellOutcome):
+            raise ValueError(f"outcome must be a BellOutcome, got {outcome!r}")
+        return tuple.__new__(cls, (party, pair, outcome))
 
     def to_dict(self) -> dict:
         return {
@@ -133,24 +146,31 @@ class MeasurementAnnouncement:
         }
 
 
-@dataclass(frozen=True)
-class StateLabelAnnouncement:
+class _StateLabelAnnouncement(NamedTuple):
     label: StateLabel
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.label, StateLabel):
-            raise ValueError(f"label must be a StateLabel, got {self.label!r}")
+
+class StateLabelAnnouncement(_StateLabelAnnouncement):
+    __slots__ = ()
+
+    def __new__(cls, label: StateLabel) -> StateLabelAnnouncement:
+        if not isinstance(label, StateLabel):
+            raise ValueError(f"label must be a StateLabel, got {label!r}")
+        return tuple.__new__(cls, (label,))
 
     def to_dict(self) -> dict:
         return {"type": "dealer_state", "state": self.label.value}
 
 
-@dataclass(frozen=True)
-class PositionAnnouncement:
+class _PositionAnnouncement(NamedTuple):
     position: int
 
-    def __post_init__(self) -> None:
-        check_position(self.position)
+
+class PositionAnnouncement(_PositionAnnouncement):
+    __slots__ = ()
+
+    def __new__(cls, position: int) -> PositionAnnouncement:
+        return tuple.__new__(cls, (check_position(position),))
 
     def to_dict(self) -> dict:
         return {"type": "dealer_position", "position": self.position}
@@ -193,8 +213,7 @@ def make_announcements(
     )
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(NamedTuple):
     """One protocol run: seed, ground truth, and the ordered announcements.
 
     true_label/true_action are verification-only; reconstruction must not

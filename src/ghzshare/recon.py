@@ -26,7 +26,6 @@ wrap the same steps.  Strings are rendered only for a NoMatch message.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Collection, Mapping, NamedTuple, Optional, Sequence
 
@@ -77,8 +76,7 @@ class FilterResult(NamedTuple):
     discarded: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
-class TamperReport:
+class TamperReport(NamedTuple):
     """Bit-flip interference hypothesis read off the discarded terms."""
 
     flipped_qubits: tuple[int, ...]
@@ -89,15 +87,13 @@ class TamperReport:
         return f"{self.hypothesized_gate.value} on qubit {qubits}"
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
+class ReconstructionResult(NamedTuple):
     action: GateAction
     secret: str
     tamper: Optional[TamperReport]
 
 
-@dataclass(frozen=True)
-class PipelineTrace:
+class PipelineTrace(NamedTuple):
     """All intermediate states of one reconstruction, for reporting."""
 
     expansion: SymbolicState
@@ -109,8 +105,7 @@ class PipelineTrace:
     result: Optional[ReconstructionResult]
 
 
-@dataclass(frozen=True)
-class Decoder:
+class Decoder(NamedTuple):
     """What one announced (label, position) fixes for the last pipeline stages.
 
     ``untouched_shift`` brings the untouched GHZ half's triple to the low bits

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .qcore import (
     BELL_KET_SIGNS,
@@ -59,16 +58,25 @@ class EmptyState(SymexactError):
     """All terms cancelled; the zero vector has no state semantics."""
 
 
-@dataclass(frozen=True, order=True)
-class Term:
+class _Term(NamedTuple):
+    bits: int
+    sign: int
+
+
+class Term(_Term):
     """One signed computational-basis ket; its state holds the qubit layout.
 
     ``bits`` is the pattern as an integer, the layout's first qubit being the
-    most significant bit.
+    most significant bit.  Terms order by (bits, sign).
     """
 
-    bits: int
-    sign: int
+    __slots__ = ()
+
+    def __new__(cls, bits: int, sign: int) -> Term:
+        term = tuple.__new__(cls, (bits, sign))
+        # looked up on each call, so that a hook set on the class sees every term built
+        cls.__post_init__(term)
+        return term
 
     def __post_init__(self) -> None:
         if type(self.sign) is not int or self.sign not in (1, -1):
@@ -126,8 +134,7 @@ def _canonical(
     return terms, norm_exponent
 
 
-@dataclass(frozen=True)
-class SymbolicState:
+class SymbolicState(NamedTuple):
     """Signed computational-basis terms with a 2**(-k/2) prefactor."""
 
     qubits: tuple[int, ...]
@@ -243,8 +250,7 @@ def bell_products(
     )
 
 
-@dataclass(frozen=True)
-class BellProductExpr:
+class BellProductExpr(NamedTuple):
     """A signed sum of Bell(x)Bell products over a fixed 4-qubit pairing."""
 
     pairing: tuple[BellPair, BellPair]

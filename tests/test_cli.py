@@ -169,13 +169,23 @@ def test_numpy_is_not_imported_at_run_time(argv):
     assert not [m for m in modules if m.split(".")[0] == "numpy"]
 
 
-def test_numpy_is_not_in_sys_modules_after_import():
+def loaded_after_importing_the_cli(names) -> list[str]:
+    """Which of the named modules a fresh interpreter holds after ``import ghzshare.cli``."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    code = "import sys, ghzshare.cli; print('numpy' in sys.modules)"
+    code = f"import sys, ghzshare.cli; print(sorted({set(names)!r} & sys.modules.keys()))"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     ).stdout
-    assert out == "False\n"
+    return ast.literal_eval(out)
+
+
+def test_numpy_is_not_in_sys_modules_after_import():
+    assert loaded_after_importing_the_cli(["numpy"]) == []
+
+
+def test_dataclasses_and_inspect_are_not_in_sys_modules_after_import():
+    # dataclasses loads inspect, which loads ast, dis and tokenize: milliseconds per cold start
+    assert loaded_after_importing_the_cli(["dataclasses", "inspect"]) == []
 
 
 def _traced_names() -> tuple:

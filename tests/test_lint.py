@@ -9,7 +9,10 @@ library.  A fourth keeps each module's private names its own: a table that
 another module reads is public.  A fifth keeps every ``functools`` cache keyed
 on protocol vocabulary (labels, gates, Bell outcomes and pairs, ints, and
 tuples of these), so that no cache can memoise a whole result keyed on a
-state, a trace, an announcement list or a seed.
+state, a trace, an announcement list or a seed.  Two more keep the records
+cheap and checked: no module imports ``dataclasses`` (with ``inspect``, it
+costs a cold start milliseconds), and no module calls a record's ``_make``
+or ``_replace``, which build a ``NamedTuple`` past the validating ``__new__``.
 """
 
 import ast
@@ -87,15 +90,35 @@ def package_references() -> set[str]:
     return refs
 
 
-def foreign_imports(tree: ast.Module) -> list[str]:
-    """Top-level modules imported from neither the package nor the standard library."""
+def absolute_imports(tree: ast.Module) -> list[str]:
+    """Top-level modules imported by absolute name."""
     names = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names += [a.name.split(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom) and not node.level:
             names.append(node.module.split(".")[0])
-    return [n for n in names if n not in sys.stdlib_module_names]
+    return names
+
+
+def foreign_imports(tree: ast.Module) -> list[str]:
+    """Top-level modules imported from neither the package nor the standard library."""
+    return [n for n in absolute_imports(tree) if n not in sys.stdlib_module_names]
+
+
+def record_rebuilds(tree: ast.Module) -> list[str]:
+    """Calls of ``_make`` or ``_replace``, on any receiver.
+
+    Which record a call reaches is not known statically, so every such call
+    counts: on a validated record it would skip the checks in ``__new__``.
+    """
+    return [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("_make", "_replace")
+    ]
 
 
 def private_imports(tree: ast.Module) -> list[str]:
@@ -198,6 +221,17 @@ def test_imports_are_relative_or_standard_library(module):
 
 
 @pytest.mark.parametrize("module", sorted(SOURCES))
+def test_no_module_imports_dataclasses(module):
+    assert "dataclasses" not in absolute_imports(SOURCES[module])
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_no_record_is_built_past_its_constructor(module):
+    rebuilds = record_rebuilds(SOURCES[module])
+    assert not rebuilds, f"{module}: builds records without __new__: {rebuilds}"
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
 def test_no_unused_imports(module):
     tree = SOURCES[module]
     unused = [name for name in imported_names(tree) if name not in used_names(tree)]
@@ -240,3 +274,16 @@ def test_private_import_check_catches_a_planted_import():
         "from .qcore import GATE_IMAGES, _bell_tables\nfrom .symexact import (Term, _shifts)\n"
     )
     assert private_imports(planted) == ["_bell_tables", "_shifts"]
+
+
+def test_record_checks_catch_planted_imports_and_rebuilds():
+    planted = ast.parse(
+        "import dataclasses as dc\nfrom dataclasses import dataclass\nfrom . import protocol\n"
+        "a = GateAction._make((gate, True))\nb = action._replace(position=1.0)\n"
+        "c = state._fields\nd = replace(action, position=6)\n"
+    )
+    assert absolute_imports(planted) == ["dataclasses", "dataclasses"]
+    assert record_rebuilds(planted) == [
+        "GateAction._make((gate, True))",
+        "action._replace(position=1.0)",
+    ]

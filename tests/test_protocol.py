@@ -1,6 +1,7 @@
 """Protocol state machine tests: encoding, transcripts, determinism."""
 
 import copy
+import json
 import math
 
 import pytest
@@ -193,6 +194,31 @@ def test_announcements_reject_a_label_or_outcome_given_as_text():
     with pytest.raises(ValueError, match=r"outcome must be a BellOutcome, got 'a\+'$"):
         MeasurementAnnouncement("P1", (1, 6), "a+")
     assert StateLabelAnnouncement(StateLabel.A).label is StateLabel.A
+
+
+@pytest.mark.parametrize("pair", [(True, 6), (1.0, 6), (1, 6.0), (True, 6.0)])
+def test_measurement_announcement_rejects_pair_qubits_that_are_not_ints(pair):
+    # each equals (1, 6), but a transcript holding it would not write back (1, 6)
+    with pytest.raises(ValueError, match="pair qubits must be ints, got"):
+        MeasurementAnnouncement("P1", pair, BellOutcome.A_PLUS)
+
+
+@pytest.mark.parametrize("index,pair", [(3, [True, 6]), (0, [2.0, 5]), (1, [3, 4.0])])
+def test_transcript_json_rejects_pair_qubits_that_are_not_ints(index, pair):
+    doc = _valid_transcript_dict()
+    doc["announcements"][index]["pair"] = pair
+    with pytest.raises(ValueError, match="pair qubits must be ints, got"):
+        Transcript.from_json(json.dumps(doc))
+
+
+def test_a_transcript_equals_and_hashes_as_its_json_round_trip():
+    for seed in range(32):
+        transcript = run_protocol(None, "01", None, seed)
+        parsed = Transcript.from_json(transcript.to_json())
+        assert parsed == transcript and hash(parsed) == hash(transcript)
+        assert [type(a) for a in parsed.announcements] == [
+            type(a) for a in transcript.announcements
+        ]
 
 
 def _valid_transcript_dict() -> dict:

@@ -268,6 +268,21 @@ def test_reconstruct_rejects_reordered_announcements():
         reconstruct(announcements[:4])
 
 
+def test_reconstruct_rejects_plain_tuples_equal_to_valid_announcements():
+    # a record compares as the tuple of its fields, so order checks must read types
+    from ghzshare.recon import IncompleteTranscript
+
+    announcements = make_announcements(A_M, A_P, StateLabel.A, B_P, 1)
+    plain = tuple(tuple(a) for a in announcements)
+    assert plain == announcements
+    with pytest.raises(IncompleteTranscript):
+        reconstruct(plain)
+    for i, ann in enumerate(announcements):
+        mixed = announcements[:i] + (tuple(ann),) + announcements[i + 1 :]
+        with pytest.raises(IncompleteTranscript, match="out of order"):
+            reconstruct(mixed)
+
+
 def test_honest_kept_pair_is_gate_on_a_correlated_reference():
     # In honest runs the final kept terms equal the dealer's gate applied to
     # one of the two perfectly correlated references (each half string paired

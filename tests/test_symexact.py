@@ -1,6 +1,7 @@
 """Symbolic term algebra tests: expansion, decomposition, the numeric bridge."""
 
 import itertools
+import random
 
 import pytest
 
@@ -238,6 +239,36 @@ def test_from_terms_range_check_covers_cancelled_patterns():
 def test_term_rejects_bad_sign_or_bits(bits, sign):
     with pytest.raises(ValueError):
         Term(bits, sign)
+
+
+def test_terms_sort_by_bits_then_sign():
+    terms = [Term(bits, sign) for bits in range(16) for sign in (1, -1)]
+    shuffled = random.Random(0).sample(terms, len(terms))
+    ordered = sorted(shuffled)
+    assert ordered == sorted(shuffled, key=lambda t: (t.bits, t.sign))
+    assert ordered[:3] == [Term(0, -1), Term(0, 1), Term(1, -1)]
+    assert Term(1, 1) < Term(2, -1) and max(shuffled) == Term(15, 1)
+
+
+def test_term_runs_post_init_once_per_construction(monkeypatch):
+    # the benchmark counts terms built by replacing this hook on the class
+    seen = []
+    check = Term.__post_init__
+
+    def counted(term):
+        seen.append(term)
+        check(term)
+
+    monkeypatch.setattr(Term, "__post_init__", counted)
+    term = Term(5, -1)
+    assert seen == [term]
+    with pytest.raises(ValueError):
+        Term(5, 0)
+    assert len(seen) == 2
+    state = expand_product([bell_terms(A_P, (1, 2)), bell_terms(B_M, (3, 4))])
+    # two terms per ket, then the four products, which are canonical as built
+    assert len(seen) == 2 + 2 + 2 + 4
+    assert seen[-4:] == list(state.terms)
 
 
 def test_bit_order_matches_qcore_index_on_all_six_qubit_patterns():
