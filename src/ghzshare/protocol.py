@@ -135,7 +135,7 @@ class MeasurementAnnouncement(_MeasurementAnnouncement):
             raise ValueError(f"pair qubits must be ints, got {pair!r}")
         if not isinstance(outcome, BellOutcome):
             raise ValueError(f"outcome must be a BellOutcome, got {outcome!r}")
-        return tuple.__new__(cls, (party, pair, outcome))
+        return tuple.__new__(cls, (party, owned, outcome))
 
     def to_dict(self) -> dict:
         return {

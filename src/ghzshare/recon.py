@@ -18,9 +18,10 @@ lookup per discard.
 One stage sequence, ``_stages``, runs on tuples of terms drawn from
 constant tables: the (1,6) attach reads interned six-qubit terms, so a
 reconstruction constructs no term.  It raises each NoMatch where it
-decides it, with the partial trace; otherwise ``reconstruct`` builds no
-state or trace.  ``reconstruct_trace`` and the public stage functions
-wrap the same steps.  Strings are rendered only for a NoMatch message.
+decides it, with the pieces it has reached, and the partial trace is built
+on the first read of ``.trace``: ``reconstruct`` builds no state or trace.
+``reconstruct_trace`` and the public stage functions wrap the same steps.
+A NoMatch message is rendered once per key, into a cached table.
 """
 
 from __future__ import annotations
@@ -62,7 +63,14 @@ class NoMatch(ReconError):
 
     def __init__(self, message: str, trace: "PipelineTrace | None" = None):
         super().__init__(message)
-        self.trace = trace
+        self._trace, self._pieces = trace, ()
+
+    @property
+    def trace(self) -> "PipelineTrace | None":
+        """The partial trace; one raised by the stage sequence builds it on first read."""
+        if self._pieces:
+            self._trace, self._pieces = _trace(*self._pieces), ()
+        return self._trace
 
 
 class Ambiguous(ReconError):
@@ -245,11 +253,15 @@ def _infer(kept: _Terms, decoder: Decoder, position: int) -> tuple[GateAction, s
     if a == b:
         return "kept terms collapse onto one toggled-half pattern"
     entry = decoder.gates.get(_pair_key(a, first.sign, b, second.sign))
-    if entry is None:
-        half = toggled_half(position)
-        target = SymbolicState.from_terms(half, [Term(a, first.sign), Term(b, second.sign)], 1)
-        return f"no gate maps the reference onto {target.render()}"
-    return entry
+    return _no_gate_message(position, a, first.sign, b, second.sign) if entry is None else entry
+
+
+@functools.cache
+def _no_gate_message(position: int, a: int, sign_a: int, b: int, sign_b: int) -> str:
+    """The NoMatch message for a kept pair no gate table entry names."""
+    half = toggled_half(position)
+    target = SymbolicState.from_terms(half, [Term(a, sign_a), Term(b, sign_b)], 1)
+    return f"no gate maps the reference onto {target.render()}"
 
 
 def infer_gate(kept: SymbolicState, label: StateLabel, position: int) -> GateAction:
@@ -273,14 +285,20 @@ def infer_gate(kept: SymbolicState, label: StateLabel, position: int) -> GateAct
     return entry[0]
 
 
+@functools.cache
+def _flip_report(qubit: int) -> TamperReport:
+    return TamperReport((qubit,), PauliGate.X)
+
+
 def _tamper(discarded: Sequence[Term], decoder: Decoder) -> Optional[TamperReport]:
     if not discarded:
         return None
     shift, flips = decoder.untouched_shift, decoder.flips
-    flipped = {flips[t.bits >> shift & 7] for t in discarded}
-    if len(flipped) != 1 or None in flipped:
-        return None
-    return TamperReport((flipped.pop(),), PauliGate.X)
+    qubit = flips[discarded[0].bits >> shift & 7]
+    for t in discarded:
+        if flips[t.bits >> shift & 7] != qubit:
+            return None
+    return None if qubit is None else _flip_report(qubit)
 
 
 def tamper_report(
@@ -320,10 +338,17 @@ def _validated(announcements: Sequence[Announcement]):
     return p2.outcome, p3.outcome, state_ann.label, p1.outcome, pos_ann.position
 
 
+def _rejected(message: str, *pieces) -> NoMatch:
+    """A NoMatch whose trace is built from the stage sequence's pieces when read."""
+    exc = NoMatch(message)
+    exc._pieces = pieces
+    return exc
+
+
 def _stages(announcements: Sequence[Announcement]) -> tuple[tuple, ReconstructionResult]:
     """The pipeline on term tuples: the pieces ``_trace`` reads, and the result.
 
-    Each failure raises NoMatch with the trace of the pieces it has reached.
+    Each failure raises NoMatch holding the pieces it has reached.
     """
     o2, o3, label, o1, position = _validated(announcements)
     # the P2 x P3 product of the announced (2,5) and (3,4) Bell kets, over qubits 2..5
@@ -331,17 +356,17 @@ def _stages(announcements: Sequence[Announcement]) -> tuple[tuple, Reconstructio
     middle = _middle_split(expansion.terms, label)
     if not middle.kept:
         message = "announced state is inconsistent with every expanded term"
-        raise NoMatch(message, _trace(expansion, middle))
+        raise _rejected(message, expansion, middle)
     attached = _attach(middle.kept, o1)
     decoder = _decoder(label, position)
     untouched = _untouched_split(attached, decoder)
     pieces = (expansion, middle, attached, untouched)
     kept = untouched.kept
     if len(kept) != 2:
-        raise NoMatch(f"{len(kept)} terms survive the untouched-half filter", _trace(*pieces))
+        raise _rejected(f"{len(kept)} terms survive the untouched-half filter", *pieces)
     entry = _infer(kept, decoder, position)
     if isinstance(entry, str):
-        raise NoMatch(entry, _trace(*pieces))
+        raise _rejected(entry, *pieces)
     action, secret = entry
     return pieces, ReconstructionResult(action, secret, _tamper(untouched.discarded, decoder))
 

@@ -188,6 +188,30 @@ def test_dataclasses_and_inspect_are_not_in_sys_modules_after_import():
     assert loaded_after_importing_the_cli(["dataclasses", "inspect"]) == []
 
 
+# each cache once, under the first name that holds it: several modules import prepare_state
+CACHE_SIZES = """import sys, ghzshare.cli
+caches = {}
+for module in sorted(sys.modules):
+    if module.split(".")[0] == "ghzshare":
+        for name, value in vars(sys.modules[module]).items():
+            if hasattr(value, "cache_info"):
+                caches.setdefault(id(value), (f"{module}.{name}", value.cache_info().currsize))
+print(sorted(caches.values()))"""
+
+
+def test_every_cache_is_empty_after_importing_the_cli():
+    # a table filled at import time would be paid by every cold start, used or not
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", CACHE_SIZES], capture_output=True, text=True, env=env, timeout=60
+    ).stdout
+    sizes = dict(ast.literal_eval(out))
+    sources = "".join(path.read_text() for path in (SRC / "ghzshare").glob("*.py"))
+    assert len(sizes) == sources.count("functools.cache") + sources.count("functools.lru_cache")
+    assert "ghzshare.recon._decoder" in sizes
+    assert {name: size for name, size in sizes.items() if size} == {}
+
+
 def _traced_names() -> tuple:
     """The (module, attribute path) pairs of perfbench/tracer.py's TRACED, read with ast."""
     tree = ast.parse((SRC.parent / "perfbench" / "tracer.py").read_text())

@@ -81,14 +81,23 @@ def test_constant_tables_fill_to_their_domains_and_stop_missing():
         "bell_products": symexact.bell_products,
         "decoders": recon._decoder,
         "attached_terms": recon._attached_terms,
+        "no_gate_messages": recon._no_gate_message,
+        "flip_reports": recon._flip_report,
     }
     tables = {**sized, "shifts": symexact._shifts, "layouts": symexact._check_layout}
     for table in tables.values():
         table.cache_clear()
     _sweep_and_table()
     sizes = {name: table.cache_info().currsize for name, table in sized.items()}
-    # one decoder per (label, position), one interned-term table per (1,6) outcome
-    assert sizes == {"bell_products": 2, "decoders": 8, "attached_terms": 4}
+    # one decoder per (label, position), one interned-term table per (1,6) outcome,
+    # one message per kept pair that no gate names, one report per flipped qubit
+    assert sizes == {
+        "bell_products": 2,
+        "decoders": 8,
+        "attached_terms": 4,
+        "no_gate_messages": 14,
+        "flip_reports": 2,
+    }
     misses = {name: table.cache_info().misses for name, table in tables.items()}
     _sweep_and_table()
     assert {name: table.cache_info().misses for name, table in tables.items()} == misses

@@ -187,6 +187,17 @@ def test_measurement_announcement_pair_ownership():
         MeasurementAnnouncement("P1", (2, 5), BellOutcome.A_PLUS)
 
 
+def test_a_pair_given_as_a_list_is_stored_as_the_owned_tuple():
+    announcement = MeasurementAnnouncement("P1", [1, 6], BellOutcome.B_MINUS)
+    assert announcement == ("P1", (1, 6), BellOutcome.B_MINUS)
+    assert hash(announcement) == hash(("P1", (1, 6), BellOutcome.B_MINUS))
+    honest = run_protocol(None, "10", None, seed=5)
+    *rest, (party, pair, outcome), position = honest.announcements
+    listed = [*rest, MeasurementAnnouncement(party, list(pair), outcome), position]
+    transcript = Transcript(honest.seed, honest.true_label, honest.true_action, tuple(listed))
+    assert transcript == honest and hash(transcript) == hash(honest)
+
+
 def test_announcements_reject_a_label_or_outcome_given_as_text():
     # parsed transcripts hold enums; one built in code with text must fail typed
     with pytest.raises(ValueError, match="label must be a StateLabel, got 'A'$"):

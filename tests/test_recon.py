@@ -401,7 +401,10 @@ def test_reconstruct_and_reconstruct_trace_agree_on_every_tuple():
             assert type(result) is type(traced)
             assert str(result) == str(traced)
             assert traced.trace is not None
-            assert result.trace == traced.trace
+            # built on first read, then the same object; reading it leaves the message
+            assert result.trace is result.trace and result.trace == traced.trace
+            assert str(result) == str(traced)
+            assert NoMatch(str(result), traced.trace).trace is traced.trace
             trace = traced.trace
         else:
             assert result == traced.result
@@ -426,6 +429,37 @@ def test_reconstruct_and_reconstruct_trace_agree_on_every_tuple():
             assert infer_gate(final_kept, label, position) == trace.result.action
             assert tamper_report(untouched.discarded, label, position) == trace.result.tamper
     assert successes == 256
+
+
+def _sweep():
+    for label, position, o1, o2, o3 in TUPLES:
+        try:
+            reconstruct(make_announcements(o2, o3, label, o1, position))
+        except NoMatch:
+            pass
+
+
+def test_a_warm_sweep_builds_no_term_state_or_render(monkeypatch):
+    # rejection messages and tamper reports come from tables the first sweep fills
+    _sweep()
+    calls = []
+
+    def counted(name, wrapped):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return wrapped(*args, **kwargs)
+
+        return call
+
+    # the benchmark counts terms built through the same hook
+    monkeypatch.setattr(Term, "__post_init__", counted("Term", Term.__post_init__))
+    from_terms = counted("from_terms", SymbolicState.from_terms.__func__)
+    monkeypatch.setattr(SymbolicState, "from_terms", classmethod(from_terms))
+    monkeypatch.setattr(SymbolicState, "render", counted("render", SymbolicState.render))
+    _sweep()
+    assert calls == []
+    SymbolicState.from_terms((1,), [Term(1, 1)]).render()
+    assert calls == ["Term", "from_terms", "render"]
 
 
 def _string_partition(state, qubits, allowed):
