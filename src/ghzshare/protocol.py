@@ -126,8 +126,9 @@ class MeasurementAnnouncement(_MeasurementAnnouncement):
     __slots__ = ()
 
     def __new__(cls, party: str, pair: BellPair, outcome: BellOutcome) -> MeasurementAnnouncement:
-        owned = Party.OWNED_PAIRS.get(party)
-        if owned is None or tuple(pair) != owned:
+        # a party that is no str, or a pair that is no sequence, owns nothing
+        owned = Party.OWNED_PAIRS.get(party) if isinstance(party, str) else None
+        if owned is None or not isinstance(pair, (tuple, list)) or tuple(pair) != owned:
             raise ValueError(f"{party} does not own pair {pair}")
         # True == 1 and 2.0 == 2, but neither writes back to JSON as the int it equals
         first, second = pair
@@ -254,7 +255,11 @@ class Transcript(NamedTuple):
 
     @classmethod
     def from_json(cls, text: str) -> "Transcript":
-        return cls.from_dict(json.loads(text))
+        """Parse a transcript's JSON; malformed input, nested however deep, raises ValueError."""
+        try:
+            return cls.from_dict(json.loads(text))
+        except RecursionError as exc:
+            raise ValueError("malformed transcript: nested too deeply") from exc
 
 
 def run_protocol(

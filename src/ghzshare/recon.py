@@ -15,13 +15,13 @@ gate images, and a table of single-qubit flips.  A filter is then a mask
 and a set lookup, gate inference one lookup, and the tamper report one
 lookup per discard.
 
-One stage sequence, ``_stages``, runs on tuples of terms drawn from
-constant tables: the (1,6) attach reads interned six-qubit terms, so a
-reconstruction constructs no term.  It raises each NoMatch where it
-decides it, with the pieces it has reached, and the partial trace is built
-on the first read of ``.trace``: ``reconstruct`` builds no state or trace.
-``reconstruct_trace`` and the public stage functions wrap the same steps.
-A NoMatch message is rendered once per key, into a cached table.
+The five public stage functions are the steps, and one stage sequence,
+``_stages``, calls each in turn on tuples of terms drawn from constant
+tables: the (1,6) attach reads interned six-qubit terms, so a
+reconstruction constructs no term.  The sequence raises each NoMatch where
+it decides it, with the pieces it has reached, and the partial trace is
+built on the first read of ``.trace``: ``reconstruct`` builds no state or
+trace.  A NoMatch message is rendered once per key, into a cached table.
 """
 
 from __future__ import annotations
@@ -40,11 +40,10 @@ from .protocol import (
     Party,
     PositionAnnouncement,
     StateLabelAnnouncement,
-    check_position,
     decode_secret,
 )
 from .qcore import BELL_KET_SIGNS, GATES, BellOutcome, PauliGate, StateLabel
-from .symexact import EmptyState, SymbolicState, Term, apply_gate_sym, bell_products
+from .symexact import SymbolicState, Term, apply_gate_sym, bell_products
 
 MIDDLE_QUBITS = (2, 3, 4, 5)
 ALL_QUBITS = (1, 2, 3, 4, 5, 6)
@@ -61,13 +60,13 @@ class IncompleteTranscript(ReconError):
 class NoMatch(ReconError):
     """No candidate gate fits: tampering or inconsistent announcements."""
 
-    def __init__(self, message: str, trace: "PipelineTrace | None" = None):
+    def __init__(self, message: str, *pieces):
         super().__init__(message)
-        self._trace, self._pieces = trace, ()
+        self._trace, self._pieces = None, pieces
 
     @property
     def trace(self) -> "PipelineTrace | None":
-        """The partial trace; one raised by the stage sequence builds it on first read."""
+        """The partial trace, built on first read from the stage sequence's pieces, or None."""
         if self._pieces:
             self._trace, self._pieces = _trace(*self._pieces), ()
         return self._trace
@@ -121,6 +120,7 @@ class Decoder(NamedTuple):
     ``gates`` maps a kept pair's key to its gate's action and the secret it carries.
     """
 
+    position: int
     untouched_shift: int
     support: frozenset[int]
     gates: Mapping[tuple[int, int, int], tuple[GateAction, str]]
@@ -138,22 +138,16 @@ def _split(terms: Sequence[Term], shift: int, mask: int, allowed: Collection[int
     return FilterResult(tuple(kept), tuple(discarded))
 
 
-def _middle_split(terms: Sequence[Term], label: StateLabel) -> FilterResult:
-    # (q4,q5), the two low bits, are the first two qubits of the second GHZ half
-    first, second = label.half_support
-    return _split(terms, 0, 0b11, (first >> 1, second >> 1))
-
-
-def filter_support(state: SymbolicState, label: StateLabel) -> FilterResult:
-    """Keep terms whose (q4,q5) bits lie in the announced state's support.
+def filter_support(terms: Sequence[Term], label: StateLabel) -> FilterResult:
+    """Keep the terms over qubits 2..5 whose (q4,q5) bits lie in the announced support.
 
     This is the support-membership generalization of the positional
     discard rule (states A/B keep the diagonal pair of the canonical
     four-term expansion, C/D the anti-diagonal pair).
     """
-    if state.qubits != MIDDLE_QUBITS:
-        raise ValueError(f"expected a state over qubits {MIDDLE_QUBITS}, got {state.qubits}")
-    return _middle_split(state.terms, label)
+    # (q4,q5), the two low bits, are the first two qubits of the second GHZ half
+    first, second = label.half_support
+    return _split(terms, 0, 0b11, (first >> 1, second >> 1))
 
 
 @functools.cache
@@ -170,19 +164,10 @@ def _attached_terms(p1: BellOutcome) -> tuple[_Terms, _Terms]:
     )
 
 
-def _attach(kept: Sequence[Term], p1: BellOutcome) -> _Terms:
+def attach_p1(kept: Sequence[Term], p1: BellOutcome) -> _Terms:
+    """Tensor the announced (1,6) Bell ket onto kept terms over qubits 2..5: terms over 1..6."""
     # the ket's two terms differ on q1, the top bit, so ket-major order is canonical
     return tuple([row[t.bits << 1 | (t.sign < 0)] for row in _attached_terms(p1) for t in kept])
-
-
-def attach_p1(kept: SymbolicState, p1: BellOutcome) -> SymbolicState:
-    """Tensor the announced (1,6) Bell ket onto the kept middle terms."""
-    if kept.qubits != MIDDLE_QUBITS:
-        raise ValueError(f"expected a state over qubits {MIDDLE_QUBITS}, got {kept.qubits}")
-    if not kept.terms:
-        raise EmptyState("no kept terms to attach the (1,6) outcome to")
-    # the ket's 1/sqrt2 adds 1 to the norm exponent
-    return SymbolicState(ALL_QUBITS, _attach(kept.terms, p1), kept.norm_exponent + 1)
 
 
 def untouched_half(position: int) -> tuple[int, int, int]:
@@ -203,7 +188,7 @@ def _pair_key(a: int, sign_a: int, b: int, sign_b: int) -> tuple[int, int, int]:
 def _decoder(label: StateLabel, position: int) -> Decoder:
     """The decoder of one announced (label, position).
 
-    Callers check the position first: True and 1.0 hash and compare equal to 1.
+    Callers pass a checked position: True and 1.0 are equal to 1 as cache keys.
 
     ``gates`` keys each candidate gate by its image of the announced state's
     toggled GHZ half, as two signed triples.  The build raises Ambiguous if
@@ -230,30 +215,12 @@ def _decoder(label: StateLabel, position: int) -> Decoder:
         flips.append(untouched[3 - diff.bit_length()] if diff.bit_count() == 1 else None)
     # a half's last qubit q is bit 6 - q of a pattern over qubits 1..6
     shift = len(ALL_QUBITS) - untouched[-1]
-    return Decoder(shift, frozenset(support), MappingProxyType(gates), tuple(flips))
+    return Decoder(position, shift, frozenset(support), MappingProxyType(gates), tuple(flips))
 
 
-def _untouched_split(terms: Sequence[Term], decoder: Decoder) -> FilterResult:
+def filter_untouched(terms: Sequence[Term], decoder: Decoder) -> FilterResult:
+    """Keep the terms over qubits 1..6 whose untouched-half triple is in the announced support."""
     return _split(terms, decoder.untouched_shift, 0b111, decoder.support)
-
-
-def filter_untouched(state: SymbolicState, label: StateLabel, position: int) -> FilterResult:
-    """Keep terms whose untouched-half triple is in the announced support."""
-    if state.qubits != ALL_QUBITS:
-        raise ValueError(f"expected a state over qubits 1..6, got {state.qubits}")
-    return _untouched_split(state.terms, _decoder(label, check_position(position)))
-
-
-def _infer(kept: _Terms, decoder: Decoder, position: int) -> tuple[GateAction, str] | str:
-    """The gate table's entry for two kept terms, or the NoMatch message if there is none."""
-    # the two halves are the two triples of a six-bit pattern
-    shift = 3 - decoder.untouched_shift
-    first, second = kept
-    a, b = first.bits >> shift & 7, second.bits >> shift & 7
-    if a == b:
-        return "kept terms collapse onto one toggled-half pattern"
-    entry = decoder.gates.get(_pair_key(a, first.sign, b, second.sign))
-    return _no_gate_message(position, a, first.sign, b, second.sign) if entry is None else entry
 
 
 @functools.cache
@@ -264,25 +231,25 @@ def _no_gate_message(position: int, a: int, sign_a: int, b: int, sign_b: int) ->
     return f"no gate maps the reference onto {target.render()}"
 
 
-def infer_gate(kept: SymbolicState, label: StateLabel, position: int) -> GateAction:
-    """Identify the gate whose action on the reference state yields the kept pair.
+def infer_gate(kept: Sequence[Term], decoder: Decoder) -> tuple[GateAction, str]:
+    """The action, and its secret, whose image of the reference is the kept pair.
 
     The untouched half of the kept terms is support-consistent by
-    construction, so the comparison is made on the toggled half: each
-    candidate gate is applied symbolically to the announced state's GHZ
-    half and must reproduce the kept terms' toggled-half patterns and
-    signs, up to a single global sign.  Relative sign is preserved: it is
-    the Z/I and iY/X discriminator.
+    construction, so the pair's toggled half must reproduce one gate's
+    image of the announced state's GHZ half, patterns and signs, up to one
+    global sign.  Relative sign is preserved: it is the Z/I and iY/X
+    discriminator.  Raises NoMatch where no gate does.
     """
-    if kept.qubits != ALL_QUBITS:
-        raise ValueError(f"expected a state over qubits 1..6, got {kept.qubits}")
-    decoder = _decoder(label, check_position(position))
-    if len(kept.terms) != 2:
-        raise NoMatch(f"expected exactly 2 kept terms, got {len(kept.terms)}")
-    entry = _infer(kept.terms, decoder, position)
-    if isinstance(entry, str):
-        raise NoMatch(entry)
-    return entry[0]
+    # the two halves are the two triples of a six-bit pattern
+    shift = 3 - decoder.untouched_shift
+    first, second = kept
+    a, b = first.bits >> shift & 7, second.bits >> shift & 7
+    if a == b:
+        raise NoMatch("kept terms collapse onto one toggled-half pattern")
+    entry = decoder.gates.get(_pair_key(a, first.sign, b, second.sign))
+    if entry is None:
+        raise NoMatch(_no_gate_message(decoder.position, a, first.sign, b, second.sign))
+    return entry
 
 
 @functools.cache
@@ -290,7 +257,14 @@ def _flip_report(qubit: int) -> TamperReport:
     return TamperReport((qubit,), PauliGate.X)
 
 
-def _tamper(discarded: Sequence[Term], decoder: Decoder) -> Optional[TamperReport]:
+def tamper_report(discarded: Sequence[Term], decoder: Decoder) -> Optional[TamperReport]:
+    """Bit-flip hypothesis from the untouched-half discards.
+
+    The discards are terms over qubits 1..6, as filter_untouched leaves
+    them.  Each discarded term's untouched triple is compared against the
+    nearest support string; a report is issued only when a single common
+    qubit at Hamming distance 1 explains every discard.
+    """
     if not discarded:
         return None
     shift, flips = decoder.untouched_shift, decoder.flips
@@ -299,19 +273,6 @@ def _tamper(discarded: Sequence[Term], decoder: Decoder) -> Optional[TamperRepor
         if flips[t.bits >> shift & 7] != qubit:
             return None
     return None if qubit is None else _flip_report(qubit)
-
-
-def tamper_report(
-    untouched_discarded: Sequence[Term], label: StateLabel, position: int
-) -> Optional[TamperReport]:
-    """Bit-flip hypothesis from the untouched-half discards.
-
-    The discards are terms over qubits 1..6, as filter_untouched leaves
-    them.  Each discarded term's untouched triple is compared against the
-    nearest support string; a report is issued only when a single common
-    qubit at Hamming distance 1 explains every discard.
-    """
-    return _tamper(untouched_discarded, _decoder(label, check_position(position)))
 
 
 # (kind, party, pair) of each announcement, in the honest order
@@ -338,13 +299,6 @@ def _validated(announcements: Sequence[Announcement]):
     return p2.outcome, p3.outcome, state_ann.label, p1.outcome, pos_ann.position
 
 
-def _rejected(message: str, *pieces) -> NoMatch:
-    """A NoMatch whose trace is built from the stage sequence's pieces when read."""
-    exc = NoMatch(message)
-    exc._pieces = pieces
-    return exc
-
-
 def _stages(announcements: Sequence[Announcement]) -> tuple[tuple, ReconstructionResult]:
     """The pipeline on term tuples: the pieces ``_trace`` reads, and the result.
 
@@ -353,22 +307,23 @@ def _stages(announcements: Sequence[Announcement]) -> tuple[tuple, Reconstructio
     o2, o3, label, o1, position = _validated(announcements)
     # the P2 x P3 product of the announced (2,5) and (3,4) Bell kets, over qubits 2..5
     expansion = bell_products((P2_PAIR, P3_PAIR))[o2, o3]
-    middle = _middle_split(expansion.terms, label)
+    middle = filter_support(expansion.terms, label)
     if not middle.kept:
         message = "announced state is inconsistent with every expanded term"
-        raise _rejected(message, expansion, middle)
-    attached = _attach(middle.kept, o1)
+        raise NoMatch(message, expansion, middle)
+    attached = attach_p1(middle.kept, o1)
     decoder = _decoder(label, position)
-    untouched = _untouched_split(attached, decoder)
+    untouched = filter_untouched(attached, decoder)
     pieces = (expansion, middle, attached, untouched)
     kept = untouched.kept
     if len(kept) != 2:
-        raise _rejected(f"{len(kept)} terms survive the untouched-half filter", *pieces)
-    entry = _infer(kept, decoder, position)
-    if isinstance(entry, str):
-        raise _rejected(entry, *pieces)
-    action, secret = entry
-    return pieces, ReconstructionResult(action, secret, _tamper(untouched.discarded, decoder))
+        raise NoMatch(f"{len(kept)} terms survive the untouched-half filter", *pieces)
+    try:
+        action, secret = infer_gate(kept, decoder)
+    except NoMatch as exc:
+        exc._pieces = pieces
+        raise
+    return pieces, ReconstructionResult(action, secret, tamper_report(untouched.discarded, decoder))
 
 
 def _trace(
@@ -383,6 +338,7 @@ def _trace(
     kept_mid = SymbolicState(MIDDLE_QUBITS, middle.kept, expansion.norm_exponent)
     if untouched is None:
         return PipelineTrace(expansion, middle, kept_mid, None, None, None, None)
+    # the (1,6) ket's 1/sqrt2 adds 1 to the norm exponent
     attached = SymbolicState(ALL_QUBITS, attached_terms, kept_mid.norm_exponent + 1)
     final_kept = SymbolicState(ALL_QUBITS, untouched.kept, attached.norm_exponent)
     return PipelineTrace(expansion, middle, kept_mid, attached, untouched, final_kept, result)

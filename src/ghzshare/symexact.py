@@ -95,12 +95,6 @@ def _shifts(layout: tuple[int, ...], qubits: tuple[int, ...]) -> tuple[int, ...]
     return tuple(top - layout.index(q) for q in qubits)
 
 
-def restrict(layout: Sequence[int], term: Term, qubits: Sequence[int]) -> str:
-    """Bits of a term of a state over ``layout``, read off in the given qubit order."""
-    bits = term.bits
-    return "".join(["01"[bits >> s & 1] for s in _shifts(tuple(layout), tuple(qubits))])
-
-
 @functools.cache
 def _check_layout(qubits: tuple[int, ...]) -> None:
     if tuple(sorted(set(qubits))) != qubits:

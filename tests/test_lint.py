@@ -13,6 +13,9 @@ state, a trace, an announcement list or a seed.  Two more keep the records
 cheap and checked: no module imports ``dataclasses`` (with ``inspect``, it
 costs a cold start milliseconds), and no module calls a record's ``_make``
 or ``_replace``, which build a ``NamedTuple`` past the validating ``__new__``.
+The last keeps the package free of functions only its tests call: every
+public module-level function is read by the package's own code, not only
+imported or listed in ``__all__``, unless an allow-list says why not.
 """
 
 import ast
@@ -40,15 +43,21 @@ def _annotation_strings(tree: ast.AST):
                 yield ast.parse(annotation.value, mode="eval")
 
 
-def used_names(tree: ast.AST) -> set[str]:
-    """Names a module reads: bare names, attribute names and ``__all__`` entries."""
-    used = set()
+def read_names(tree: ast.AST) -> set[str]:
+    """Names a module's code reads: bare names and attribute names."""
+    read = set()
     for root in (tree, *_annotation_strings(tree)):
         for node in ast.walk(root):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                used.add(node.id)
+                read.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                read.add(node.attr)
+    return read
+
+
+def used_names(tree: ast.AST) -> set[str]:
+    """Names a module reads: the names its code reads and its ``__all__`` entries."""
+    used = read_names(tree)
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
@@ -88,6 +97,26 @@ def package_references() -> set[str]:
             if isinstance(node, ast.ImportFrom) and node.level:
                 refs.update(a.name for a in node.names)
     return refs
+
+
+def uncalled_functions(sources: dict[str, ast.Module]) -> list[str]:
+    """Public module-level functions that no module's code reads, as ``module.name``."""
+    read = set().union(*(read_names(tree) for tree in sources.values()))
+    return [
+        f"{module.removesuffix('.py')}.{node.name}"
+        for module, tree in sources.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+
+
+# public functions that no package code calls, each with the reason it stays
+CALLED_FROM_OUTSIDE = {
+    "symexact.equal_up_to_global_sign": "the benchmark's tracer (perfbench/tracer.py, TRACED) "
+    "wraps it by name",
+}
 
 
 def absolute_imports(tree: ast.Module) -> list[str]:
@@ -247,6 +276,22 @@ def test_every_private_module_name_is_referenced():
         if name not in refs
     ]
     assert not unreferenced, f"defined but never referenced: {unreferenced}"
+
+
+def test_every_public_function_is_called_from_the_package():
+    uncalled = uncalled_functions(SOURCES)
+    assert sorted(uncalled) == sorted(CALLED_FROM_OUTSIDE), f"called only from outside: {uncalled}"
+
+
+def test_uncalled_function_check_catches_a_planted_wrapper():
+    planted = {
+        "a.py": ast.parse(
+            "def step(x):\n    return x\n\ndef wrapper(x):\n    return step(x)\n\n"
+            "__all__ = ['wrapper']\n"
+        ),
+        "b.py": ast.parse("from .a import wrapper\n\ndef main():\n    pass\n\nmain()\n"),
+    }
+    assert uncalled_functions(planted) == ["a.wrapper"]
 
 
 def test_checks_catch_planted_leftovers():

@@ -214,6 +214,13 @@ def test_measurement_announcement_rejects_pair_qubits_that_are_not_ints(pair):
         MeasurementAnnouncement("P1", pair, BellOutcome.A_PLUS)
 
 
+@pytest.mark.parametrize("party,pair", [("P1", 5), ("P1", None), (["P1"], (1, 6))], ids=repr)
+def test_measurement_announcement_rejects_a_party_or_pair_of_the_wrong_type(party, pair):
+    # an unhashable party or a pair that is no sequence is malformed input, not a TypeError
+    with pytest.raises(ValueError, match="does not own pair"):
+        MeasurementAnnouncement(party, pair, BellOutcome.A_PLUS)
+
+
 @pytest.mark.parametrize("index,pair", [(3, [True, 6]), (0, [2.0, 5]), (1, [3, 4.0])])
 def test_transcript_json_rejects_pair_qubits_that_are_not_ints(index, pair):
     doc = _valid_transcript_dict()
@@ -290,6 +297,12 @@ def test_malformed_transcript_raises_value_error(mutate):
 def test_non_object_json_raises_value_error(text):
     with pytest.raises(ValueError):
         Transcript.from_json(text)
+
+
+def test_deeply_nested_json_raises_value_error():
+    # the decoder's recursion limit is the input's fault, as any other malformed text
+    with pytest.raises(ValueError, match="nested too deeply"):
+        Transcript.from_json("[" * 100_000 + "]" * 100_000)
 
 
 JSON_VALUES = st.recursive(

@@ -7,7 +7,7 @@ import pytest
 
 from ghzshare import recon
 
-from ghzshare.protocol import GateAction, decode_secret, make_announcements
+from ghzshare.protocol import GateAction, PositionAnnouncement, decode_secret, make_announcements
 from ghzshare.qcore import (
     BELL_OUTCOMES,
     GATES,
@@ -17,6 +17,7 @@ from ghzshare.qcore import (
 )
 from ghzshare.recon import (
     Ambiguous,
+    IncompleteTranscript,
     NoMatch,
     _decoder,
     attach_p1,
@@ -29,15 +30,15 @@ from ghzshare.recon import (
     toggled_half,
 )
 from ghzshare.symexact import (
-    EmptyState,
     SymbolicState,
     Term,
     apply_gate_sym,
     bell_terms,
     equal_up_to_global_sign,
     expand_product,
-    restrict,
 )
+
+from oracles import restrict
 
 A_P, A_M, B_P, B_M = BELL_OUTCOMES
 ALL = (1, 2, 3, 4, 5, 6)
@@ -70,63 +71,55 @@ def keys(state, terms):
     return tuple((state.key(t), t.sign) for t in terms)
 
 
+def patterns(terms):
+    """Six-qubit terms as the paper writes them."""
+    return tuple((format(t.bits, "06b"), t.sign) for t in terms)
+
+
 EXPANSION = state_of(
     (2, 3, 4, 5), [("0000", 1), ("0110", 1), ("1001", -1), ("1111", -1)], k=2
 )
 
 
 def test_filter_support_state_a_keeps_diagonal_pair():
-    result = filter_support(EXPANSION, StateLabel.A)
+    result = filter_support(EXPANSION.terms, StateLabel.A)
     assert keys(EXPANSION, result.kept) == (("0000", 1), ("1111", -1))
     assert keys(EXPANSION, result.discarded) == (("0110", 1), ("1001", -1))
 
 
 def test_filter_support_state_c_keeps_antidiagonal_pair():
-    result = filter_support(EXPANSION, StateLabel.C)
+    result = filter_support(EXPANSION.terms, StateLabel.C)
     assert keys(EXPANSION, result.kept) == (("0110", 1), ("1001", -1))
     assert keys(EXPANSION, result.discarded) == (("0000", 1), ("1111", -1))
 
 
 def test_filter_support_keeps_everything_inside_support():
     inside = state_of((2, 3, 4, 5), [("0000", 1), ("1111", -1)], k=1)
-    result = filter_support(inside, StateLabel.A)
+    result = filter_support(inside.terms, StateLabel.A)
     assert keys(inside, result.kept) == (("0000", 1), ("1111", -1))
     assert result.discarded == ()
 
 
 def test_filter_partition_is_exact():
     for label in LABELS:
-        result = filter_support(EXPANSION, label)
+        result = filter_support(EXPANSION.terms, label)
         assert sorted(result.kept + result.discarded) == sorted(EXPANSION.terms)
         assert not set(result.kept) & set(result.discarded)
 
 
 def test_attach_p1_produces_six_qubit_expansion():
     kept = state_of((2, 3, 4, 5), [("0000", 1), ("1111", -1)], k=2)
-    attached = attach_p1(kept, B_P)
-    assert attached.term_signs() == (
+    assert patterns(attach_p1(kept.terms, B_P)) == (
         ("000001", 1),
         ("011111", -1),
         ("100000", 1),
         ("111110", -1),
     )
-    assert attached.norm_exponent == kept.norm_exponent + 1
 
 
 def test_attach_p1_single_term():
     kept = state_of((2, 3, 4, 5), [("0000", 1)], k=2)
-    attached = attach_p1(kept, A_P)
-    assert attached.term_signs() == (("000000", 1), ("100001", 1))
-
-
-def test_attach_p1_empty_raises():
-    empty = SymbolicState.from_terms(
-        (2, 3, 4, 5),
-        [Term(int("0000", 2), 1), Term(int("0000", 2), -1)],
-        2,
-    )
-    with pytest.raises(EmptyState):
-        attach_p1(empty, A_P)
+    assert patterns(attach_p1(kept.terms, A_P)) == (("000000", 1), ("100001", 1))
 
 
 ATTACHED = state_of(
@@ -137,38 +130,41 @@ ATTACHED = state_of(
 
 
 def test_filter_untouched_position_1():
-    result = filter_untouched(ATTACHED, StateLabel.A, 1)
+    result = filter_untouched(ATTACHED.terms, _decoder(StateLabel.A, 1))
     assert keys(ATTACHED, result.kept) == (("011111", -1), ("100000", 1))
     assert keys(ATTACHED, result.discarded) == (("000001", 1), ("111110", -1))
 
 
 def test_filter_untouched_position_6():
-    result = filter_untouched(ATTACHED, StateLabel.A, 6)
+    result = filter_untouched(ATTACHED.terms, _decoder(StateLabel.A, 6))
     assert keys(ATTACHED, result.kept) == (("000001", 1), ("111110", -1))
 
 
 def test_filter_untouched_all_violating():
     bad = state_of((1, 2, 3, 4, 5, 6), [("000001", 1), ("111110", -1)], k=1)
-    result = filter_untouched(bad, StateLabel.A, 1)
+    result = filter_untouched(bad.terms, _decoder(StateLabel.A, 1))
     assert result.kept == ()
 
 
 def test_infer_gate_worked_example():
     kept = state_of((1, 2, 3, 4, 5, 6), [("011111", -1), ("100000", 1)], k=3)
-    assert infer_gate(kept, StateLabel.A, 1) == GateAction(PauliGate.IY, 1)
+    assert infer_gate(kept.terms, _decoder(StateLabel.A, 1)) == (GateAction(PauliGate.IY, 1), "11")
 
 
 def test_infer_gate_z_and_identity():
+    decoder = _decoder(StateLabel.A, 1)
     z_kept = state_of((1, 2, 3, 4, 5, 6), [("000000", 1), ("111111", -1)], k=3)
-    assert infer_gate(z_kept, StateLabel.A, 1) == GateAction(PauliGate.Z, 1)
+    assert infer_gate(z_kept.terms, decoder) == (GateAction(PauliGate.Z, 1), "10")
     i_kept = state_of((1, 2, 3, 4, 5, 6), [("000000", 1), ("111111", 1)], k=3)
-    assert infer_gate(i_kept, StateLabel.A, 1) == GateAction(PauliGate.I, 1)
+    assert infer_gate(i_kept.terms, decoder) == (GateAction(PauliGate.I, 1), "00")
 
 
 def test_infer_gate_no_match_on_foreign_support():
     kept = state_of((1, 2, 3, 4, 5, 6), [("001000", 1), ("110111", 1)], k=3)
-    with pytest.raises(NoMatch):
-        infer_gate(kept, StateLabel.A, 1)
+    with pytest.raises(NoMatch) as raised:
+        infer_gate(kept.terms, _decoder(StateLabel.A, 1))
+    # raised outside the stage sequence, it holds no pieces to build a trace from
+    assert raised.value.trace is None
 
 
 def test_infer_gate_unique_across_honest_candidates():
@@ -184,21 +180,20 @@ def test_infer_gate_unique_across_honest_candidates():
                     assert not equal_up_to_global_sign(images[i], images[j])
 
 
-STAGES_AT_A_POSITION = {
-    "filter_untouched": lambda position: filter_untouched(ATTACHED, StateLabel.A, position),
-    "tamper_report": lambda position: tamper_report(
-        [Term(int("000110", 2), 1)], StateLabel.A, position
-    ),
-}
-
-
 @pytest.mark.parametrize("position", [True, 3, 1.0], ids=repr)
-@pytest.mark.parametrize("stage", STAGES_AT_A_POSITION.values(), ids=STAGES_AT_A_POSITION.keys())
-def test_stages_check_the_position_before_the_decoder_cache(stage, position):
-    # True and 1.0 equal 1 as cache keys, and 3 has no decoder to build
+def test_the_boundary_checks_the_position_before_the_decoder_cache(position):
+    # True and 1.0 equal 1 as cache keys, and 3 has no decoder to build; only a
+    # PositionAnnouncement carries a position into the stages
+    _decoder.cache_clear()
     message = f"encoding position must be 1 or 6, got {position!r}"
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
-        stage(position)
+        PositionAnnouncement(position)
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        make_announcements(A_M, A_P, StateLabel.A, B_P, position)
+    honest = make_announcements(A_M, A_P, StateLabel.A, B_P, 1)
+    with pytest.raises(IncompleteTranscript, match="out of order"):
+        reconstruct(honest[:4] + ((position,),))
+    assert _decoder.cache_info().currsize == 0
 
 
 def test_tamper_report_single_common_flip():
@@ -206,20 +201,21 @@ def test_tamper_report_single_common_flip():
         Term(int("000110", 2), 1),
         Term(int("111001", 2), -1),
     ]
-    report = tamper_report(discards, StateLabel.A, 1)
+    report = tamper_report(discards, _decoder(StateLabel.A, 1))
     assert report is not None
     assert report.flipped_qubits == (6,)
     assert report.hypothesized_gate is PauliGate.X
 
 
 def test_tamper_report_empty_and_multiflip():
-    assert tamper_report([], StateLabel.A, 1) is None
+    decoder = _decoder(StateLabel.A, 1)
+    assert tamper_report([], decoder) is None
     discards = [
         Term(int("000110", 2), 1),
         Term(int("111010", 2), -1),
     ]
     # deviations at different untouched qubits: no single-flip hypothesis
-    assert tamper_report(discards, StateLabel.A, 1) is None
+    assert tamper_report(discards, decoder) is None
 
 
 def test_tamper_rule_fires_on_honest_p1_pair_deviation():
@@ -230,7 +226,7 @@ def test_tamper_rule_fires_on_honest_p1_pair_deviation():
         Term(int("000001", 2), 1),
         Term(int("111110", 2), -1),
     ]
-    report = tamper_report(discards, StateLabel.A, 1)
+    report = tamper_report(discards, _decoder(StateLabel.A, 1))
     assert report is not None and report.flipped_qubits == (6,)
 
 
@@ -259,8 +255,6 @@ def test_reconstruct_identity_branch():
 
 def test_reconstruct_rejects_reordered_announcements():
     announcements = make_announcements(A_M, A_P, StateLabel.A, B_P, 1)
-    from ghzshare.recon import IncompleteTranscript
-
     reordered = (announcements[1], announcements[0]) + announcements[2:]
     with pytest.raises(IncompleteTranscript):
         reconstruct(reordered)
@@ -270,8 +264,6 @@ def test_reconstruct_rejects_reordered_announcements():
 
 def test_reconstruct_rejects_plain_tuples_equal_to_valid_announcements():
     # a record compares as the tuple of its fields, so order checks must read types
-    from ghzshare.recon import IncompleteTranscript
-
     announcements = make_announcements(A_M, A_P, StateLabel.A, B_P, 1)
     plain = tuple(tuple(a) for a in announcements)
     assert plain == announcements
@@ -355,19 +347,14 @@ def test_untouched_filter_soundness_everywhere():
     for o2 in BELL_OUTCOMES:
         for o3 in BELL_OUTCOMES:
             expansion = expand_product([bell_terms(o2, (2, 5)), bell_terms(o3, (3, 4))])
-            support = filter_support(expansion, label)
-            if not support.kept:
-                continue
-            kept_mid = SymbolicState.from_terms(
-                (2, 3, 4, 5), support.kept, expansion.norm_exponent
-            )
+            support = filter_support(expansion.terms, label)
             for o1 in BELL_OUTCOMES:
-                attached = attach_p1(kept_mid, o1)
+                attached = attach_p1(support.kept, o1)
                 for position in (1, 6):
-                    result = filter_untouched(attached, label, position)
+                    result = filter_untouched(attached, _decoder(label, position))
                     half = (4, 5, 6) if position == 1 else (1, 2, 3)
                     for t in result.kept:
-                        assert restrict(attached.qubits, t, half) in SUPPORT[label]
+                        assert restrict(ALL, t, half) in SUPPORT[label]
 
 
 # -- integer-mask tables against the string readers they replaced -----------
@@ -404,30 +391,33 @@ def test_reconstruct_and_reconstruct_trace_agree_on_every_tuple():
             # built on first read, then the same object; reading it leaves the message
             assert result.trace is result.trace and result.trace == traced.trace
             assert str(result) == str(traced)
-            assert NoMatch(str(result), traced.trace).trace is traced.trace
             trace = traced.trace
         else:
             assert result == traced.result
             successes += 1
             trace = traced
-        # the five public stage functions, chained, agree with the stage sequence;
-        # every tuple passes the support filter
+        # the five public stage functions, chained from the expand_product oracle,
+        # agree with the trace's states; every tuple passes the support filter
         expansion = expand_product([bell_terms(o2, (2, 5)), bell_terms(o3, (3, 4))])
-        support = filter_support(expansion, label)
+        assert expansion == trace.expansion
+        support = filter_support(expansion.terms, label)
         assert support == trace.support_filter
         kept_mid = SymbolicState.from_terms((2, 3, 4, 5), support.kept, expansion.norm_exponent)
-        attached = attach_p1(kept_mid, o1)
-        assert attached == trace.attached
-        untouched = filter_untouched(attached, label, position)
+        assert kept_mid == trace.kept_mid
+        attached = attach_p1(support.kept, o1)
+        assert expand_product([bell_terms(o1, (1, 6)), kept_mid]) == trace.attached
+        assert attached == trace.attached.terms
+        decoder = _decoder(label, position)
+        untouched = filter_untouched(attached, decoder)
         assert untouched == trace.untouched_filter
-        final_kept = SymbolicState.from_terms(ALL, untouched.kept, attached.norm_exponent)
-        if trace.result is None:
-            with pytest.raises(NoMatch) as raised:
-                infer_gate(final_kept, label, position)
+        assert untouched.kept == trace.final_kept.terms
+        if trace.result is not None:
+            assert infer_gate(untouched.kept, decoder) == trace.result[:2]
+            assert tamper_report(untouched.discarded, decoder) == trace.result.tamper
+        elif len(untouched.kept) == 2:
+            with pytest.raises(NoMatch, match=re.escape(str(result)) + "$") as raised:
+                infer_gate(untouched.kept, decoder)
             assert raised.value.trace is None
-        else:
-            assert infer_gate(final_kept, label, position) == trace.result.action
-            assert tamper_report(untouched.discarded, label, position) == trace.result.tamper
     assert successes == 256
 
 
@@ -437,6 +427,30 @@ def _sweep():
             reconstruct(make_announcements(o2, o3, label, o1, position))
         except NoMatch:
             pass
+
+
+def test_reconstruct_runs_the_five_public_stage_functions(monkeypatch):
+    # the stage sequence calls each stage by its public name, so a wrapper set
+    # on the module, as a tracer sets one, sees every call and every NoMatch
+    stages = ("filter_support", "attach_p1", "filter_untouched", "infer_gate", "tamper_report")
+    calls, raised = dict.fromkeys(stages, 0), dict.fromkeys(stages, 0)
+
+    def counted(name, stage):
+        def call(*args):
+            calls[name] += 1
+            try:
+                return stage(*args)
+            except NoMatch:
+                raised[name] += 1
+                raise
+
+        return call
+
+    for name in stages:
+        monkeypatch.setattr(recon, name, counted(name, getattr(recon, name)))
+    _sweep()
+    assert list(calls.values()) == [512, 512, 512, 384, 256]
+    assert raised == {**dict.fromkeys(stages, 0), "infer_gate": 128}
 
 
 def test_a_warm_sweep_builds_no_term_state_or_render(monkeypatch):
@@ -475,11 +489,11 @@ def test_mask_partitions_equal_string_partitions_on_every_stage_state():
     assert len(middle) > 16 and len(full) > 64
     for label in LABELS:
         for state in middle:
-            result = filter_support(state, label)
+            result = filter_support(state.terms, label)
             oracle = _string_partition(state, (4, 5), {h[:2] for h in SUPPORT[label]})
             assert (result.kept, result.discarded) == oracle
         for state, position in itertools.product(full, (1, 6)):
-            result = filter_untouched(state, label, position)
+            result = filter_untouched(state.terms, _decoder(label, position))
             half = (4, 5, 6) if position == 1 else (1, 2, 3)
             oracle = _string_partition(state, half, set(SUPPORT[label]))
             assert (result.kept, result.discarded) == oracle
@@ -503,13 +517,14 @@ def test_gate_table_equals_the_signed_image_matches():
                 # any untouched bits: the gate is read off the toggled half alone
                 untouched = 0b101 << 3 - shift
                 terms = [Term(a << shift | untouched, sign_a), Term(b << shift, sign_b)]
-                kept = SymbolicState.from_terms(ALL, terms, 3)
+                kept = SymbolicState.from_terms(ALL, terms, 3).terms
                 if matches:
-                    assert infer_gate(kept, label, position) == GateAction(matches[0], position)
+                    action = GateAction(matches[0], position)
+                    assert infer_gate(kept, decoder) == (action, decode_secret(action))
                 else:
                     message = f"no gate maps the reference onto {target.render()}"
                     with pytest.raises(NoMatch, match=re.escape(message) + "$"):
-                        infer_gate(kept, label, position)
+                        infer_gate(kept, decoder)
 
 
 def _string_flip(triple: str, label, half):
@@ -528,7 +543,7 @@ def test_flip_table_equals_string_hamming_nearest_support():
         for triple in range(8):
             term = Term(triple << shift, 1)
             assert table[triple] == _string_flip(restrict(ALL, term, half), label, half)
-            report = tamper_report([term], label, position)
+            report = tamper_report([term], decoder)
             flipped = None if report is None else report.flipped_qubits[0]
             assert flipped == table[triple]
 
@@ -539,14 +554,7 @@ def test_attach_p1_equals_expand_product_on_every_reachable_kept_state():
     for kept in kept_states:
         for outcome in BELL_OUTCOMES:
             oracle = expand_product([bell_terms(outcome, (1, 6)), kept])
-            assert attach_p1(kept, outcome) == oracle
-
-
-def test_attach_p1_and_infer_gate_reject_foreign_layouts():
-    with pytest.raises(ValueError):
-        attach_p1(state_of((1, 2, 3, 4), [("0000", 1)], k=0), A_P)
-    with pytest.raises(ValueError):
-        infer_gate(state_of((2, 3, 4, 5), [("0000", 1), ("1111", 1)], k=1), StateLabel.A, 1)
+            assert attach_p1(kept.terms, outcome) == oracle.terms
 
 
 def test_colliding_gate_images_fail_the_table_build(monkeypatch):

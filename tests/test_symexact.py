@@ -32,9 +32,10 @@ from ghzshare.symexact import (
     bell_terms,
     expand_product,
     from_statevector,
-    restrict,
     to_statevector,
 )
+
+from oracles import restrict
 
 A_P, A_M, B_P, B_M = BELL_OUTCOMES
 
