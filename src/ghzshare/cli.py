@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .harness import SCENARIOS, exhaustive_verify, table1, verify_summary
@@ -19,6 +20,8 @@ from .recon import NoMatch
 
 # Fixed default so that `ghzshare run` without flags is reproducible.
 DEFAULT_SEED = 1234554321
+# The exit status of a process that SIGPIPE ends: 128 + signal 13.
+BROKEN_PIPE_EXIT = 141
 
 
 def _dump(data) -> str:
@@ -164,10 +167,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a write that fails fails here, not at exit
+        return code
     except ValueError as exc:
         parser.exit(2, f"error: {exc}\n")
         return 2
+    except BrokenPipeError:
+        # The reader closed the pipe, as `| head` does. What stdout still holds
+        # goes to devnull, so that the flush at exit raises nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE_EXIT
 
 
 if __name__ == "__main__":

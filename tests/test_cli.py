@@ -212,6 +212,22 @@ def test_every_cache_is_empty_after_importing_the_cli():
     assert {name: size for name, size in sizes.items() if size} == {}
 
 
+def test_a_closed_pipe_ends_the_cli_quietly_with_the_sigpipe_status():
+    # 83 KB of output is more than a pipe holds, so the CLI is still writing when it closes
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ghzshare.cli", "verify", "--format", "structured"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.read(10) == b'{\n  "summa'
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), stderr) == (141, b"")
+
+
 def _traced_names() -> tuple:
     """The (module, attribute path) pairs of perfbench/tracer.py's TRACED, read with ast."""
     tree = ast.parse((SRC.parent / "perfbench" / "tracer.py").read_text())

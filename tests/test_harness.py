@@ -1,5 +1,6 @@
 """Harness tests: exhaustive verification, the collapse table, scenarios."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from ghzshare.harness import (
     table1,
     verify_summary,
 )
+from ghzshare.protocol import GateAction, decode_secret
+from ghzshare.qcore import BELL_OUTCOMES, GATES
 
 EXPECTED_FLAGGED_ROWS = {
     ("I", "b+"),
@@ -97,6 +100,73 @@ def test_no_signalling_oracle_is_a_read_only_table_over_the_outcome_triples():
     for *_, branch, _ in harness._honest_runs():
         product = harness._announced_product(branch.o1, branch.o2, branch.o3)
         assert harness.global_phase_equal(product, branch.after_p3)
+
+
+def test_honest_branches_are_a_read_only_table_over_the_configurations():
+    harness._branches.cache_clear()
+    exhaustive_verify()
+    info = harness._branches.cache_info()
+    assert (info.currsize, info.misses) == (32, 32)
+    # a second full audit reads the table only
+    exhaustive_verify()
+    table1()
+    for scenario in SCENARIOS.values():
+        scenario()
+    assert harness._branches.cache_info().misses == 32
+    for cfg in harness.configurations():
+        encoded = harness._encoded(*cfg)
+        assert harness._branches(*cfg) == tuple(harness.enumerate_branches(encoded))
+        for branch in harness._branches(*cfg):
+            # the P1-conditional collapse is the encoded state's, which lie-state reads
+            assert branch.mid_after_p1 == harness._collapse(encoded, branch.o1)
+            assert branch.mid_after_p3 == harness._collapse(branch.after_p3, branch.o1)
+
+
+def test_the_table_lookup_agrees_with_the_dense_walk_on_every_outcome_triple():
+    positive = 0
+    for cfg in harness.configurations():
+        encoded = harness._encoded(*cfg)
+        for triple in itertools.product(BELL_OUTCOMES, repeat=3):
+            probability = harness._honest_probability(*cfg, *triple)
+            assert probability == harness._branch_probability(encoded, *triple), (cfg, triple)
+            positive += probability > 0
+    assert positive == 256
+
+
+def test_a_warm_table_still_checks_every_stage_of_every_reconstruction(monkeypatch):
+    exhaustive_verify()
+    monkeypatch.setattr(harness, "_phase_equal", lambda vec, state: False)
+    records = exhaustive_verify()
+    assert len(records) == 256
+    for r in records:
+        assert r.failures == (
+            "expansion differs from the measured (2,3,4,5) factor",
+            "kept terms differ from the P1-conditional collapse",
+            "attached state differs from the post-P1 state",
+        )
+
+
+def test_a_warm_table_still_reconstructs_on_every_call(monkeypatch):
+    exhaustive_verify()
+    reconstruct_trace = harness.reconstruct_trace
+
+    def wrong_gate(announcements):
+        trace = reconstruct_trace(announcements)
+        action = trace.result.action
+        gate = GATES[(GATES.index(action.gate) + 1) % len(GATES)]
+        wrong = GateAction(gate, action.position)
+        result = trace.result._replace(action=wrong, secret=decode_secret(wrong))
+        return trace._replace(result=result)
+
+    monkeypatch.setattr(harness, "reconstruct_trace", wrong_gate)
+    records = exhaustive_verify()
+    assert len(records) == 256
+    for r in records:
+        assert r.reconstructed_action != f"{r.gate}{r.position}"
+        assert r.failures == (
+            f"reconstructed {r.reconstructed_secret!r}, encoded {r.secret!r}",
+            f"reconstructed {r.reconstructed_action}, encoded {r.gate}{r.position}",
+        )
 
 
 def test_exhaustive_is_deterministic(records):

@@ -9,10 +9,12 @@ library.  A fourth keeps each module's private names its own: a table that
 another module reads is public.  A fifth keeps every ``functools`` cache keyed
 on protocol vocabulary (labels, gates, Bell outcomes and pairs, ints, and
 tuples of these), so that no cache can memoise a whole result keyed on a
-state, a trace, an announcement list or a seed.  Two more keep the records
-cheap and checked: no module imports ``dataclasses`` (with ``inspect``, it
-costs a cold start milliseconds), and no module calls a record's ``_make``
-or ``_replace``, which build a ``NamedTuple`` past the validating ``__new__``.
+state, a trace, an announcement list or a seed; a sixth keeps what a cache
+returns immutable, since every caller gets the one object the cache holds.
+Two more keep the records cheap and checked: no module imports
+``dataclasses`` (with ``inspect``, it costs a cold start milliseconds), and
+no module calls a record's ``_make`` or ``_replace``, which build a
+``NamedTuple`` past the validating ``__new__``.
 The last keeps the package free of functions only its tests call: every
 public module-level function is read by the package's own code, not only
 imported or listed in ``__all__``, unless an allow-list says why not.
@@ -185,21 +187,29 @@ def _is_vocabulary(annotation: ast.expr | None) -> bool:
     return False
 
 
+def _is_cache_decorator(decorator: ast.expr) -> bool:
+    return _names_a_cache(decorator.func if isinstance(decorator, ast.Call) else decorator)
+
+
+def cached_functions(tree: ast.Module) -> list[ast.FunctionDef | ast.AsyncFunctionDef]:
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_is_cache_decorator(d) for d in node.decorator_list)
+    ]
+
+
 def cache_violations(tree: ast.Module) -> list[str]:
     """Cached functions with a parameter outside the vocabulary, and other cache calls."""
     violations, decorators = [], set()
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for decorator in node.decorator_list:
-            called = isinstance(decorator, ast.Call)
-            if _names_a_cache(decorator.func if called else decorator):
-                decorators.add(decorator)
-                args = node.args
-                params = args.posonlyargs + args.args + args.kwonlyargs
-                params += [a for a in (args.vararg, args.kwarg) if a is not None]
-                if not all(_is_vocabulary(p.annotation) for p in params):
-                    violations.append(node.name)
+    for node in cached_functions(tree):
+        decorators.update(node.decorator_list)
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        if not all(_is_vocabulary(p.annotation) for p in params):
+            violations.append(node.name)
     allowed = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and ast.unparse(node) in CACHE_CALLS:
@@ -209,6 +219,72 @@ def cache_violations(tree: ast.Module) -> list[str]:
             if node not in decorators and node not in allowed:
                 violations.append(ast.unparse(node))
     return violations
+
+
+def record_classes(trees) -> set[str]:
+    """Classes that derive from ``NamedTuple``, directly or through another record."""
+    classes = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    records = {"NamedTuple"}
+    while True:
+        found = {
+            c.name for c in classes if any(getattr(b, "id", None) in records for b in c.bases)
+        }
+        if found <= records:
+            return records - {"NamedTuple"}
+        records |= found
+
+
+# what a cached function may return, besides the package's records; a Mapping
+# must be served as a MappingProxyType
+IMMUTABLE = {"tuple", "frozenset", "Mapping", "str", "int", "Fraction", "None"}
+RECORDS = record_classes(SOURCES.values())
+
+
+def _return_type(annotation: ast.expr | None) -> str | None:
+    """The name of an annotation's outer type: ``tuple`` for ``tuple[int, ...]``."""
+    if isinstance(annotation, ast.Constant) and annotation.value is None:
+        return "None"
+    if isinstance(annotation, ast.Subscript):
+        annotation = annotation.value
+    return annotation.id if isinstance(annotation, ast.Name) else None
+
+
+def cached_return_violations(tree: ast.Module) -> list[str]:
+    """Cached functions whose return annotation is missing or names a mutable type."""
+    violations = []
+    for node in cached_functions(tree):
+        kind = _return_type(node.returns)
+        returned = [n.value for n in ast.walk(node) if isinstance(n, ast.Return)]
+        proxied = all(
+            isinstance(v, ast.Call) and ast.unparse(v.func) == "MappingProxyType"
+            for v in returned
+        )
+        if kind not in IMMUTABLE | RECORDS or (kind == "Mapping" and not proxied):
+            violations.append(node.name)
+    return violations
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_caches_return_immutable_values(module):
+    violations = cached_return_violations(SOURCES[module])
+    assert not violations, f"{module}: caches that may return a mutable value {violations}"
+
+
+def test_return_check_catches_planted_mutable_tables():
+    assert {"Branch", "DenseState", "Decoder", "GateAction", "TamperReport"} <= RECORDS
+    assert "NoMatch" not in RECORDS
+    planted = ast.parse(
+        "@functools.cache\ndef _branches(label: StateLabel) -> list[Branch]:\n    pass\n\n"
+        "@functools.cache\ndef _index(pair: BellPair) -> dict:\n    pass\n\n"
+        "@lru_cache(maxsize=None)\ndef _bare(q: int):\n    pass\n\n"
+        "@functools.cache\ndef _view(q: int) -> Mapping[int, int]:\n    return {q: q}\n\n"
+        "@functools.cache\ndef _proxy(q: int) -> Mapping[int, int]:\n"
+        "    return MappingProxyType({q: q})\n\n"
+        "@functools.cache\ndef _state(label: StateLabel) -> DenseState:\n    pass\n\n"
+        "@functools.cache\ndef _rows(q: int) -> tuple[tuple[int, int], ...]:\n    pass\n\n"
+        "@functools.cache\ndef _check(q: int) -> None:\n    pass\n"
+    )
+    assert cached_return_violations(planted) == ["_branches", "_index", "_bare", "_view"]
 
 
 @pytest.mark.parametrize("module", sorted(SOURCES))
