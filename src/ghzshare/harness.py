@@ -5,7 +5,9 @@ so the honest-run check covers every positive-probability outcome triple
 of every configuration.  Those branches, with their oracle states, are a
 read-only table filled once per configuration: every check of an honest
 configuration reads it, and only the reconstructions under test and the
-comparisons run again on each call.  The collapse table and the five
+comparisons run again on each call.  Every probability and P1-conditional
+collapse a check reads comes off walked branches: the table's, or one walk
+of the state Eve modified.  The collapse table and the five
 adversary scenarios are scripted, deterministic experiments whose reports
 carry expected-vs-observed values for each assertion.
 """
@@ -107,36 +109,23 @@ def configurations() -> Iterator[tuple[StateLabel, PauliGate, int]]:
     return itertools.product(LABELS, GATES, ENCODING_POSITIONS)
 
 
-def _walk(
-    state: DenseState,
-    o1s: Sequence[BellOutcome],
-    o2s: Sequence[BellOutcome],
-    o3s: Sequence[BellOutcome],
-) -> Iterator[Branch]:
-    """Measure (1,6), (2,5), (3,4) in turn, following the listed outcomes that can occur."""
-    probs1 = bell_probabilities(state, P1_PAIR)
-    for o1 in o1s:
-        prob1, s1 = probs1[o1]
+def enumerate_branches(state: DenseState) -> Iterator[Branch]:
+    """All positive-probability (P1,P2,P3) outcome triples of one state.
+
+    (1,6), (2,5) and (3,4) are measured in turn, following every outcome
+    that can occur.
+    """
+    for o1, (prob1, s1) in bell_probabilities(state, P1_PAIR).items():
         if s1 is None:
             continue
         mid1 = _collapse(s1, o1)
-        probs2 = bell_probabilities(s1, P2_PAIR)
-        for o2 in o2s:
-            prob2, s2 = probs2[o2]
+        for o2, (prob2, s2) in bell_probabilities(s1, P2_PAIR).items():
             if s2 is None:
                 continue
             prob12 = prob1 * prob2
-            probs3 = bell_probabilities(s2, P3_PAIR)
-            for o3 in o3s:
-                prob3, s3 = probs3[o3]
-                if s3 is None:
-                    continue
-                yield Branch(o1, o2, o3, prob12 * prob3, s1, s3, mid1, _collapse(s3, o1))
-
-
-def enumerate_branches(state: DenseState) -> Iterator[Branch]:
-    """All positive-probability (P1,P2,P3) outcome triples of one encoded state."""
-    yield from _walk(state, BELL_OUTCOMES, BELL_OUTCOMES, BELL_OUTCOMES)
+            for o3, (prob3, s3) in bell_probabilities(s2, P3_PAIR).items():
+                if s3 is not None:
+                    yield Branch(o1, o2, o3, prob12 * prob3, s1, s3, mid1, _collapse(s3, o1))
 
 
 def _encoded(label: StateLabel, gate: PauliGate, position: int) -> DenseState:
@@ -155,18 +144,17 @@ def _branches(label: StateLabel, gate: PauliGate, position: int) -> tuple[Branch
     return tuple(enumerate_branches(_encoded(label, gate, position)))
 
 
-def _honest_probability(
-    label: StateLabel,
-    gate: PauliGate,
-    position: int,
-    o1: BellOutcome,
-    o2: BellOutcome,
-    o3: BellOutcome,
+def _probability(
+    branches: Sequence[Branch], o1: BellOutcome, o2: BellOutcome, o3: BellOutcome
 ) -> Fraction:
-    """P(o1, o2, o3) for one configuration, read from its branch table."""
+    """P(o1, o2, o3) read off walked branches: 0 for a triple they do not hold."""
     triple = (o1, o2, o3)
-    branches = _branches(label, gate, position)
     return next((b.probability for b in branches if (b.o1, b.o2, b.o3) == triple), Fraction(0))
+
+
+def _collapse_after(branches: Sequence[Branch], o1: BellOutcome) -> DenseState:
+    """The (2,3,4,5) collapse on P1's outcome o1, read off a walked branch."""
+    return next(b.mid_after_p1 for b in branches if b.o1 is o1)
 
 
 def _phase_equal(vec: DenseState, state: SymbolicState) -> bool:
@@ -348,7 +336,8 @@ def table1() -> list[Table1Row]:
     """
     rows = []
     for gate, outcome, printed_entries, printed_subs in PRINTED_TABLE:
-        post = from_statevector(_collapse(_encoded(StateLabel.A, gate, 1), outcome), MIDDLE_QUBITS)
+        collapse = _collapse_after(_branches(StateLabel.A, gate, 1), outcome)
+        post = from_statevector(collapse, MIDDLE_QUBITS)
         decomps = {p: bell_decompose(post, p) for p in (PAIRING_2345, PAIRING_2534)}
         matched = [p for p, expr in decomps.items() if _entries_match(printed_entries, expr)]
         flags = []
@@ -446,12 +435,6 @@ def _check_terms(name: str, state: SymbolicState, printed: str) -> AssertionReco
     return _check(name, printed, state.render(), signed == printed)
 
 
-def _branch_probability(
-    encoded: DenseState, o1: BellOutcome, o2: BellOutcome, o3: BellOutcome
-) -> Fraction:
-    return next((b.probability for b in _walk(encoded, (o1,), (o2,), (o3,))), Fraction(0))
-
-
 def _deduced(run: PipelineTrace | NoMatch) -> tuple[str, str]:
     """The reconstructed action and secret as reported; a failure reads the same in both."""
     if isinstance(run, NoMatch):
@@ -478,7 +461,8 @@ def _reconstructed_branch(
     run = _reconstruction(o2, o3, label, o1, position)
     if isinstance(run, NoMatch):
         return run, False
-    return run, _honest_probability(label, run.result.action.gate, position, o1, o2, o3) > 0
+    branches = _branches(label, run.result.action.gate, position)
+    return run, _probability(branches, o1, o2, o3) > 0
 
 
 def misannouncement_matrix() -> dict:
@@ -547,7 +531,7 @@ def scenario_lie_position() -> ScenarioReport:
     """Dealer applied iY at qubit 1 but announces qubit 6."""
     label, gate, true_position = StateLabel.A, PauliGate.IY, 1
     o1, o2, o3 = B_P, A_M, A_P
-    prob = _honest_probability(label, gate, true_position, o1, o2, o3)
+    prob = _probability(_branches(label, gate, true_position), o1, o2, o3)
     run = _reconstruction(o2, o3, label, o1, 6)
     trace = _trace_of(run)
     expected_kept = (("000001", 1), ("111110", -1))
@@ -595,7 +579,7 @@ def scenario_p1_withholds() -> ScenarioReport:
         if not isinstance(run, NoMatch):
             consistent.add(observed_map[o1.ascii])
             all_positive = all_positive and positive
-            collapse = _collapse(_encoded(label, run.result.action.gate, position), o1)
+            collapse = _collapse_after(_branches(label, run.result.action.gate, position), o1)
             all_display = all_display and _phase_equal(collapse, display_state)
 
     expected_deductions = {o.ascii: a for o, a in expected_map.items()}
@@ -674,12 +658,14 @@ def scenario_no_collusion() -> ScenarioReport:
         _check_match(
             "toggled-run collapse re-pairs to a+a- + a-a+ on (2,5),(3,4)",
             eq3.render(),
-            _phase_equal(_collapse(_encoded(label, PauliGate.IY, 1), B_P), eq3.expand()),
+            _phase_equal(_collapse_after(_branches(label, PauliGate.IY, 1), B_P), eq3.expand()),
         ),
         _check_match(
             "identity-run collapse re-pairs to a+a+ + a-a- on (2,5),(3,4)",
             eq9_corrected.render() + " (corrected from a duplicated printed term)",
-            _phase_equal(_collapse(_encoded(label, PauliGate.I, 1), A_P), eq9_corrected.expand()),
+            _phase_equal(
+                _collapse_after(_branches(label, PauliGate.I, 1), A_P), eq9_corrected.expand()
+            ),
         ),
     )
     script = {
@@ -706,7 +692,8 @@ def scenario_eve_intercept() -> ScenarioReport:
     )
     modified_ok = modified == expected_modified
 
-    prob = _branch_probability(modified, A_P, B_M, B_P)
+    walk = tuple(enumerate_branches(modified))
+    prob = _probability(walk, A_P, B_M, B_P)
     collapse_expr = BellProductExpr(PAIRING_2534, ((B_P, B_M, 1), (B_M, B_P, 1)))
 
     trace = _reconstruction(B_M, B_P, label, A_P, position)
@@ -735,7 +722,7 @@ def scenario_eve_intercept() -> ScenarioReport:
         _check_match(
             "collapse after P1=a+ re-pairs to b+b- + b-b+ on (2,5),(3,4)",
             collapse_expr.render(),
-            _phase_equal(_collapse(modified, A_P), collapse_expr.expand()),
+            _phase_equal(_collapse_after(walk, A_P), collapse_expr.expand()),
         ),
         _check_positive("a+, b-, b+", prob),
         _check_terms(

@@ -170,13 +170,9 @@ def attach_p1(kept: Sequence[Term], p1: BellOutcome) -> _Terms:
     return tuple([row[t.bits << 1 | (t.sign < 0)] for row in _attached_terms(p1) for t in kept])
 
 
-def untouched_half(position: int) -> tuple[int, int, int]:
-    """Qubits of the GHZ half the dealer's gate did not touch."""
-    return (4, 5, 6) if position == 1 else (1, 2, 3)
-
-
-def toggled_half(position: int) -> tuple[int, int, int]:
-    return (1, 2, 3) if position == 1 else (4, 5, 6)
+# per encoding position, the qubits of the GHZ half the dealer's gate toggles
+# and of the half it leaves untouched
+_HALVES = {1: ((1, 2, 3), (4, 5, 6)), 6: ((4, 5, 6), (1, 2, 3))}
 
 
 def _pair_key(a: int, sign_a: int, b: int, sign_b: int) -> tuple[int, int, int]:
@@ -197,7 +193,7 @@ def _decoder(label: StateLabel, position: int) -> Decoder:
     nearest support triple, or None where that is not at Hamming distance 1.
     """
     support = label.half_support
-    toggled, untouched = toggled_half(position), untouched_half(position)
+    toggled, untouched = _HALVES[position]
     reference = SymbolicState.from_terms(toggled, [Term(h, 1) for h in support], 1)
     gates: dict[tuple[int, int, int], tuple[GateAction, str]] = {}
     for gate in GATES:
@@ -226,8 +222,8 @@ def filter_untouched(terms: Sequence[Term], decoder: Decoder) -> FilterResult:
 @functools.cache
 def _no_gate_message(position: int, a: int, sign_a: int, b: int, sign_b: int) -> str:
     """The NoMatch message for a kept pair no gate table entry names."""
-    half = toggled_half(position)
-    target = SymbolicState.from_terms(half, [Term(a, sign_a), Term(b, sign_b)], 1)
+    toggled = _HALVES[position][0]
+    target = SymbolicState.from_terms(toggled, [Term(a, sign_a), Term(b, sign_b)], 1)
     return f"no gate maps the reference onto {target.render()}"
 
 

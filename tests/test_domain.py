@@ -8,8 +8,8 @@ x = par(P1) ^ par(P3), z = ph(P1) ^ ph(P2) ^ ph(P3) at the announced
 position, whatever the label.  Every other tuple is rejected with NoMatch:
 half of them because no term survives the untouched-half filter, half
 because no gate maps the reference onto the two surviving terms.  The
-formula is kept here, apart from the reconstruction code, as an
-independent oracle.
+formula is kept in the tests' oracles, apart from the reconstruction code,
+as an independent oracle.
 """
 
 import itertools
@@ -17,20 +17,11 @@ import itertools
 from ghzshare import recon, symexact
 from ghzshare.harness import table1
 from ghzshare.protocol import GateAction, decode_secret, make_announcements
-from ghzshare.qcore import BELL_OUTCOMES, LABELS, PauliGate, StateLabel
+from ghzshare.qcore import BELL_OUTCOMES, LABELS, StateLabel
 from ghzshare.recon import NoMatch, reconstruct
-
-FRAME = {(0, 0): PauliGate.I, (1, 0): PauliGate.X, (1, 1): PauliGate.IY, (0, 1): PauliGate.Z}
+from oracles import FRAME, par, ph
 
 TUPLES = tuple(itertools.product(LABELS, (1, 6), BELL_OUTCOMES, BELL_OUTCOMES, BELL_OUTCOMES))
-
-
-def par(outcome) -> int:
-    return int(outcome.value[0] == "b")
-
-
-def ph(outcome) -> int:
-    return int(outcome.value[1] == "-")
 
 
 def rejecting_stage(exc: NoMatch) -> str:

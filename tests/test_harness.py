@@ -18,8 +18,9 @@ from ghzshare.harness import (
     table1,
     verify_summary,
 )
-from ghzshare.protocol import GateAction, decode_secret
-from ghzshare.qcore import BELL_OUTCOMES, GATES
+from ghzshare.protocol import P1_PAIR, P2_PAIR, P3_PAIR, GateAction, decode_secret
+from ghzshare.qcore import BELL_OUTCOMES, GATES, StateLabel, bell_probabilities
+from oracles import FRAME, par, ph
 
 EXPECTED_FLAGGED_ROWS = {
     ("I", "b+"),
@@ -122,15 +123,61 @@ def test_honest_branches_are_a_read_only_table_over_the_configurations():
             assert branch.mid_after_p3 == harness._collapse(branch.after_p3, branch.o1)
 
 
+def born_product(state, triple):
+    """The product of the three Born probabilities along an outcome triple."""
+    product = Fraction(1)
+    for pair, outcome in zip((P1_PAIR, P2_PAIR, P3_PAIR), triple):
+        probability, state = bell_probabilities(state, pair)[outcome]
+        product *= probability
+        if state is None:
+            break
+    return product
+
+
 def test_the_table_lookup_agrees_with_the_dense_walk_on_every_outcome_triple():
+    # two derivations per triple: the Born probabilities along it, and the
+    # Pauli frame, which names the one gate the triple can come from
     positive = 0
     for cfg in harness.configurations():
+        label, gate = cfg[:2]
+        branches = harness._branches(*cfg)
         encoded = harness._encoded(*cfg)
         for triple in itertools.product(BELL_OUTCOMES, repeat=3):
-            probability = harness._honest_probability(*cfg, *triple)
-            assert probability == harness._branch_probability(encoded, *triple), (cfg, triple)
+            o1, o2, o3 = triple
+            probability = harness._probability(branches, *triple)
+            assert probability == born_product(encoded, triple), (cfg, triple)
+            reachable = (par(o2) ^ par(o3)) == (label in (StateLabel.B, StateLabel.C))
+            framed = FRAME[par(o1) ^ par(o3), ph(o1) ^ ph(o2) ^ ph(o3)] is gate
+            assert probability == (Fraction(1, 8) if reachable and framed else 0), (cfg, triple)
             positive += probability > 0
     assert positive == 256
+
+
+def test_a_warm_audit_walks_only_the_state_eve_modified(monkeypatch):
+    def audit():
+        exhaustive_verify()
+        table1()
+        for scenario in SCENARIOS.values():
+            scenario()
+
+    audit()
+    calls = dict.fromkeys(("prepare_state", "apply_gate", "partial_inner", "bell_probabilities"), 0)
+    for name in calls:
+
+        def counted(*args, _name=name, _dense=getattr(harness, name)):
+            calls[_name] += 1
+            return _dense(*args)
+
+        monkeypatch.setattr(harness, name, counted)
+    audit()
+    # eve-intercept encodes Z1, flips qubit 6 and walks the result once: four
+    # P1 outcomes, two P2 outcomes after each, eight branches
+    assert calls == {
+        "prepare_state": 1,
+        "apply_gate": 2,
+        "partial_inner": 4 + 8,
+        "bell_probabilities": 1 + 4 + 8,
+    }
 
 
 def test_a_warm_table_still_checks_every_stage_of_every_reconstruction(monkeypatch):

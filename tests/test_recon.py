@@ -19,6 +19,7 @@ from ghzshare.recon import (
     Ambiguous,
     IncompleteTranscript,
     NoMatch,
+    _HALVES,
     _decoder,
     attach_p1,
     filter_support,
@@ -27,7 +28,6 @@ from ghzshare.recon import (
     reconstruct,
     reconstruct_trace,
     tamper_report,
-    toggled_half,
 )
 from ghzshare.symexact import (
     SymbolicState,
@@ -172,7 +172,7 @@ def test_infer_gate_unique_across_honest_candidates():
     # distinguishable, so Ambiguous is unreachable on honest inputs.
     for label in LABELS:
         for position in (1, 6):
-            half = toggled_half(position)
+            half = _HALVES[position][0]
             reference = half_reference(label, half)
             images = [apply_gate_sym(reference, g, position) for g in GATES]
             for i in range(4):
@@ -501,7 +501,7 @@ def test_mask_partitions_equal_string_partitions_on_every_stage_state():
 
 def test_gate_table_equals_the_signed_image_matches():
     for label, position in itertools.product(LABELS, (1, 6)):
-        half = toggled_half(position)
+        half = _HALVES[position][0]
         images = [(g, apply_gate_sym(half_reference(label, half), g, position)) for g in GATES]
         decoder = _decoder(label, position)
         shift, table = 3 - decoder.untouched_shift, decoder.gates
