@@ -2,14 +2,15 @@
 
 Branch enumeration chains exact Born probabilities instead of sampling,
 so the honest-run check covers every positive-probability outcome triple
-of every configuration.  Those branches, with their oracle states, are a
-read-only table filled once per configuration: every check of an honest
-configuration reads it, and only the reconstructions under test and the
-comparisons run again on each call.  Every probability and P1-conditional
-collapse a check reads comes off walked branches: the table's, or one walk
-of the state Eve modified.  The collapse table and the five
-adversary scenarios are scripted, deterministic experiments whose reports
-carry expected-vs-observed values for each assertion.
+of every configuration.  Those branches, with their oracle states and their
+no-signalling verdicts, are a read-only table filled once per
+configuration: every check of an honest configuration reads it, and only
+the reconstructions under test and their comparisons run again on each
+call.  Every probability and P1-conditional collapse a check reads comes
+off walked branches: the table's, or one walk of the state Eve modified.
+The collapse table and the five adversary scenarios are scripted,
+deterministic experiments whose reports carry expected-vs-observed values
+for each assertion.
 """
 
 from __future__ import annotations
@@ -43,7 +44,15 @@ from .qcore import (
     partial_inner,
     prepare_state,
 )
-from .recon import ALL_QUBITS, MIDDLE_QUBITS, NoMatch, PipelineTrace, reconstruct_trace
+from .recon import (
+    ALL_QUBITS,
+    MIDDLE_QUBITS,
+    NoMatch,
+    PipelineTrace,
+    ReconstructionResult,
+    reconstruct,
+    reconstruct_trace,
+)
 from .symexact import (
     BellPair,
     BellProductExpr,
@@ -70,6 +79,8 @@ class Branch(NamedTuple):
 
     mid_after_p1 and mid_after_p3 are the normalized (2,3,4,5) states left
     when (1,6) is found in o1, after P1's measurement and after all three.
+    no_signalling is whether after_p3 is the product of the three announced
+    Bell kets, up to phase; it is decided once, when the branch is walked.
     """
 
     o1: BellOutcome
@@ -80,6 +91,7 @@ class Branch(NamedTuple):
     after_p3: DenseState
     mid_after_p1: DenseState
     mid_after_p3: DenseState
+    no_signalling: bool
 
 
 class BranchRecord(NamedTuple):
@@ -125,7 +137,9 @@ def enumerate_branches(state: DenseState) -> Iterator[Branch]:
             prob12 = prob1 * prob2
             for o3, (prob3, s3) in bell_probabilities(s2, P3_PAIR).items():
                 if s3 is not None:
-                    yield Branch(o1, o2, o3, prob12 * prob3, s1, s3, mid1, _collapse(s3, o1))
+                    mid3 = _collapse(s3, o1)
+                    no_signalling = global_phase_equal(_announced_product(o1, o2, o3), s3)
+                    yield Branch(o1, o2, o3, prob12 * prob3, s1, s3, mid1, mid3, no_signalling)
 
 
 def _encoded(label: StateLabel, gate: PauliGate, position: int) -> DenseState:
@@ -158,8 +172,17 @@ def _collapse_after(branches: Sequence[Branch], o1: BellOutcome) -> DenseState:
 
 
 def _phase_equal(vec: DenseState, state: SymbolicState) -> bool:
-    """Whether a dense vector is the symbolic state up to a global phase."""
-    return global_phase_equal(vec, to_statevector(state))
+    """Whether a dense vector is the symbolic state up to a global phase.
+
+    It is global_phase_equal(vec, to_statevector(state)) without building that
+    vector: to_statevector turns each term into an (index, +/-1) amplitude
+    and n terms into the exponent log2(n).
+    """
+    terms = state.terms
+    if vec.n_qubits != len(state.qubits) or vec.exponent != len(terms).bit_length() - 1:
+        return False
+    amplitudes = vec.amplitudes
+    return amplitudes == terms or amplitudes == tuple([(bits, -sign) for bits, sign in terms])
 
 
 @functools.cache
@@ -184,24 +207,32 @@ def _stage_failures(branch: Branch, trace: PipelineTrace) -> list[str]:
     if trace.attached is None or not _phase_equal(branch.after_p1, trace.attached):
         failures.append("attached state differs from the post-P1 state")
     # no-signaling: the final state is exactly the product of announced kets
-    product = _announced_product(branch.o1, branch.o2, branch.o3)
-    if not global_phase_equal(product, branch.after_p3):
+    if not branch.no_signalling:
         failures.append("final state is not the product of the announced kets")
     return failures
 
 
 def _reconstruction(
-    o2: BellOutcome, o3: BellOutcome, label: StateLabel, o1: BellOutcome, position: int
-) -> PipelineTrace | NoMatch:
-    """The reconstruction from these announcements: its trace, or the NoMatch it raised."""
+    o2: BellOutcome,
+    o3: BellOutcome,
+    label: StateLabel,
+    o1: BellOutcome,
+    position: int,
+    traced: bool = True,
+) -> PipelineTrace | ReconstructionResult | NoMatch:
+    """The reconstruction from these announcements, or the NoMatch it raised.
+
+    Traced, it is the PipelineTrace; untraced, the ReconstructionResult alone.
+    """
+    announcements = make_announcements(o2, o3, label, o1, position)
     try:
-        return reconstruct_trace(make_announcements(o2, o3, label, o1, position))
+        return reconstruct_trace(announcements) if traced else reconstruct(announcements)
     except NoMatch as exc:
         return exc
 
 
-def _honest_runs() -> Iterator[
-    tuple[StateLabel, PauliGate, int, Branch, PipelineTrace | NoMatch]
+def _honest_runs(traced: bool = True) -> Iterator[
+    tuple[StateLabel, PauliGate, int, Branch, PipelineTrace | ReconstructionResult | NoMatch]
 ]:
     """Every honest branch of every configuration with its reconstruction.
 
@@ -209,7 +240,7 @@ def _honest_runs() -> Iterator[
     """
     for label, gate, position in configurations():
         for branch in _branches(label, gate, position):
-            run = _reconstruction(branch.o2, branch.o3, label, branch.o1, position)
+            run = _reconstruction(branch.o2, branch.o3, label, branch.o1, position, traced)
             yield label, gate, position, branch, run
 
 
@@ -472,9 +503,9 @@ def misannouncement_matrix() -> dict:
         row: dict[str, set[str]] = {lab.value: set() for lab in LABELS}
         for branch in _branches(true_label, PauliGate.X, 1):
             for announced in LABELS:
-                run = _reconstruction(branch.o2, branch.o3, announced, branch.o1, 1)
+                run = _reconstruction(branch.o2, branch.o3, announced, branch.o1, 1, False)
                 row[announced.value].add(
-                    "no-match" if isinstance(run, NoMatch) else run.result.action.render()
+                    "no-match" if isinstance(run, NoMatch) else run.action.render()
                 )
         matrix[true_label.value] = {k: sorted(v) for k, v in row.items()}
     return matrix
@@ -708,8 +739,8 @@ def scenario_eve_intercept() -> ScenarioReport:
 
     false_positives = sum(
         1
-        for *_, run in _honest_runs()
-        if not isinstance(run, NoMatch) and run.result.tamper
+        for *_, run in _honest_runs(traced=False)
+        if not isinstance(run, NoMatch) and run.tamper
     )
 
     assertions = (

@@ -13,6 +13,7 @@ import random
 from typing import NamedTuple, Union
 
 from .qcore import (
+    BELL_OUTCOMES,
     LABELS,
     BellOutcome,
     BellPair,
@@ -197,6 +198,15 @@ def announcement_from_dict(data: dict) -> Announcement:
     raise ValueError(f"unknown announcement type {kind!r}")
 
 
+# Every record make_announcements can return, built once through the
+# checking constructors: 4 outcomes per party, 4 labels and 2 positions.
+_P1_RECORDS = {o: MeasurementAnnouncement(Party.P1, P1_PAIR, o) for o in BELL_OUTCOMES}
+_P2_RECORDS = {o: MeasurementAnnouncement(Party.P2, P2_PAIR, o) for o in BELL_OUTCOMES}
+_P3_RECORDS = {o: MeasurementAnnouncement(Party.P3, P3_PAIR, o) for o in BELL_OUTCOMES}
+_LABEL_RECORDS = {label: StateLabelAnnouncement(label) for label in LABELS}
+_POSITION_RECORDS = {p: PositionAnnouncement(p) for p in ENCODING_POSITIONS}
+
+
 def make_announcements(
     o2: BellOutcome,
     o3: BellOutcome,
@@ -204,7 +214,23 @@ def make_announcements(
     o1: BellOutcome,
     position: int,
 ) -> tuple[Announcement, ...]:
-    """Announcements in the honest order: P2, P3, dealer's state, P1, dealer's position."""
+    """Announcements in the honest order: P2, P3, dealer's state, P1, dealer's position.
+
+    The records are the prebuilt ones; any other input reaches the
+    constructors, which raise ValueError.
+    """
+    # True and 1.0 are equal to 1 as keys, so the position's type is checked first
+    if type(position) is int:
+        try:
+            return (
+                _P2_RECORDS[o2],
+                _P3_RECORDS[o3],
+                _LABEL_RECORDS[label],
+                _P1_RECORDS[o1],
+                _POSITION_RECORDS[position],
+            )
+        except (KeyError, TypeError):  # a value outside the vocabulary, or unhashable
+            pass
     return (
         MeasurementAnnouncement(Party.P2, P2_PAIR, o2),
         MeasurementAnnouncement(Party.P3, P3_PAIR, o3),

@@ -106,6 +106,9 @@ class PauliGate(Enum):
     IY = "iY"
     Z = "Z"
 
+    # members compare by identity, so they may hash by it, in C
+    __hash__ = object.__hash__
+
 
 # Per gate, the images of |0> and |1> as (basis bit, sign): each gate is a
 # signed permutation of the two basis states.  The dense and the symbolic
@@ -127,6 +130,8 @@ class StateLabel(Enum):
     B = "B"
     C = "C"
     D = "D"
+
+    __hash__ = object.__hash__
 
     @property
     def half_support(self) -> tuple[int, int]:
@@ -156,6 +161,8 @@ class BellOutcome(Enum):
     A_MINUS = "a-"
     B_PLUS = "b+"
     B_MINUS = "b-"
+
+    __hash__ = object.__hash__
 
     @property
     def ascii(self) -> str:

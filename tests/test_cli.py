@@ -1,6 +1,7 @@
 """Command-line interface tests: flags, exit codes, canonical output."""
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 from ghzshare.cli import main
 from ghzshare.protocol import Transcript
+from test_golden import GOLDEN
 
 
 def run_cli(capsys, *argv):
@@ -210,6 +212,44 @@ def test_every_cache_is_empty_after_importing_the_cli():
     assert len(sizes) == sources.count("functools.cache") + sources.count("functools.lru_cache")
     assert "ghzshare.recon._decoder" in sizes
     assert {name: size for name, size in sizes.items() if size} == {}
+
+
+# Runs each command of a JSON list of argv lists in one interpreter and prints
+# a JSON list of [stdout, exit code] pairs.
+CLI_OUTPUTS = """import contextlib, io, json, sys
+from ghzshare.cli import main
+outputs = []
+for argv in json.loads(sys.argv[1]):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    outputs.append([stdout.getvalue(), code])
+print(json.dumps(outputs))"""
+
+STRUCTURED_AUDIT = [argv for argv in sorted(GOLDEN) if argv[0] != "run" and "structured" in argv]
+
+
+def audit_outputs_in_a_fresh_interpreter(hash_seed: str) -> list:
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed}
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_OUTPUTS, json.dumps(STRUCTURED_AUDIT)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_structured_audit_output_does_not_depend_on_the_interpreter():
+    # Strings hash by PYTHONHASHSEED and enum members by address, which moves
+    # between interpreters: a set order that reached the output would show here.
+    assert len(STRUCTURED_AUDIT) == 7  # verify, table and the five scenarios
+    first, second = (audit_outputs_in_a_fresh_interpreter(seed) for seed in ("1", "4242"))
+    assert first == second
+    for argv, (stdout, code) in zip(STRUCTURED_AUDIT, first):
+        assert (hashlib.sha256(stdout.encode()).hexdigest(), code) == GOLDEN[argv], argv
 
 
 def test_a_closed_pipe_ends_the_cli_quietly_with_the_sigpipe_status():

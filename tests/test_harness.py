@@ -1,11 +1,13 @@
 """Harness tests: exhaustive verification, the collapse table, scenarios."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from ghzshare import harness
+from ghzshare.cli import main
 from ghzshare.harness import (
     SCENARIOS,
     exhaustive_verify,
@@ -19,7 +21,15 @@ from ghzshare.harness import (
     verify_summary,
 )
 from ghzshare.protocol import P1_PAIR, P2_PAIR, P3_PAIR, GateAction, decode_secret
-from ghzshare.qcore import BELL_OUTCOMES, GATES, StateLabel, bell_probabilities
+from ghzshare.qcore import (
+    BELL_OUTCOMES,
+    GATES,
+    BellOutcome,
+    StateLabel,
+    bell_probabilities,
+    global_phase_equal,
+)
+from ghzshare.symexact import SymbolicState, Term, to_statevector
 from oracles import FRAME, par, ph
 
 EXPECTED_FLAGGED_ROWS = {
@@ -91,16 +101,44 @@ def test_worked_branch_present(records):
     assert matches[0].reconstructed_secret == "11"
 
 
-def test_no_signalling_oracle_is_a_read_only_table_over_the_outcome_triples():
+def test_no_signalling_is_decided_once_when_the_branch_table_fills(monkeypatch, capsys):
+    harness._branches.cache_clear()
     harness._announced_product.cache_clear()
-    exhaustive_verify()
-    info = harness._announced_product.cache_info()
-    assert (info.currsize, info.misses) == (64, 64)
-    exhaustive_verify()
-    assert harness._announced_product.cache_info().misses == 64
-    for *_, branch, _ in harness._honest_runs():
-        product = harness._announced_product(branch.o1, branch.o2, branch.o3)
-        assert harness.global_phase_equal(product, branch.after_p3)
+    try:
+        exhaustive_verify()
+        # one fill computes each of the 64 products once
+        info = harness._announced_product.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (64, 64, 256 - 64)
+        # a warm run reads the verdicts the fill recorded
+        exhaustive_verify()
+        assert harness._announced_product.cache_info() == info
+        for cfg in harness.configurations():
+            assert all(branch.no_signalling for branch in harness._branches(*cfg))
+
+        # a wrong product planted before the fill: the P3 ket of another outcome
+        # whenever P1 finds b-, which is never the state the branch ends in
+        product = harness._announced_product
+        other = dict(zip(BELL_OUTCOMES, BELL_OUTCOMES[1:] + BELL_OUTCOMES[:1]))
+
+        def planted(o1, o2, o3):
+            return product(o1, o2, other[o3] if o1 is BellOutcome.B_MINUS else o3)
+
+        monkeypatch.setattr(harness, "_announced_product", planted)
+        harness._branches.cache_clear()
+        records = exhaustive_verify()
+        failed = [r for r in records if not r.passed]
+        assert len(failed) == 64
+        assert {r.p1 for r in failed} == {"b-"}
+        for r in failed:
+            assert r.failures == ("final state is not the product of the announced kets",)
+        capsys.readouterr()
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("32 configurations, 256 branches, 64 failures\n")
+        assert out.count("final state is not the product of the announced kets") == 64
+    finally:
+        # the next fill, after the plant is undone, is an honest one
+        harness._branches.cache_clear()
 
 
 def test_honest_branches_are_a_read_only_table_over_the_configurations():
@@ -178,6 +216,24 @@ def test_a_warm_audit_walks_only_the_state_eve_modified(monkeypatch):
         "partial_inner": 4 + 8,
         "bell_probabilities": 1 + 4 + 8,
     }
+
+
+def test_the_phase_comparison_agrees_with_the_dense_bridge():
+    # _phase_equal reads a state's terms in place of the vector to_statevector builds
+    verdicts = Counter()
+    for *_, branch, trace in harness._honest_runs():
+        states = (trace.expansion, trace.kept_mid, trace.attached)
+        flipped = [
+            SymbolicState(s.qubits, tuple(Term(t.bits, -t.sign) for t in s.terms), 0)
+            for s in states
+        ]
+        for vec in (branch.mid_after_p3, branch.mid_after_p1, branch.after_p1):
+            for state in (*states, *flipped):
+                verdict = harness._phase_equal(vec, state)
+                assert verdict == global_phase_equal(vec, to_statevector(state))
+                verdicts[verdict] += 1
+    # each honest branch matches its three stage states and their negations
+    assert verdicts == {True: 256 * 6, False: 256 * 12}
 
 
 def test_a_warm_table_still_checks_every_stage_of_every_reconstruction(monkeypatch):

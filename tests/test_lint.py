@@ -15,6 +15,9 @@ Two more keep the records cheap and checked: no module imports
 ``dataclasses`` (with ``inspect``, it costs a cold start milliseconds), and
 no module calls a record's ``_make`` or ``_replace``, which build a
 ``NamedTuple`` past the validating ``__new__``.
+Another keeps lookups on the protocol's vocabulary in C: every ``Enum``
+subclass sets ``__hash__ = object.__hash__``, since ``Enum``'s own hash is a
+Python function that each cache and dict lookup on a member would call.
 The last keeps the package free of functions only its tests call: every
 public module-level function is read by the package's own code, not only
 imported or listed in ``__all__``, unless an allow-list says why not.
@@ -159,6 +162,22 @@ def private_imports(tree: ast.Module) -> list[str]:
         if isinstance(node, ast.ImportFrom) and node.level:
             names += [a.name for a in node.names if a.name.startswith("_")]
     return names
+
+
+def enum_hash_violations(tree: ast.Module) -> list[str]:
+    """``Enum`` subclasses whose body does not set ``__hash__ = object.__hash__``.
+
+    A plain ``Enum`` member equals only itself, so hashing by identity agrees
+    with its equality.  (A mixed-in ``IntEnum`` equals its value and keeps its
+    value's hash; the package defines none.)
+    """
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(ast.unparse(base) in ("Enum", "enum.Enum") for base in node.bases)
+        and not any(ast.unparse(stmt) == "__hash__ = object.__hash__" for stmt in node.body)
+    ]
 
 
 # the types a cached function's parameters may have, and tuples of them
@@ -312,6 +331,32 @@ def test_cache_check_catches_planted_result_caches():
         "functools.cache(replay)",
         "functools.lru_cache(maxsize=8)",
     ]
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_enums_hash_by_identity(module):
+    violations = enum_hash_violations(SOURCES[module])
+    assert not violations, f"{module}: enums that keep Enum's Python-level hash {violations}"
+
+
+def test_enum_hash_check_catches_planted_enums():
+    planted = ast.parse(
+        "class Slow(Enum):\n    A = 'a'\n\n"
+        "class Qualified(enum.Enum):\n    A = 'a'\n\n"
+        "class Nested(Enum):\n    A = 'a'\n\n    def f(self):\n"
+        "        __hash__ = object.__hash__\n\n"
+        "class Fast(Enum):\n    A = 'a'\n    __hash__ = object.__hash__\n\n"
+        "class Record(NamedTuple):\n    a: int\n"
+    )
+    assert enum_hash_violations(planted) == ["Slow", "Qualified", "Nested"]
+    # the package's enums are the ones the check reads
+    enums = [
+        node.name
+        for tree in SOURCES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and "Enum" in map(ast.unparse, node.bases)
+    ]
+    assert enums == ["PauliGate", "StateLabel", "BellOutcome"]
 
 
 @pytest.mark.parametrize("module", sorted(SOURCES))

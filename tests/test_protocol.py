@@ -1,6 +1,7 @@
 """Protocol state machine tests: encoding, transcripts, determinism."""
 
 import copy
+import itertools
 import json
 import math
 
@@ -16,10 +17,11 @@ from ghzshare.protocol import (
     Transcript,
     decode_secret,
     encode_secret,
+    make_announcements,
     replay,
     run_protocol,
 )
-from ghzshare.qcore import BellOutcome, PauliGate, StateLabel
+from ghzshare.qcore import BELL_OUTCOMES, LABELS, BellOutcome, PauliGate, StateLabel
 from ghzshare.recon import IncompleteTranscript
 
 ALL_SECRETS = ("00", "01", "10", "11")
@@ -205,6 +207,48 @@ def test_announcements_reject_a_label_or_outcome_given_as_text():
     with pytest.raises(ValueError, match=r"outcome must be a BellOutcome, got 'a\+'$"):
         MeasurementAnnouncement("P1", (1, 6), "a+")
     assert StateLabelAnnouncement(StateLabel.A).label is StateLabel.A
+
+
+def test_prebuilt_announcements_equal_fresh_records_on_all_512_tuples():
+    for label, position, o1, o2, o3 in itertools.product(
+        LABELS, (1, 6), BELL_OUTCOMES, BELL_OUTCOMES, BELL_OUTCOMES
+    ):
+        made = make_announcements(o2, o3, label, o1, position)
+        fresh = (
+            MeasurementAnnouncement("P2", (2, 5), o2),
+            MeasurementAnnouncement("P3", (3, 4), o3),
+            StateLabelAnnouncement(label),
+            MeasurementAnnouncement("P1", (1, 6), o1),
+            PositionAnnouncement(position),
+        )
+        assert made == fresh
+        assert [type(a) for a in made] == [type(a) for a in fresh]
+        # built once: a second call returns the same records
+        assert all(a is b for a, b in zip(made, make_announcements(o2, o3, label, o1, position)))
+
+
+HONEST_ARGS = (BellOutcome.A_MINUS, BellOutcome.B_PLUS, StateLabel.C, BellOutcome.A_PLUS, 6)
+
+
+@pytest.mark.parametrize(
+    "index,value",
+    [
+        # equal to 1 or 6 as a key, or no int at all
+        *((4, value) for value in (True, 1.0, 6.0, "1")),
+        # text in place of an enum, or an enum of the wrong kind
+        (0, "a+"), (1, "a+"), (3, "a+"), (2, "A"),
+        (2, BellOutcome.A_PLUS), (3, StateLabel.A),
+        # nothing, or a value no table can hold
+        *((index, None) for index in range(5)),
+        *((index, [1]) for index in range(5)),
+    ],
+    ids=repr,
+)
+def test_make_announcements_still_rejects_what_the_constructors_reject(index, value):
+    args = list(HONEST_ARGS)
+    args[index] = value
+    with pytest.raises(ValueError):
+        make_announcements(*args)
 
 
 @pytest.mark.parametrize("pair", [(True, 6), (1.0, 6), (1, 6.0), (True, 6.0)])
