@@ -166,7 +166,8 @@ class BellOutcome(Enum):
 
     @property
     def ascii(self) -> str:
-        return self.value
+        # the member's attribute: Enum.value is a Python-level property
+        return self._value_
 
 
 BELL_KET_SIGNS = {

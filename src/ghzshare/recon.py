@@ -18,10 +18,14 @@ lookup per discard.
 The five public stage functions are the steps, and one stage sequence,
 ``_stages``, calls each in turn on tuples of terms drawn from constant
 tables: the (1,6) attach reads interned six-qubit terms, so a
-reconstruction constructs no term.  The sequence raises each NoMatch where
-it decides it, with the pieces it has reached, and the partial trace is
-built on the first read of ``.trace``: ``reconstruct`` builds no state or
-trace.  A NoMatch message is rendered once per key, into a cached table.
+reconstruction constructs no term.  The sequence raises nothing: it returns
+the pieces it has reached with the result or the rejection's message, and
+``reconstruct`` and ``reconstruct_trace`` raise each NoMatch from their own
+frame.  A NoMatch holds only the five announced values, so a kept rejection
+pins neither the sequence's frame nor its pieces; the first read of
+``.trace`` re-runs the sequence on them to build the partial trace.
+``reconstruct`` builds no state or trace.  A NoMatch message is rendered
+once per key, into a cached table.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from types import MappingProxyType
 from typing import Collection, Mapping, NamedTuple, Optional, Sequence
 
 from .protocol import (
+    ENCODING_POSITIONS,
     Announcement,
     GateAction,
     MeasurementAnnouncement,
@@ -42,7 +47,7 @@ from .protocol import (
     StateLabelAnnouncement,
     decode_secret,
 )
-from .qcore import BELL_KET_SIGNS, GATES, BellOutcome, PauliGate, StateLabel
+from .qcore import BELL_KET_SIGNS, GATES, LABELS, BellOutcome, PauliGate, StateLabel
 from .symexact import SymbolicState, Term, apply_gate_sym, bell_products
 
 MIDDLE_QUBITS = (2, 3, 4, 5)
@@ -58,17 +63,26 @@ class IncompleteTranscript(ReconError):
 
 
 class NoMatch(ReconError):
-    """No candidate gate fits: tampering or inconsistent announcements."""
+    """No candidate gate fits: tampering or inconsistent announcements.
 
-    def __init__(self, message: str, *pieces):
-        super().__init__(message)
-        self._trace, self._pieces = None, pieces
+    One that ``reconstruct`` or ``reconstruct_trace`` raises holds the five
+    announced values it rejected, and nothing of the stages that rejected
+    them; one that ``infer_gate`` raises on its own holds none.
+    """
+
+    # no per-instance dict: a sweep may keep hundreds of these
+    __slots__ = ("_announced", "_trace")
+
+    def __init__(self, message: str, announced: Optional[tuple] = None):
+        # all BaseException.__init__ does is set args
+        self.args = (message,)
+        self._announced, self._trace = announced, None
 
     @property
     def trace(self) -> "PipelineTrace | None":
-        """The partial trace, built on first read from the stage sequence's pieces, or None."""
-        if self._pieces:
-            self._trace, self._pieces = _trace(*self._pieces), ()
+        """The partial trace, built on first read by re-running the stages, or None."""
+        if self._trace is None and self._announced is not None:
+            self._trace = _trace(*_stages(*self._announced)[0])
         return self._trace
 
 
@@ -135,7 +149,13 @@ def _split(terms: Sequence[Term], shift: int, mask: int, allowed: Collection[int
     kept, discarded = [], []
     for t in terms:
         (kept if t.bits >> shift & mask in allowed else discarded).append(t)
-    return FilterResult(tuple(kept), tuple(discarded))
+    # what FilterResult's generated __new__ calls, without its Python frame
+    return tuple.__new__(FilterResult, (tuple(kept), tuple(discarded)))
+
+
+# per announced state, the (q4,q5) bits its GHZ half support allows: (q4,q5)
+# are the first two qubits of the second half, a triple's top two bits
+_MIDDLE_SUPPORT = {label: frozenset(h >> 1 for h in label.half_support) for label in LABELS}
 
 
 def filter_support(terms: Sequence[Term], label: StateLabel) -> FilterResult:
@@ -145,9 +165,12 @@ def filter_support(terms: Sequence[Term], label: StateLabel) -> FilterResult:
     discard rule (states A/B keep the diagonal pair of the canonical
     four-term expansion, C/D the anti-diagonal pair).
     """
-    # (q4,q5), the two low bits, are the first two qubits of the second GHZ half
-    first, second = label.half_support
-    return _split(terms, 0, 0b11, (first >> 1, second >> 1))
+    try:
+        allowed = _MIDDLE_SUPPORT[label]
+    except (KeyError, TypeError):  # no label, or unhashable
+        raise ValueError(f"label must be a StateLabel, got {label!r}") from None
+    # (q4,q5) are the two low bits of a pattern over qubits 2..5
+    return _split(terms, 0, 0b11, allowed)
 
 
 @functools.cache
@@ -271,55 +294,105 @@ def tamper_report(discarded: Sequence[Term], decoder: Decoder) -> Optional[Tampe
     return None if qubit is None else _flip_report(qubit)
 
 
-# (kind, party, pair) of each announcement, in the honest order
+# (kind, party) of each announcement, in the honest order
 _HONEST_ORDER = (
-    (MeasurementAnnouncement, Party.P2, P2_PAIR),
-    (MeasurementAnnouncement, Party.P3, P3_PAIR),
-    (StateLabelAnnouncement, None, None),
-    (MeasurementAnnouncement, Party.P1, P1_PAIR),
-    (PositionAnnouncement, None, None),
+    (MeasurementAnnouncement, Party.P2),
+    (MeasurementAnnouncement, Party.P3),
+    (StateLabelAnnouncement, None),
+    (MeasurementAnnouncement, Party.P1),
+    (PositionAnnouncement, None),
 )
 
 
-def _validated(announcements: Sequence[Announcement]):
+def _validated(announcements: Sequence[Announcement]) -> tuple:
+    """The announced (o2, o3, label, o1, position) of a list in the honest order.
+
+    Records as their constructors build them pass straight-line checks;
+    every other list takes ``_checked``'s path to its values or its error.
+    """
+    if len(announcements) == 5:
+        p2, p3, state_ann, p1, pos_ann = announcements
+        if (
+            type(p2) is type(p3) is type(p1) is MeasurementAnnouncement
+            and type(state_ann) is StateLabelAnnouncement
+            and type(pos_ann) is PositionAnnouncement
+        ):
+            party2, pair2, o2 = p2
+            party3, pair3, o3 = p3
+            party1, pair1, o1 = p1
+            (label,), (position,) = state_ann, pos_ann
+            # a constructor stores the owned pair itself, so identity checks it
+            if (
+                pair2 is P2_PAIR
+                and pair3 is P3_PAIR
+                and pair1 is P1_PAIR
+                and party2 == Party.P2
+                and party3 == Party.P3
+                and party1 == Party.P1
+                and type(o2) is type(o3) is type(o1) is BellOutcome
+                and type(label) is StateLabel
+                and type(position) is int
+                and position in ENCODING_POSITIONS
+            ):
+                return o2, o3, label, o1, position
+    return _checked(announcements)
+
+
+def _checked(announcements: Sequence[Announcement]) -> tuple:
+    """``_validated``'s slow path: each record rebuilt through its constructor.
+
+    ``_replace`` builds a record past the checks in ``__new__``; the rebuild
+    raises the ValueError its constructor would have.  A list of valid
+    records that is short or out of order raises IncompleteTranscript.
+    """
     if len(announcements) != len(_HONEST_ORDER):
         raise IncompleteTranscript(
             f"expected {len(_HONEST_ORDER)} announcements, got {len(announcements)}"
         )
-    for ann, (kind, party, pair) in zip(announcements, _HONEST_ORDER):
-        if not isinstance(ann, kind) or (
-            party is not None and (ann.party != party or tuple(ann.pair) != pair)
-        ):
+    checked = []
+    for ann, (kind, party) in zip(announcements, _HONEST_ORDER):
+        if not isinstance(ann, kind):
             raise IncompleteTranscript(f"announcement {ann!r} out of order")
-    p2, p3, state_ann, p1, pos_ann = announcements
+        ann = kind(*ann)
+        # a rebuilt measurement holds the pair its party owns
+        if party is not None and ann.party != party:
+            raise IncompleteTranscript(f"announcement {ann!r} out of order")
+        checked.append(ann)
+    p2, p3, state_ann, p1, pos_ann = checked
     return p2.outcome, p3.outcome, state_ann.label, p1.outcome, pos_ann.position
 
 
-def _stages(announcements: Sequence[Announcement]) -> tuple[tuple, ReconstructionResult]:
+# the pairs of the P2 x P3 Bell product over qubits 2..5
+_MIDDLE_PAIRS = (P2_PAIR, P3_PAIR)
+
+
+def _stages(
+    o2: BellOutcome, o3: BellOutcome, label: StateLabel, o1: BellOutcome, position: int
+) -> tuple[tuple, "ReconstructionResult | str"]:
     """The pipeline on term tuples: the pieces ``_trace`` reads, and the result.
 
-    Each failure raises NoMatch holding the pieces it has reached.
+    On rejection the result is the NoMatch message.  Nothing is raised here:
+    the entry point raises, so that a kept NoMatch holds neither this frame
+    nor the pieces.
     """
-    o2, o3, label, o1, position = _validated(announcements)
-    # the P2 x P3 product of the announced (2,5) and (3,4) Bell kets, over qubits 2..5
-    expansion = bell_products((P2_PAIR, P3_PAIR))[o2, o3]
+    expansion = bell_products(_MIDDLE_PAIRS)[o2, o3]
     middle = filter_support(expansion.terms, label)
     if not middle.kept:
-        message = "announced state is inconsistent with every expanded term"
-        raise NoMatch(message, expansion, middle)
+        return (expansion, middle), "announced state is inconsistent with every expanded term"
     attached = attach_p1(middle.kept, o1)
     decoder = _decoder(label, position)
     untouched = filter_untouched(attached, decoder)
     pieces = (expansion, middle, attached, untouched)
     kept = untouched.kept
     if len(kept) != 2:
-        raise NoMatch(f"{len(kept)} terms survive the untouched-half filter", *pieces)
+        return pieces, f"{len(kept)} terms survive the untouched-half filter"
     try:
         action, secret = infer_gate(kept, decoder)
     except NoMatch as exc:
-        exc._pieces = pieces
-        raise
-    return pieces, ReconstructionResult(action, secret, tamper_report(untouched.discarded, decoder))
+        return pieces, exc.args[0]
+    tamper = tamper_report(untouched.discarded, decoder)
+    # what ReconstructionResult's generated __new__ calls, without its Python frame
+    return pieces, tuple.__new__(ReconstructionResult, (action, secret, tamper))
 
 
 def _trace(
@@ -342,10 +415,19 @@ def _trace(
 
 def reconstruct_trace(announcements: Sequence[Announcement]) -> PipelineTrace:
     """Run the full pipeline, keeping every intermediate for reporting."""
-    pieces, result = _stages(announcements)
+    announced = _validated(announcements)
+    pieces, result = _stages(*announced)
+    if type(result) is str:
+        # the traceback keeps this frame's locals
+        del pieces
+        raise NoMatch(result, announced)
     return _trace(*pieces, result)
 
 
 def reconstruct(announcements: Sequence[Announcement]) -> ReconstructionResult:
     """Reconstruct the secret from announcements alone."""
-    return _stages(announcements)[1]
+    announced = _validated(announcements)
+    result = _stages(*announced)[1]
+    if type(result) is str:
+        raise NoMatch(result, announced)
+    return result

@@ -18,12 +18,15 @@ no module calls a record's ``_make`` or ``_replace``, which build a
 Another keeps lookups on the protocol's vocabulary in C: every ``Enum``
 subclass sets ``__hash__ = object.__hash__``, since ``Enum``'s own hash is a
 Python function that each cache and dict lookup on a member would call.
+Another keeps bulk rejections small: an exception class that defines
+``__init__`` declares ``__slots__``, so that no instance grows a ``__dict__``.
 The last keeps the package free of functions only its tests call: every
 public module-level function is read by the package's own code, not only
 imported or listed in ``__all__``, unless an allow-list says why not.
 """
 
 import ast
+import builtins
 import sys
 from pathlib import Path
 
@@ -177,6 +180,51 @@ def enum_hash_violations(tree: ast.Module) -> list[str]:
         if isinstance(node, ast.ClassDef)
         and any(ast.unparse(base) in ("Enum", "enum.Enum") for base in node.bases)
         and not any(ast.unparse(stmt) == "__hash__ = object.__hash__" for stmt in node.body)
+    ]
+
+
+def exceptions_with_init(sources: dict[str, ast.Module]) -> list[tuple[str, bool]]:
+    """(name, declares ``__slots__``) of each exception class whose body defines ``__init__``.
+
+    A class is an exception if a base, read by its last dotted name, is a
+    built-in exception or an exception class of the sources.  Every
+    ``BaseException`` can hold a ``__dict__``, but makes one only when an
+    attribute outside ``__slots__`` is set, as an ``__init__`` that stores
+    fields does on every raise.
+    """
+    classes = {
+        node.name: node
+        for tree in sources.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def is_exception(name: str, seen: frozenset = frozenset()) -> bool:
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type) and issubclass(builtin, BaseException):
+            return True
+        node = classes.get(name)
+        if node is None or name in seen:
+            return False
+        bases = (ast.unparse(base).rsplit(".", 1)[-1] for base in node.bases)
+        return any(is_exception(base, seen | {name}) for base in bases)
+
+    def defines(node: ast.ClassDef, name: str) -> bool:
+        for stmt in node.body:
+            if isinstance(stmt, ast.FunctionDef) and stmt.name == name:
+                return True
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            else:
+                targets = [getattr(stmt, "target", None)]
+            if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+                return True
+        return False
+
+    return [
+        (name, defines(node, "__slots__"))
+        for name, node in classes.items()
+        if is_exception(name) and defines(node, "__init__")
     ]
 
 
@@ -357,6 +405,41 @@ def test_enum_hash_check_catches_planted_enums():
         if isinstance(node, ast.ClassDef) and "Enum" in map(ast.unparse, node.bases)
     ]
     assert enums == ["PauliGate", "StateLabel", "BellOutcome"]
+
+
+def test_exceptions_that_store_fields_declare_slots():
+    unslotted = [name for name, slotted in exceptions_with_init(SOURCES) if not slotted]
+    assert not unslotted, f"exceptions with __init__ and a per-instance dict: {unslotted}"
+
+
+def test_exception_slot_check_catches_planted_exceptions():
+    planted = {
+        "a.py": ast.parse(
+            "class Base(Exception):\n    def __init__(self, m):\n        self.m = m\n\n"
+            "class Slotted(Base):\n    __slots__ = ('n',)\n\n"
+            "    def __init__(self, m):\n        self.n = m\n\n"
+            "class Inherited(Slotted):\n    def __init__(self, m):\n        self.k = m\n\n"
+            "class Plain(Exception):\n    pass\n\n"
+            "class Record(NamedTuple):\n    a: int\n\n    def __init__(self, a):\n        pass\n"
+        ),
+        "b.py": ast.parse(
+            "from .a import Plain\n\n"
+            "class Qualified(a.Plain):\n    def __init__(self):\n        pass\n\n"
+            "class Annotated(ValueError):\n    __slots__: tuple = ()\n\n"
+            "    def __init__(self):\n        pass\n\n"
+            "class Builtin(KeyError):\n    def __init__(self):\n        pass\n"
+        ),
+    }
+    assert exceptions_with_init(planted) == [
+        ("Base", False),
+        ("Slotted", True),
+        ("Inherited", False),
+        ("Qualified", False),
+        ("Annotated", True),
+        ("Builtin", False),
+    ]
+    # the package's exceptions that store fields are the ones the check reads
+    assert exceptions_with_init(SOURCES) == [("NoMatch", True)]
 
 
 @pytest.mark.parametrize("module", sorted(SOURCES))

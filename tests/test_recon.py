@@ -1,7 +1,9 @@
 """Reconstruction pipeline tests against the worked hand expansions."""
 
+import gc
 import itertools
 import re
+import types
 
 import pytest
 
@@ -17,8 +19,10 @@ from ghzshare.qcore import (
 )
 from ghzshare.recon import (
     Ambiguous,
+    FilterResult,
     IncompleteTranscript,
     NoMatch,
+    PipelineTrace,
     _HALVES,
     _decoder,
     attach_p1,
@@ -163,7 +167,7 @@ def test_infer_gate_no_match_on_foreign_support():
     kept = state_of((1, 2, 3, 4, 5, 6), [("001000", 1), ("110111", 1)], k=3)
     with pytest.raises(NoMatch) as raised:
         infer_gate(kept.terms, _decoder(StateLabel.A, 1))
-    # raised outside the stage sequence, it holds no pieces to build a trace from
+    # raised outside the stage sequence, it holds no announced values to re-run
     assert raised.value.trace is None
 
 
@@ -275,6 +279,47 @@ def test_reconstruct_rejects_plain_tuples_equal_to_valid_announcements():
             reconstruct(mixed)
 
 
+# per record field, values its constructor refuses in every slot of the honest list
+REFUSED = {
+    "party": (None, 2, "Dealer", "P4", ["P2"]),
+    "pair": (None, (), (6, 1), (1.0, 6), (True, 6), [2.0, 5], "25"),
+    "outcome": (None, "a+", 0, StateLabel.A),
+    "label": (None, "A", 0, A_P),
+    "position": (None, 3, True, 1.0, "1"),
+}
+
+
+@pytest.mark.parametrize("reconstruction", [reconstruct, reconstruct_trace])
+def test_records_built_past_their_constructors_raise_the_constructors_error(reconstruction):
+    # _replace builds a record without the checks in __new__; reconstruction
+    # raises the ValueError the constructor would, on every field of every record
+    honest = make_announcements(A_M, A_P, StateLabel.A, B_P, 1)
+    fields = []
+    for i, record in enumerate(honest):
+        for field in record._fields:
+            fields.append(field)
+            for value in REFUSED[field]:
+                broken = record._replace(**{field: value})
+                with pytest.raises(ValueError) as refused:
+                    type(record)(*broken)
+                listed = honest[:i] + (broken,) + honest[i + 1 :]
+                with pytest.raises(ValueError, match=re.escape(str(refused.value)) + "$"):
+                    reconstruction(listed)
+    measured = ["party", "pair", "outcome"]
+    assert fields == measured * 2 + ["label"] + measured + ["position"]
+    # a field the constructor accepts as it is rebuilt reconstructs as the honest list does
+    for i in (0, 1, 3):
+        relisted = honest[:i] + (honest[i]._replace(pair=list(honest[i].pair)),) + honest[i + 1 :]
+        assert reconstruction(relisted) == reconstruction(honest)
+
+
+def test_filter_support_refuses_a_value_that_is_no_label():
+    terms = (Term(0, 1),)
+    for value in ("A", None, A_P, ["A"]):
+        with pytest.raises(ValueError, match=re.escape(f"got {value!r}") + "$"):
+            filter_support(terms, value)
+
+
 def test_honest_kept_pair_is_gate_on_a_correlated_reference():
     # In honest runs the final kept terms equal the dealer's gate applied to
     # one of the two perfectly correlated references (each half string paired
@@ -378,8 +423,39 @@ def _outcome(reconstruction, announcements):
         return exc
 
 
-def test_reconstruct_and_reconstruct_trace_agree_on_every_tuple():
-    successes = 0
+STAGES = ("filter_support", "attach_p1", "filter_untouched", "infer_gate", "tamper_report")
+
+
+def _count_stages(monkeypatch):
+    """Wrap the five stage functions on the module: (calls, NoMatches raised) per stage."""
+    calls, raised = dict.fromkeys(STAGES, 0), dict.fromkeys(STAGES, 0)
+
+    def counted(name, stage):
+        def call(*args):
+            calls[name] += 1
+            try:
+                return stage(*args)
+            except NoMatch:
+                raised[name] += 1
+                raise
+
+        return call
+
+    for name in STAGES:
+        monkeypatch.setattr(recon, name, counted(name, getattr(recon, name)))
+    return calls, raised
+
+
+def _stages_reached(trace):
+    """How many stages ran before the one that rejected, that one included."""
+    if trace.attached is None:
+        return 1
+    return 3 if len(trace.final_kept.terms) != 2 else 4
+
+
+def test_reconstruct_and_reconstruct_trace_agree_on_every_tuple(monkeypatch):
+    calls, raises = _count_stages(monkeypatch)
+    successes, reached = 0, []
     for label, position, o1, o2, o3 in TUPLES:
         announcements = make_announcements(o2, o3, label, o1, position)
         result = _outcome(reconstruct, announcements)
@@ -387,9 +463,21 @@ def test_reconstruct_and_reconstruct_trace_agree_on_every_tuple():
         if isinstance(traced, NoMatch):
             assert type(result) is type(traced)
             assert str(result) == str(traced)
-            assert traced.trace is not None
-            # built on first read, then the same object; reading it leaves the message
-            assert result.trace is result.trace and result.trace == traced.trace
+            for exc in (result, traced):
+                calls.update(dict.fromkeys(STAGES, 0))
+                raises.update(dict.fromkeys(STAGES, 0))
+                trace = exc.trace
+                # the first read re-runs the stages once, up to the one that rejected
+                passed = _stages_reached(trace)
+                assert list(calls.values()) == [1] * passed + [0] * (5 - passed)
+                assert raises["infer_gate"] == (passed == 4)
+                # later reads return the same object and run nothing
+                calls.update(dict.fromkeys(STAGES, 0))
+                assert exc.trace is trace
+                assert not any(calls.values())
+            reached.append(passed)
+            assert result.trace == traced.trace
+            # reading it leaves the message
             assert str(result) == str(traced)
             trace = traced.trace
         else:
@@ -419,6 +507,81 @@ def test_reconstruct_and_reconstruct_trace_agree_on_every_tuple():
                 infer_gate(untouched.kept, decoder)
             assert raised.value.trace is None
     assert successes == 256
+    assert sorted(reached) == [3] * 128 + [4] * 128
+
+
+ANNOUNCED = tuple(make_announcements(o2, o3, label, o1, p) for label, p, o1, o2, o3 in TUPLES)
+
+
+def _kept_sweep(reconstruction):
+    """Every tuple's outcome, each NoMatch kept as it was caught."""
+    outcomes = []
+    for announcements in ANNOUNCED:
+        try:
+            outcomes.append(reconstruction(announcements))
+        except NoMatch as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _held(exc):
+    """What a NoMatch keeps alive: its fields, and the locals of the recon frames it holds.
+
+    A caller's frame, and any frame's globals and ``f_back``, are the
+    caller's; types, modules, functions and code are shared by everyone.
+    """
+    held, seen, todo = [], set(), [exc]
+    shared = (type, types.ModuleType, types.FunctionType, types.CodeType)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, shared):
+            continue
+        seen.add(id(obj))
+        held.append(obj)
+        if isinstance(obj, types.FrameType):
+            if obj.f_code.co_filename == recon.__file__:
+                todo.extend(obj.f_locals.values())
+        else:
+            todo.extend(gc.get_referents(obj))
+    return held
+
+
+@pytest.mark.parametrize("reconstruction", [reconstruct, reconstruct_trace])
+def test_a_kept_rejection_holds_its_entry_point_and_no_stage_piece(reconstruction):
+    outcomes = _kept_sweep(reconstruction)
+    rejections = [(a, o) for a, o in zip(ANNOUNCED, outcomes) if isinstance(o, NoMatch)]
+    assert len(rejections) == 256
+    for announcements, exc in rejections:
+        entries, tb = [], exc.__traceback__
+        while tb is not None:
+            if tb.tb_frame.f_code.co_filename == recon.__file__:
+                entries.append(tb.tb_frame.f_code.co_name)
+            tb = tb.tb_next
+        assert entries == [reconstruction.__name__]
+        # a Term tuple holds Terms, so a Term is all the walk needs to find
+        pieces = (FilterResult, SymbolicState, PipelineTrace, Term)
+        held = _held(exc)
+        # the walk reads the entry point's locals
+        assert any(o is announcements for o in held)
+        assert not [o for o in held if isinstance(o, pieces)]
+        frames = [o.f_code.co_name for o in held if isinstance(o, types.FrameType)]
+        assert "_stages" not in frames
+
+
+def test_a_kept_sweep_leaves_few_objects_for_the_cyclic_collector():
+    _kept_sweep(reconstruct)  # fills the message and report tables
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        outcomes = _kept_sweep(reconstruct)
+        left = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert len(outcomes) == 512
+    # per success its result; per NoMatch itself, its args and announced
+    # tuples, two traceback entries and the reconstruct frame
+    assert left <= 256 + 256 * 6 + 16, left
 
 
 def _sweep():
