@@ -79,8 +79,9 @@ class Branch(NamedTuple):
 
     mid_after_p1 and mid_after_p3 are the normalized (2,3,4,5) states left
     when (1,6) is found in o1, after P1's measurement and after all three.
-    no_signalling is whether after_p3 is the product of the three announced
-    Bell kets, up to phase; it is decided once, when the branch is walked.
+    no_signalling is whether the state after all three is the product of the
+    three announced Bell kets, up to phase: decided once, as the branch is
+    walked, so that state is not kept.
     """
 
     o1: BellOutcome
@@ -88,7 +89,6 @@ class Branch(NamedTuple):
     o3: BellOutcome
     probability: Fraction
     after_p1: DenseState
-    after_p3: DenseState
     mid_after_p1: DenseState
     mid_after_p3: DenseState
     no_signalling: bool
@@ -139,7 +139,7 @@ def enumerate_branches(state: DenseState) -> Iterator[Branch]:
                 if s3 is not None:
                     mid3 = _collapse(s3, o1)
                     no_signalling = global_phase_equal(_announced_product(o1, o2, o3), s3)
-                    yield Branch(o1, o2, o3, prob12 * prob3, s1, s3, mid1, mid3, no_signalling)
+                    yield Branch(o1, o2, o3, prob12 * prob3, s1, mid1, mid3, no_signalling)
 
 
 def _encoded(label: StateLabel, gate: PauliGate, position: int) -> DenseState:

@@ -74,7 +74,12 @@ def check_position(position: int) -> int:
 
 # A NamedTuple's own body may not define __new__, so each record that checks
 # its fields subclasses a private one and builds itself with tuple.__new__, as
-# the generated __new__ does.  _make and _replace would skip the checks.
+# the generated __new__ does.  The generated _make, which _replace calls, would
+# skip the checks, so each such record's _make is this call of its constructor.
+def _construct(cls, iterable):
+    return cls(*iterable)
+
+
 class _GateAction(NamedTuple):
     gate: PauliGate
     position: int
@@ -84,6 +89,7 @@ class GateAction(_GateAction):
     """The carrier of the secret: a gate and the qubit it toggles."""
 
     __slots__ = ()
+    _make = classmethod(_construct)
 
     def __new__(cls, gate: PauliGate, position: int) -> GateAction:
         return tuple.__new__(cls, (gate, check_position(position)))
@@ -125,6 +131,7 @@ class _MeasurementAnnouncement(NamedTuple):
 
 class MeasurementAnnouncement(_MeasurementAnnouncement):
     __slots__ = ()
+    _make = classmethod(_construct)
 
     def __new__(cls, party: str, pair: BellPair, outcome: BellOutcome) -> MeasurementAnnouncement:
         # a party that is no str, or a pair that is no sequence, owns nothing
@@ -154,6 +161,7 @@ class _StateLabelAnnouncement(NamedTuple):
 
 class StateLabelAnnouncement(_StateLabelAnnouncement):
     __slots__ = ()
+    _make = classmethod(_construct)
 
     def __new__(cls, label: StateLabel) -> StateLabelAnnouncement:
         if not isinstance(label, StateLabel):
@@ -170,6 +178,7 @@ class _PositionAnnouncement(NamedTuple):
 
 class PositionAnnouncement(_PositionAnnouncement):
     __slots__ = ()
+    _make = classmethod(_construct)
 
     def __new__(cls, position: int) -> PositionAnnouncement:
         return tuple.__new__(cls, (check_position(position),))

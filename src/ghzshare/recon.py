@@ -35,11 +35,9 @@ from types import MappingProxyType
 from typing import Collection, Mapping, NamedTuple, Optional, Sequence
 
 from .protocol import (
-    ENCODING_POSITIONS,
     Announcement,
     GateAction,
     MeasurementAnnouncement,
-    P1_PAIR,
     P2_PAIR,
     P3_PAIR,
     Party,
@@ -307,58 +305,27 @@ _HONEST_ORDER = (
 def _validated(announcements: Sequence[Announcement]) -> tuple:
     """The announced (o2, o3, label, o1, position) of a list in the honest order.
 
-    Records as their constructors build them pass straight-line checks;
-    every other list takes ``_checked``'s path to its values or its error.
-    """
-    if len(announcements) == 5:
-        p2, p3, state_ann, p1, pos_ann = announcements
-        if (
-            type(p2) is type(p3) is type(p1) is MeasurementAnnouncement
-            and type(state_ann) is StateLabelAnnouncement
-            and type(pos_ann) is PositionAnnouncement
-        ):
-            party2, pair2, o2 = p2
-            party3, pair3, o3 = p3
-            party1, pair1, o1 = p1
-            (label,), (position,) = state_ann, pos_ann
-            # a constructor stores the owned pair itself, so identity checks it
-            if (
-                pair2 is P2_PAIR
-                and pair3 is P3_PAIR
-                and pair1 is P1_PAIR
-                and party2 == Party.P2
-                and party3 == Party.P3
-                and party1 == Party.P1
-                and type(o2) is type(o3) is type(o1) is BellOutcome
-                and type(label) is StateLabel
-                and type(position) is int
-                and position in ENCODING_POSITIONS
-            ):
-                return o2, o3, label, o1, position
-    return _checked(announcements)
-
-
-def _checked(announcements: Sequence[Announcement]) -> tuple:
-    """``_validated``'s slow path: each record rebuilt through its constructor.
-
-    ``_replace`` builds a record past the checks in ``__new__``; the rebuild
-    raises the ValueError its constructor would have.  A list of valid
-    records that is short or out of order raises IncompleteTranscript.
+    Every record was built through its constructor, which checked its
+    fields, so what is left to check is the order: each slot's exact record
+    type and each measurement's party.
     """
     if len(announcements) != len(_HONEST_ORDER):
         raise IncompleteTranscript(
             f"expected {len(_HONEST_ORDER)} announcements, got {len(announcements)}"
         )
-    checked = []
-    for ann, (kind, party) in zip(announcements, _HONEST_ORDER):
-        if not isinstance(ann, kind):
-            raise IncompleteTranscript(f"announcement {ann!r} out of order")
-        ann = kind(*ann)
-        # a rebuilt measurement holds the pair its party owns
-        if party is not None and ann.party != party:
-            raise IncompleteTranscript(f"announcement {ann!r} out of order")
-        checked.append(ann)
-    p2, p3, state_ann, p1, pos_ann = checked
+    p2, p3, state_ann, p1, pos_ann = announcements
+    if not (
+        type(p2) is type(p3) is type(p1) is MeasurementAnnouncement
+        and type(state_ann) is StateLabelAnnouncement
+        and type(pos_ann) is PositionAnnouncement
+        and p2.party == Party.P2
+        and p3.party == Party.P3
+        and p1.party == Party.P1
+    ):
+        # name the first record out of place
+        for ann, (kind, party) in zip(announcements, _HONEST_ORDER):
+            if type(ann) is not kind or party is not None and ann.party != party:
+                raise IncompleteTranscript(f"announcement {ann!r} out of order")
     return p2.outcome, p3.outcome, state_ann.label, p1.outcome, pos_ann.position
 
 

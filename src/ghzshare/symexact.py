@@ -80,6 +80,11 @@ class Term(_Term):
         cls.__post_init__(term)
         return term
 
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> Term:
+        # the generated _make, which _replace calls, would skip __new__
+        return cls(*iterable)
+
     def __post_init__(self) -> None:
         if type(self.sign) is not int or self.sign not in (1, -1):
             raise ValueError(f"term sign must be +/-1, got {self.sign!r}")

@@ -158,18 +158,23 @@ def test_honest_branches_are_a_read_only_table_over_the_configurations():
         for branch in harness._branches(*cfg):
             # the P1-conditional collapse is the encoded state's, which lie-state reads
             assert branch.mid_after_p1 == harness._collapse(encoded, branch.o1)
-            assert branch.mid_after_p3 == harness._collapse(branch.after_p3, branch.o1)
+            triple = (branch.o1, branch.o2, branch.o3)
+            probability, final = born_walk(encoded, triple)
+            assert probability == branch.probability
+            assert branch.mid_after_p3 == harness._collapse(final, branch.o1)
 
 
-def born_product(state, triple):
-    """The product of the three Born probabilities along an outcome triple."""
+def born_walk(state, triple):
+    """The product of the three Born probabilities along an outcome triple, and
+    the state the three measurements leave: None where the product is 0.
+    """
     product = Fraction(1)
     for pair, outcome in zip((P1_PAIR, P2_PAIR, P3_PAIR), triple):
         probability, state = bell_probabilities(state, pair)[outcome]
         product *= probability
         if state is None:
             break
-    return product
+    return product, state
 
 
 def test_the_table_lookup_agrees_with_the_dense_walk_on_every_outcome_triple():
@@ -183,7 +188,7 @@ def test_the_table_lookup_agrees_with_the_dense_walk_on_every_outcome_triple():
         for triple in itertools.product(BELL_OUTCOMES, repeat=3):
             o1, o2, o3 = triple
             probability = harness._probability(branches, *triple)
-            assert probability == born_product(encoded, triple), (cfg, triple)
+            assert probability == born_walk(encoded, triple)[0], (cfg, triple)
             reachable = (par(o2) ^ par(o3)) == (label in (StateLabel.B, StateLabel.C))
             framed = FRAME[par(o1) ^ par(o3), ph(o1) ^ ph(o2) ^ ph(o3)] is gate
             assert probability == (Fraction(1, 8) if reachable and framed else 0), (cfg, triple)

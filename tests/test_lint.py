@@ -11,10 +11,12 @@ on protocol vocabulary (labels, gates, Bell outcomes and pairs, ints, and
 tuples of these), so that no cache can memoise a whole result keyed on a
 state, a trace, an announcement list or a seed; a sixth keeps what a cache
 returns immutable, since every caller gets the one object the cache holds.
-Two more keep the records cheap and checked: no module imports
-``dataclasses`` (with ``inspect``, it costs a cold start milliseconds), and
-no module calls a record's ``_make`` or ``_replace``, which build a
-``NamedTuple`` past the validating ``__new__``.
+Three more keep the records cheap and checked: no module imports
+``dataclasses`` (with ``inspect``, it costs a cold start milliseconds); no
+module calls a record's ``_make`` or ``_replace``, since the package builds
+each record through its constructor alone; and every record that checks its
+fields in ``__new__`` defines its own ``_make``, which ``_replace`` calls, so
+that neither builds a record past the checks.
 Another keeps lookups on the protocol's vocabulary in C: every ``Enum``
 subclass sets ``__hash__ = object.__hash__``, since ``Enum``'s own hash is a
 Python function that each cache and dict lookup on a member would call.
@@ -209,23 +211,25 @@ def exceptions_with_init(sources: dict[str, ast.Module]) -> list[tuple[str, bool
         bases = (ast.unparse(base).rsplit(".", 1)[-1] for base in node.bases)
         return any(is_exception(base, seen | {name}) for base in bases)
 
-    def defines(node: ast.ClassDef, name: str) -> bool:
-        for stmt in node.body:
-            if isinstance(stmt, ast.FunctionDef) and stmt.name == name:
-                return True
-            if isinstance(stmt, ast.Assign):
-                targets = stmt.targets
-            else:
-                targets = [getattr(stmt, "target", None)]
-            if any(isinstance(t, ast.Name) and t.id == name for t in targets):
-                return True
-        return False
-
     return [
         (name, defines(node, "__slots__"))
         for name, node in classes.items()
         if is_exception(name) and defines(node, "__init__")
     ]
+
+
+def defines(node: ast.ClassDef, name: str) -> bool:
+    """Whether a class body defines ``name``, by ``def`` or by assignment."""
+    for stmt in node.body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == name:
+            return True
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        else:
+            targets = [getattr(stmt, "target", None)]
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            return True
+    return False
 
 
 # the types a cached function's parameters may have, and tuples of them
@@ -299,6 +303,22 @@ def record_classes(trees) -> set[str]:
         if found <= records:
             return records - {"NamedTuple"}
         records |= found
+
+
+def checking_records(sources: dict[str, ast.Module]) -> list[tuple[str, bool]]:
+    """(name, defines ``_make``) of each record whose body defines ``__new__``.
+
+    The generated ``_make``, which ``_replace`` calls, builds the tuple
+    without ``__new__``, so a record that checks its fields there needs a
+    ``_make`` of its own.
+    """
+    records = record_classes(sources.values())
+    return [
+        (node.name, defines(node, "_make"))
+        for tree in sources.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name in records and defines(node, "__new__")
+    ]
 
 
 # what a cached function may return, besides the package's records; a Mapping
@@ -440,6 +460,43 @@ def test_exception_slot_check_catches_planted_exceptions():
     ]
     # the package's exceptions that store fields are the ones the check reads
     assert exceptions_with_init(SOURCES) == [("NoMatch", True)]
+
+
+def test_records_that_check_their_fields_define_make():
+    unchecked = [name for name, made in checking_records(SOURCES) if not made]
+    assert not unchecked, f"records whose _make and _replace skip __new__: {unchecked}"
+
+
+def test_make_check_catches_a_planted_record():
+    planted = {
+        "a.py": ast.parse(
+            "class _Pair(NamedTuple):\n    a: int\n    b: int\n\n"
+            "class Unmade(_Pair):\n    def __new__(cls, a, b):\n        pass\n\n"
+            "class Made(_Pair):\n    _make = classmethod(_construct)\n\n"
+            "    def __new__(cls, a, b):\n        pass\n\n"
+            "class Unchecked(_Pair):\n    pass\n\n"
+            "class Plain:\n    def __new__(cls):\n        pass\n"
+        ),
+        "b.py": ast.parse(
+            "class Deeper(Made):\n    def __new__(cls, a, b):\n        pass\n\n"
+            "class Defined(Made):\n    @classmethod\n    def _make(cls, it):\n        pass\n\n"
+            "    def __new__(cls, a, b):\n        pass\n"
+        ),
+    }
+    assert checking_records(planted) == [
+        ("Unmade", False),
+        ("Made", True),
+        ("Deeper", False),
+        ("Defined", True),
+    ]
+    # the package's checking records are the ones the check reads
+    assert checking_records(SOURCES) == [
+        ("GateAction", True),
+        ("MeasurementAnnouncement", True),
+        ("StateLabelAnnouncement", True),
+        ("PositionAnnouncement", True),
+        ("Term", True),
+    ]
 
 
 @pytest.mark.parametrize("module", sorted(SOURCES))

@@ -1,7 +1,9 @@
 """Reconstruction pipeline tests against the worked hand expansions."""
 
+import copy
 import gc
 import itertools
+import pickle
 import re
 import types
 
@@ -286,31 +288,72 @@ REFUSED = {
     "outcome": (None, "a+", 0, StateLabel.A),
     "label": (None, "A", 0, A_P),
     "position": (None, 3, True, 1.0, "1"),
+    "sign": (0, 2, True),
+    "bits": (-1, 1.5),
 }
 
 
-@pytest.mark.parametrize("reconstruction", [reconstruct, reconstruct_trace])
-def test_records_built_past_their_constructors_raise_the_constructors_error(reconstruction):
-    # _replace builds a record without the checks in __new__; reconstruction
-    # raises the ValueError the constructor would, on every field of every record
-    honest = make_announcements(A_M, A_P, StateLabel.A, B_P, 1)
+def validating_records():
+    """One record of each of the five types whose constructor checks its fields."""
+    return make_announcements(A_M, A_P, StateLabel.A, B_P, 1) + (
+        GateAction(PauliGate.IY, 1),
+        Term(5, -1),
+    )
+
+
+def test_make_and_replace_raise_the_constructors_error():
+    # _replace calls _make, and each validating record's _make is its constructor
     fields = []
-    for i, record in enumerate(honest):
+    for record in validating_records():
+        kind = type(record)
         for field in record._fields:
             fields.append(field)
-            for value in REFUSED[field]:
-                broken = record._replace(**{field: value})
-                with pytest.raises(ValueError) as refused:
-                    type(record)(*broken)
-                listed = honest[:i] + (broken,) + honest[i + 1 :]
-                with pytest.raises(ValueError, match=re.escape(str(refused.value)) + "$"):
-                    reconstruction(listed)
+            for value in REFUSED.get(field, ()):
+                values = [value if f == field else v for f, v in zip(record._fields, record)]
+                with pytest.raises(ValueError) as constructed:
+                    kind(*values)
+                with pytest.raises(ValueError) as replaced:
+                    record._replace(**{field: value})
+                with pytest.raises(ValueError) as made:
+                    kind._make(values)
+                assert str(replaced.value) == str(made.value) == str(constructed.value)
     measured = ["party", "pair", "outcome"]
-    assert fields == measured * 2 + ["label"] + measured + ["position"]
-    # a field the constructor accepts as it is rebuilt reconstructs as the honest list does
+    announced = measured * 2 + ["label"] + measured + ["position"]
+    assert fields == announced + ["gate", "position", "bits", "sign"]
+
+
+@pytest.mark.parametrize("reconstruction", [reconstruct, reconstruct_trace])
+def test_a_relisted_pair_is_rebuilt_as_the_owned_pair(reconstruction):
+    honest = make_announcements(A_M, A_P, StateLabel.A, B_P, 1)
     for i in (0, 1, 3):
-        relisted = honest[:i] + (honest[i]._replace(pair=list(honest[i].pair)),) + honest[i + 1 :]
+        rebuilt = honest[i]._replace(pair=list(honest[i].pair))
+        assert type(rebuilt) is type(honest[i])
+        assert rebuilt.pair is honest[i].pair
+        relisted = honest[:i] + (rebuilt,) + honest[i + 1 :]
         assert reconstruction(relisted) == reconstruction(honest)
+
+
+def test_pickle_and_copy_rebuild_equal_records():
+    for record in validating_records():
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        pickled = [pickle.loads(pickle.dumps(record, protocol)) for protocol in protocols]
+        for copied in pickled + [copy.copy(record), copy.deepcopy(record)]:
+            assert type(copied) is type(record)
+            assert copied == record
+
+
+@pytest.mark.parametrize("reconstruction", [reconstruct, reconstruct_trace])
+def test_a_subclass_of_a_record_in_its_slot_is_out_of_order(reconstruction):
+    # a subclass may override what reconstruction reads, so only the exact type is in order
+    honest = make_announcements(A_M, A_P, StateLabel.A, B_P, 1)
+    for i, record in enumerate(honest):
+        subclass = type("Derived", (type(record),), {"__slots__": ()})
+        derived = subclass(*record)
+        assert derived == record
+        listed = honest[:i] + (derived,) + honest[i + 1 :]
+        message = re.escape(f"announcement {derived!r} out of order")
+        with pytest.raises(IncompleteTranscript, match=f"^{message}$"):
+            reconstruction(listed)
 
 
 def test_filter_support_refuses_a_value_that_is_no_label():
