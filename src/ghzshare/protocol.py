@@ -80,6 +80,12 @@ def _construct(cls, iterable):
     return cls(*iterable)
 
 
+# pickle protocols 0 and 1 would rebuild a tuple subclass with tuple.__new__,
+# past the checks: each checking record pickles and copies as a constructor call
+def _reduce(record):
+    return type(record), tuple(record)
+
+
 class _GateAction(NamedTuple):
     gate: PauliGate
     position: int
@@ -90,6 +96,7 @@ class GateAction(_GateAction):
 
     __slots__ = ()
     _make = classmethod(_construct)
+    __reduce__ = _reduce
 
     def __new__(cls, gate: PauliGate, position: int) -> GateAction:
         return tuple.__new__(cls, (gate, check_position(position)))
@@ -132,6 +139,7 @@ class _MeasurementAnnouncement(NamedTuple):
 class MeasurementAnnouncement(_MeasurementAnnouncement):
     __slots__ = ()
     _make = classmethod(_construct)
+    __reduce__ = _reduce
 
     def __new__(cls, party: str, pair: BellPair, outcome: BellOutcome) -> MeasurementAnnouncement:
         # a party that is no str, or a pair that is no sequence, owns nothing
@@ -162,6 +170,7 @@ class _StateLabelAnnouncement(NamedTuple):
 class StateLabelAnnouncement(_StateLabelAnnouncement):
     __slots__ = ()
     _make = classmethod(_construct)
+    __reduce__ = _reduce
 
     def __new__(cls, label: StateLabel) -> StateLabelAnnouncement:
         if not isinstance(label, StateLabel):
@@ -179,6 +188,7 @@ class _PositionAnnouncement(NamedTuple):
 class PositionAnnouncement(_PositionAnnouncement):
     __slots__ = ()
     _make = classmethod(_construct)
+    __reduce__ = _reduce
 
     def __new__(cls, position: int) -> PositionAnnouncement:
         return tuple.__new__(cls, (check_position(position),))

@@ -22,8 +22,12 @@ import functools
 import math
 import operator
 from enum import Enum
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    # loaded by the first probability asked for: with decimal and numbers it
+    # costs a cold start milliseconds that a protocol run never needs
+    from fractions import Fraction
 
 N_QUBITS = 6
 DIM = 2**N_QUBITS
@@ -185,18 +189,15 @@ BELL_OUTCOMES = (
 )
 
 
+_FROM_ASCII = {o.ascii: o for o in BELL_OUTCOMES}
+
+
 def outcome_from_ascii(text: str) -> BellOutcome:
-    for o in BELL_OUTCOMES:
-        if o.value == text:
-            return o
-    raise ValueError(f"unknown Bell outcome {text!r}")
-
-
-def bits_to_index(bits: tuple[int, ...]) -> int:
-    index = 0
-    for b in bits:
-        index = (index << 1) | b
-    return index
+    """The outcome written as text (a+, a-, b+ or b-); anything else raises ValueError."""
+    try:
+        return _FROM_ASCII[text]
+    except (KeyError, TypeError):  # unknown text, or unhashable
+        raise ValueError(f"unknown Bell outcome {text!r}") from None
 
 
 @functools.cache
@@ -246,18 +247,6 @@ def _bell_tables(pair: BellPair) -> tuple[tuple, tuple, tuple]:
         sum(((r >> (3 - i)) & 1) << (N_QUBITS - q) for i, q in enumerate(rest))
         for r in range(16)
     )
-    gather = []
-    for index in range(DIM):
-        r = bits_to_index(tuple((index >> (N_QUBITS - q)) & 1 for q in rest))
-        ket = ((index >> (N_QUBITS - first)) & 1, (index >> (N_QUBITS - second)) & 1)
-        # the pair bits form a ket of exactly two outcomes
-        contributions = [
-            (k, BELL_KET_SIGNS[outcome][ket])
-            for k, outcome in enumerate(BELL_OUTCOMES)
-            if ket in BELL_KET_SIGNS[outcome]
-        ]
-        (k1, sign1), (k2, sign2) = contributions
-        gather.append((r, k1, sign1, k2, sign2))
     place = tuple(
         tuple(
             (k1 << (N_QUBITS - first) | k2 << (N_QUBITS - second), sign)
@@ -265,6 +254,13 @@ def _bell_tables(pair: BellPair) -> tuple[tuple, tuple, tuple]:
         )
         for outcome in BELL_OUTCOMES
     )
+    # an index's pair bits are a ket of two outcomes: it is reached twice, k1 first
+    gather: list[tuple] = [()] * DIM
+    for k, kets in enumerate(place):
+        for bits, sign in kets:
+            for r, base in enumerate(spread):
+                index = base | bits
+                gather[index] = (gather[index] or (r,)) + (k, sign)
     return tuple(gather), spread, place
 
 
@@ -335,8 +331,12 @@ def partial_inner(state: DenseState, pair: BellPair, outcome: BellOutcome) -> De
     )
 
 
-# a probability's few possible (weight, scale) pairs, each reduced once
-_probability = functools.cache(Fraction)
+@functools.cache
+def _probability(weight: int, scale: int) -> Fraction:
+    """weight/scale as a Fraction, reduced once per pair: there are few such pairs."""
+    from fractions import Fraction
+
+    return Fraction(weight, scale)
 
 
 def bell_probabilities(

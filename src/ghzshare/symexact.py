@@ -85,6 +85,10 @@ class Term(_Term):
         # the generated _make, which _replace calls, would skip __new__
         return cls(*iterable)
 
+    def __reduce__(self) -> tuple[type[Term], tuple[int, int]]:
+        # pickle protocols 0 and 1 would otherwise rebuild with tuple.__new__, past the check
+        return type(self), tuple(self)
+
     def __post_init__(self) -> None:
         if type(self.sign) is not int or self.sign not in (1, -1):
             raise ValueError(f"term sign must be +/-1, got {self.sign!r}")

@@ -171,6 +171,50 @@ def test_numpy_is_not_imported_at_run_time(argv):
     assert not [m for m in modules if m.split(".")[0] == "numpy"]
 
 
+# a protocol run, its transcript's JSON round trip and a replay, as a library caller makes them
+HONEST_PATH = """import ghzshare
+transcript = ghzshare.run_protocol(None, "01", None, 7)
+ghzshare.replay(ghzshare.Transcript.from_json(transcript.to_json()))
+"""
+
+
+def test_the_honest_library_path_loads_no_fractions():
+    # fractions loads decimal and numbers: milliseconds per cold start that no protocol run uses
+    modules = imported_modules("-c", HONEST_PATH)
+    assert {"ghzshare.qcore", "ghzshare.recon"} <= modules
+    assert not modules & {"fractions", "decimal", "numbers", "ghzshare.harness"}
+
+
+FIRST_PROBABILITIES = """import sys
+from ghzshare import BellOutcome, PauliGate, StateLabel
+from ghzshare import apply_gate, bell_probabilities, prepare_state
+assert "fractions" not in sys.modules
+state = apply_gate(prepare_state(StateLabel.B), PauliGate.IY, 6)
+post = bell_probabilities(state, (1, 6))[BellOutcome.A_PLUS][1]
+probabilities = [
+    bell_probabilities(measured, pair)
+    for measured, pair in [(state, (1, 6)), (state, (2, 3)), (post, (1, 6))]
+]
+print([[(type(p).__name__, str(p)) for p, _ in row.values()] for row in probabilities])
+"""
+
+
+def test_the_first_probabilities_are_the_same_fractions():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", FIRST_PROBABILITIES],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    quarters = [("Fraction", "1/4")] * 4
+    halves = [("Fraction", "0")] * 2 + [("Fraction", "1/2")] * 2
+    certain = [("Fraction", "1")] + [("Fraction", "0")] * 3
+    assert ast.literal_eval(proc.stdout) == [quarters, halves, certain]
+
+
 def loaded_after_importing_the_cli(names) -> list[str]:
     """Which of the named modules a fresh interpreter holds after ``import ghzshare.cli``."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}

@@ -9,7 +9,8 @@ library.  A fourth keeps each module's private names its own: a table that
 another module reads is public.  A fifth keeps every ``functools`` cache keyed
 on protocol vocabulary (labels, gates, Bell outcomes and pairs, ints, and
 tuples of these), so that no cache can memoise a whole result keyed on a
-state, a trace, an announcement list or a seed; a sixth keeps what a cache
+state, a trace, an announcement list or a seed, and no cache is applied by
+a call, where the check could not read its key; a sixth keeps what a cache
 returns immutable, since every caller gets the one object the cache holds.
 Three more keep the records cheap and checked: no module imports
 ``dataclasses`` (with ``inspect``, it costs a cold start milliseconds); no
@@ -234,8 +235,6 @@ def defines(node: ast.ClassDef, name: str) -> bool:
 
 # the types a cached function's parameters may have, and tuples of them
 VOCABULARY = {"StateLabel", "PauliGate", "BellOutcome", "BellPair", "int"}
-# the one cache applied by a call rather than as a decorator
-CACHE_CALLS = {"_probability = functools.cache(Fraction)"}
 
 
 def _names_a_cache(node: ast.expr) -> bool:
@@ -281,14 +280,9 @@ def cache_violations(tree: ast.Module) -> list[str]:
         params += [a for a in (args.vararg, args.kwarg) if a is not None]
         if not all(_is_vocabulary(p.annotation) for p in params):
             violations.append(node.name)
-    allowed = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and ast.unparse(node) in CACHE_CALLS:
-            allowed.add(node.value)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and _names_a_cache(node.func):
-            if node not in decorators and node not in allowed:
-                violations.append(ast.unparse(node))
+        if isinstance(node, ast.Call) and _names_a_cache(node.func) and node not in decorators:
+            violations.append(ast.unparse(node))
     return violations
 
 
@@ -396,6 +390,7 @@ def test_cache_check_catches_planted_result_caches():
         "_runs",
         "_collapse",
         "_unannotated",
+        "functools.cache(Fraction)",
         "functools.cache(replay)",
         "functools.lru_cache(maxsize=8)",
     ]

@@ -313,6 +313,8 @@ MALFORMED = {
     "missing announcements": _delete(("announcements",)),
     "missing config state": _delete(("true_config", "state")),
     "missing outcome": _delete(("announcements", 0, "outcome")),
+    "unknown outcome": _set(("announcements", 0, "outcome"), "c+"),
+    "outcome is a list": _set(("announcements", 0, "outcome"), ["a+"]),
     "missing announcement type": _delete(("announcements", 2, "type")),
     "pair is a number": _set(("announcements", 0, "pair"), 5),
     "seed is a string": _set(("seed",), "abc"),

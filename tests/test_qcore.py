@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -19,14 +20,16 @@ from ghzshare.qcore import (
     StateLabel,
     apply_gate,
     bell_probabilities,
-    bits_to_index,
     check_pair,
     global_phase_equal,
     measure_bell,
     normalized,
+    outcome_from_ascii,
     partial_inner,
     prepare_state,
 )
+
+from oracles import bell_gather, bits_to_index
 
 A_P, A_M, B_P, B_M = BELL_OUTCOMES
 
@@ -512,6 +515,20 @@ def _only_tuples_and_ints(value):
     if isinstance(value, tuple):
         return all(_only_tuples_and_ints(v) for v in value)
     return type(value) is int
+
+
+def test_bell_gather_tables_match_the_per_index_derivation():
+    for pair in ORDERED_PAIRS:
+        assert qcore._bell_tables(pair)[0] == bell_gather(pair), pair
+
+
+def test_outcome_from_ascii_reads_each_outcome_and_refuses_the_rest():
+    for outcome in BELL_OUTCOMES:
+        assert outcome_from_ascii(outcome.ascii) is outcome
+    # unhashable text is refused as unknown text is, not with a TypeError
+    for text in ["a", "A+", "a+ ", "", None, 1, A_P, ["a+"], {"a+": 1}]:
+        with pytest.raises(ValueError, match=f"^unknown Bell outcome {re.escape(repr(text))}$"):
+            outcome_from_ascii(text)
 
 
 def test_states_and_cached_tables_are_immutable():

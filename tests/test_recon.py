@@ -333,11 +333,30 @@ def test_a_relisted_pair_is_rebuilt_as_the_owned_pair(reconstruction):
         assert reconstruction(relisted) == reconstruction(honest)
 
 
-def test_pickle_and_copy_rebuild_equal_records():
-    for record in validating_records():
+def counted_constructors(monkeypatch, kinds) -> dict[type, int]:
+    """How often each kind's checking __new__ runs from now on."""
+    calls = dict.fromkeys(kinds, 0)
+    for kind in kinds:
+
+        def counted(cls, *args, _new=kind.__new__, _kind=kind):
+            calls[_kind] += 1
+            return _new(cls, *args)
+
+        monkeypatch.setattr(kind, "__new__", staticmethod(counted))
+    return calls
+
+
+def test_pickle_and_copy_rebuild_equal_records(monkeypatch):
+    records = validating_records()
+    calls = counted_constructors(monkeypatch, {type(record) for record in records})
+    for record in records:
         protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        before = calls[type(record)]
         pickled = [pickle.loads(pickle.dumps(record, protocol)) for protocol in protocols]
-        for copied in pickled + [copy.copy(record), copy.deepcopy(record)]:
+        copies = pickled + [copy.copy(record), copy.deepcopy(record)]
+        # every protocol, 0 and 1 too, and every copy runs the record's checks once
+        assert calls[type(record)] - before == len(copies)
+        for copied in copies:
             assert type(copied) is type(record)
             assert copied == record
 

@@ -15,7 +15,6 @@ from ghzshare.qcore import (
     StateLabel,
     apply_gate,
     bell_probabilities,
-    bits_to_index,
     global_phase_equal,
     normalized,
     partial_inner,
@@ -35,7 +34,7 @@ from ghzshare.symexact import (
     to_statevector,
 )
 
-from oracles import restrict
+from oracles import bits_to_index, restrict
 
 A_P, A_M, B_P, B_M = BELL_OUTCOMES
 
@@ -273,7 +272,7 @@ def test_term_runs_post_init_once_per_construction(monkeypatch):
 
 
 def test_bit_order_matches_qcore_index_on_all_six_qubit_patterns():
-    # qcore.bits_to_index is the independent oracle for the first-qubit-MSB
+    # oracles.bits_to_index is the independent oracle for the first-qubit-MSB
     # order that integer patterns, rendering and the dense bridge share.
     qubits = (1, 2, 3, 4, 5, 6)
     for pattern in itertools.product((0, 1), repeat=6):
