@@ -110,11 +110,12 @@ class BranchRecord(NamedTuple):
     failures: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            **self._asdict(),
-            "probability": float(self.probability),
-            "failures": list(self.failures),
-        }
+        # keyword items replace the zipped ones in place, so the field order holds
+        return dict(
+            zip(self._fields, self),
+            probability=float(self.probability),
+            failures=list(self.failures),
+        )
 
 
 def configurations() -> Iterator[tuple[StateLabel, PauliGate, int]]:
@@ -231,54 +232,41 @@ def _reconstruction(
         return exc
 
 
-def _honest_runs(traced: bool = True) -> Iterator[
-    tuple[StateLabel, PauliGate, int, Branch, PipelineTrace | ReconstructionResult | NoMatch]
-]:
-    """Every honest branch of every configuration with its reconstruction.
-
-    Yields (label, gate, position, branch, run), run being what _reconstruction returns.
-    """
-    for label, gate, position in configurations():
-        for branch in _branches(label, gate, position):
-            run = _reconstruction(branch.o2, branch.o3, label, branch.o1, position, traced)
-            yield label, gate, position, branch, run
-
-
 def exhaustive_verify() -> list[BranchRecord]:
-    """Reconstruct every positive-probability branch of every configuration."""
+    """Reconstruct every positive-probability branch of every configuration.
+
+    What a configuration fixes, its action, secret and strings, is computed
+    once for all its branches.
+    """
     records = []
-    for label, gate, position, branch, run in _honest_runs():
+    for label, gate, position in configurations():
         action = GateAction(gate, position)
         secret = decode_secret(action)
-        failures = []
-        result = None if isinstance(run, NoMatch) else run.result
-        if result is None:
-            failures.append(f"reconstruction failed: {run}")
-        else:
-            if result.secret != secret:
-                failures.append(f"reconstructed {result.secret!r}, encoded {secret!r}")
-            if result.action != action:
-                failures.append(
-                    f"reconstructed {result.action.render()}, encoded {action.render()}"
+        rendered = action.render()
+        fixed = (label.value, gate.value, position, secret)
+        for branch in _branches(label, gate, position):
+            run = _reconstruction(branch.o2, branch.o3, label, branch.o1, position)
+            if isinstance(run, NoMatch):
+                failures = [f"reconstruction failed: {run}"]
+                deduced = (None, None, None)
+            else:
+                result = run.result
+                observed = result.action.render()
+                failures = []
+                if result.secret != secret:
+                    failures.append(f"reconstructed {result.secret!r}, encoded {secret!r}")
+                if result.action != action:
+                    failures.append(f"reconstructed {observed}, encoded {rendered}")
+                failures.extend(_stage_failures(branch, run))
+                tamper = result.tamper.render() if result.tamper else None
+                deduced = (observed, result.secret, tamper)
+            outcomes = (branch.o1.ascii, branch.o2.ascii, branch.o3.ascii, branch.probability)
+            # what BranchRecord's generated __new__ calls, without its Python frame
+            records.append(
+                tuple.__new__(
+                    BranchRecord, (*fixed, *outcomes, *deduced, not failures, tuple(failures))
                 )
-            failures.extend(_stage_failures(branch, run))
-        records.append(
-            BranchRecord(
-                label=label.value,
-                gate=gate.value,
-                position=position,
-                secret=secret,
-                p1=branch.o1.ascii,
-                p2=branch.o2.ascii,
-                p3=branch.o3.ascii,
-                probability=branch.probability,
-                reconstructed_action=result.action.render() if result else None,
-                reconstructed_secret=result.secret if result else None,
-                tamper=result.tamper.render() if result and result.tamper else None,
-                passed=not failures,
-                failures=tuple(failures),
             )
-        )
     return records
 
 
@@ -497,16 +485,24 @@ def _reconstructed_branch(
 
 
 def misannouncement_matrix() -> dict:
-    """Deductions per (true label, announced label) over all honest branches of X1."""
+    """Deductions per (true label, announced label) over all honest branches of X1.
+
+    True labels A and D have the same X1 outcome triples, and so do B and C,
+    so each distinct announced tuple is reconstructed once per call.
+    """
+    deductions: dict[tuple[BellOutcome, BellOutcome, BellOutcome, StateLabel], str] = {}
     matrix: dict[str, dict[str, list[str]]] = {}
     for true_label in LABELS:
         row: dict[str, set[str]] = {lab.value: set() for lab in LABELS}
         for branch in _branches(true_label, PauliGate.X, 1):
             for announced in LABELS:
-                run = _reconstruction(branch.o2, branch.o3, announced, branch.o1, 1, False)
-                row[announced.value].add(
-                    "no-match" if isinstance(run, NoMatch) else run.action.render()
-                )
+                key = (branch.o1, branch.o2, branch.o3, announced)
+                deduction = deductions.get(key)
+                if deduction is None:
+                    run = _reconstruction(branch.o2, branch.o3, announced, branch.o1, 1, False)
+                    deduction = "no-match" if isinstance(run, NoMatch) else run.action.render()
+                    deductions[key] = deduction
+                row[announced.value].add(deduction)
         matrix[true_label.value] = {k: sorted(v) for k, v in row.items()}
     return matrix
 
@@ -737,10 +733,13 @@ def scenario_eve_intercept() -> ScenarioReport:
     counterfactual_state = _trace_of(counterfactual).final_kept
     counterfactual_action = _deduced(counterfactual)[0]
 
+    honest_runs = (
+        _reconstruction(b.o2, b.o3, lab, b.o1, pos, False)
+        for lab, gate, pos in configurations()
+        for b in _branches(lab, gate, pos)
+    )
     false_positives = sum(
-        1
-        for *_, run in _honest_runs(traced=False)
-        if not isinstance(run, NoMatch) and run.tamper
+        1 for run in honest_runs if not isinstance(run, NoMatch) and run.tamper
     )
 
     assertions = (

@@ -369,15 +369,23 @@ def _trace(
     untouched: Optional[FilterResult] = None,
     result: Optional[ReconstructionResult] = None,
 ) -> PipelineTrace:
-    """The stage states and filter results of a stage sequence's pieces."""
-    # terms kept in order from a canonical state are canonical already
-    kept_mid = SymbolicState(MIDDLE_QUBITS, middle.kept, expansion.norm_exponent)
+    """The stage states and filter results of a stage sequence's pieces.
+
+    Each record is built as the generated ``__new__`` builds it, without its
+    Python frame: terms kept in order from a canonical state are canonical
+    already, so no state needs ``from_terms``.
+    """
+    new = tuple.__new__
+    norm = expansion.norm_exponent
+    kept_mid = new(SymbolicState, (MIDDLE_QUBITS, middle.kept, norm))
     if untouched is None:
-        return PipelineTrace(expansion, middle, kept_mid, None, None, None, None)
+        return new(PipelineTrace, (expansion, middle, kept_mid, None, None, None, None))
     # the (1,6) ket's 1/sqrt2 adds 1 to the norm exponent
-    attached = SymbolicState(ALL_QUBITS, attached_terms, kept_mid.norm_exponent + 1)
-    final_kept = SymbolicState(ALL_QUBITS, untouched.kept, attached.norm_exponent)
-    return PipelineTrace(expansion, middle, kept_mid, attached, untouched, final_kept, result)
+    attached = new(SymbolicState, (ALL_QUBITS, attached_terms, norm + 1))
+    final_kept = new(SymbolicState, (ALL_QUBITS, untouched.kept, norm + 1))
+    return new(
+        PipelineTrace, (expansion, middle, kept_mid, attached, untouched, final_kept, result)
+    )
 
 
 def reconstruct_trace(announcements: Sequence[Announcement]) -> PipelineTrace:

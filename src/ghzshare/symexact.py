@@ -282,11 +282,14 @@ class BellProductExpr(NamedTuple):
         """
         pair1, pair2 = self.pairing
         products = bell_products(self.pairing)
-        raw = [
-            Term(t.bits, t.sign * sign)
-            for o1, o2, sign in self.entries
-            for t in products[o1, o2].terms
-        ]
+        raw: list[Term] = []
+        for o1, o2, sign in self.entries:
+            terms = products[o1, o2].terms
+            # a +1 entry is its product's own terms; any other sign goes through Term's check
+            if type(sign) is int and sign == 1:
+                raw.extend(terms)
+            else:
+                raw.extend([Term(t.bits, t.sign * sign) for t in terms])
         return SymbolicState.from_terms(tuple(sorted({*pair1, *pair2})), raw, 2)
 
     def render(self) -> str:

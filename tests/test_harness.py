@@ -226,17 +226,19 @@ def test_a_warm_audit_walks_only_the_state_eve_modified(monkeypatch):
 def test_the_phase_comparison_agrees_with_the_dense_bridge():
     # _phase_equal reads a state's terms in place of the vector to_statevector builds
     verdicts = Counter()
-    for *_, branch, trace in harness._honest_runs():
-        states = (trace.expansion, trace.kept_mid, trace.attached)
-        flipped = [
-            SymbolicState(s.qubits, tuple(Term(t.bits, -t.sign) for t in s.terms), 0)
-            for s in states
-        ]
-        for vec in (branch.mid_after_p3, branch.mid_after_p1, branch.after_p1):
-            for state in (*states, *flipped):
-                verdict = harness._phase_equal(vec, state)
-                assert verdict == global_phase_equal(vec, to_statevector(state))
-                verdicts[verdict] += 1
+    for label, gate, position in harness.configurations():
+        for branch in harness._branches(label, gate, position):
+            trace = harness._reconstruction(branch.o2, branch.o3, label, branch.o1, position)
+            states = (trace.expansion, trace.kept_mid, trace.attached)
+            flipped = [
+                SymbolicState(s.qubits, tuple(Term(t.bits, -t.sign) for t in s.terms), 0)
+                for s in states
+            ]
+            for vec in (branch.mid_after_p3, branch.mid_after_p1, branch.after_p1):
+                for state in (*states, *flipped):
+                    verdict = harness._phase_equal(vec, state)
+                    assert verdict == global_phase_equal(vec, to_statevector(state))
+                    verdicts[verdict] += 1
     # each honest branch matches its three stage states and their negations
     assert verdicts == {True: 256 * 6, False: 256 * 12}
 
@@ -275,6 +277,33 @@ def test_a_warm_table_still_reconstructs_on_every_call(monkeypatch):
             f"reconstructed {r.reconstructed_secret!r}, encoded {r.secret!r}",
             f"reconstructed {r.reconstructed_action}, encoded {r.gate}{r.position}",
         )
+
+
+def test_a_warm_audit_reconstructs_each_call_what_it_checks(monkeypatch):
+    # per call: every honest branch traced for verify; eve-intercept's two
+    # scripted tuples traced and every honest branch untraced for its tamper
+    # count; the matrix's 64 distinct (outcome triple, announced label) keys
+    exhaustive_verify()
+    scenario_eve_intercept()
+    misannouncement_matrix()
+    calls = Counter()
+    for name in ("reconstruct", "reconstruct_trace"):
+
+        def counted(announcements, _name=name, _run=getattr(harness, name)):
+            calls[_name] += 1
+            return _run(announcements)
+
+        monkeypatch.setattr(harness, name, counted)
+    expected = (
+        (exhaustive_verify, {"reconstruct_trace": 256}),
+        (scenario_eve_intercept, {"reconstruct": 256, "reconstruct_trace": 2}),
+        (misannouncement_matrix, {"reconstruct": 64}),
+    )
+    for _ in range(2):
+        for audit, counts in expected:
+            calls.clear()
+            audit()
+            assert calls == counts, audit.__name__
 
 
 def test_exhaustive_is_deterministic(records):

@@ -20,6 +20,7 @@ from ghzshare.qcore import (
     StateLabel,
 )
 from ghzshare.recon import (
+    ALL_QUBITS,
     Ambiguous,
     FilterResult,
     IncompleteTranscript,
@@ -561,6 +562,9 @@ def test_reconstruct_and_reconstruct_trace_agree_on_every_tuple(monkeypatch):
         untouched = filter_untouched(attached, decoder)
         assert untouched == trace.untouched_filter
         assert untouched.kept == trace.final_kept.terms
+        assert trace.final_kept == SymbolicState.from_terms(
+            ALL_QUBITS, untouched.kept, trace.attached.norm_exponent
+        )
         if trace.result is not None:
             assert infer_gate(untouched.kept, decoder) == trace.result[:2]
             assert tamper_report(untouched.discarded, decoder) == trace.result.tamper
