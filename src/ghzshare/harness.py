@@ -6,8 +6,11 @@ of every configuration.  Those branches, with their oracle states and their
 no-signalling verdicts, are a read-only table filled once per
 configuration: every check of an honest configuration reads it, and only
 the reconstructions under test and their comparisons run again on each
-call.  Every probability and P1-conditional collapse a check reads comes
-off walked branches: the table's, or one walk of the state Eve modified.
+call.  Every probability, P1-conditional collapse and consistent gate a
+check reads comes through one view of walked branches, the table's or one
+walk of the state Eve modified: the branches that show the outcomes a party
+has heard.  A scenario reconstructs only the tuples whose deduction or count
+it prints.
 The collapse table and the five adversary scenarios are scripted,
 deterministic experiments whose reports carry expected-vs-observed values
 for each assertion.
@@ -25,6 +28,7 @@ from .protocol import (
     P1_PAIR,
     P2_PAIR,
     P3_PAIR,
+    PAIRING_2534,
     GateAction,
     decode_secret,
     make_announcements,
@@ -65,7 +69,6 @@ from .symexact import (
 )
 
 PAIRING_2345: tuple[BellPair, BellPair] = ((2, 3), (4, 5))
-PAIRING_2534: tuple[BellPair, BellPair] = (P2_PAIR, P3_PAIR)
 
 A_P, A_M, B_P, B_M = BELL_OUTCOMES
 
@@ -159,17 +162,22 @@ def _branches(label: StateLabel, gate: PauliGate, position: int) -> tuple[Branch
     return tuple(enumerate_branches(_encoded(label, gate, position)))
 
 
-def _probability(
-    branches: Sequence[Branch], o1: BellOutcome, o2: BellOutcome, o3: BellOutcome
-) -> Fraction:
-    """P(o1, o2, o3) read off walked branches: 0 for a triple they do not hold."""
-    triple = (o1, o2, o3)
-    return next((b.probability for b in branches if (b.o1, b.o2, b.o3) == triple), Fraction(0))
+def _view(
+    branches: Sequence[Branch],
+    o1: Optional[BellOutcome] = None,
+    o2: Optional[BellOutcome] = None,
+    o3: Optional[BellOutcome] = None,
+) -> list[Branch]:
+    """The walked branches that show the given outcomes; an outcome left None is unheard.
 
-
-def _collapse_after(branches: Sequence[Branch], o1: BellOutcome) -> DenseState:
-    """The (2,3,4,5) collapse on P1's outcome o1, read off a walked branch."""
-    return next(b.mid_after_p1 for b in branches if b.o1 is o1)
+    With the label and position public, the gates consistent with a party's
+    view are those whose honest branches show it.
+    """
+    return [
+        b
+        for b in branches
+        if o1 in (None, b.o1) and o2 in (None, b.o2) and o3 in (None, b.o3)
+    ]
 
 
 def _phase_equal(vec: DenseState, state: SymbolicState) -> bool:
@@ -355,7 +363,7 @@ def table1() -> list[Table1Row]:
     """
     rows = []
     for gate, outcome, printed_entries, printed_subs in PRINTED_TABLE:
-        collapse = _collapse_after(_branches(StateLabel.A, gate, 1), outcome)
+        collapse = _view(_branches(StateLabel.A, gate, 1), outcome)[0].mid_after_p1
         post = from_statevector(collapse, MIDDLE_QUBITS)
         decomps = {p: bell_decompose(post, p) for p in (PAIRING_2345, PAIRING_2534)}
         matched = [p for p, expr in decomps.items() if _entries_match(printed_entries, expr)]
@@ -473,17 +481,6 @@ def _stage_renders(trace: PipelineTrace, stages: int = 4) -> dict[str, str]:
     return {k: s.render() if s is not None else "" for k, s in zip(keys[:stages], states)}
 
 
-def _reconstructed_branch(
-    o2: BellOutcome, o3: BellOutcome, label: StateLabel, o1: BellOutcome, position: int
-) -> tuple[PipelineTrace | NoMatch, bool]:
-    """A tuple's reconstruction, and whether its action's honest branch can occur."""
-    run = _reconstruction(o2, o3, label, o1, position)
-    if isinstance(run, NoMatch):
-        return run, False
-    branches = _branches(label, run.result.action.gate, position)
-    return run, _probability(branches, o1, o2, o3) > 0
-
-
 def misannouncement_matrix() -> dict:
     """Deductions per (true label, announced label) over all honest branches of X1.
 
@@ -514,7 +511,7 @@ def misannouncement_matrix() -> dict:
 def scenario_lie_state() -> ScenarioReport:
     """Dealer prepared C and applied X at qubit 1, but announces state A."""
     true_gate, position = PauliGate.X, 1
-    branches = [b for b in _branches(StateLabel.C, true_gate, position) if b.o1 is A_P]
+    branches = _view(_branches(StateLabel.C, true_gate, position), A_P)
     p1_prob = sum(b.probability for b in branches)
     collapse = branches[0].mid_after_p1
     post = from_statevector(collapse, MIDDLE_QUBITS)
@@ -558,7 +555,7 @@ def scenario_lie_position() -> ScenarioReport:
     """Dealer applied iY at qubit 1 but announces qubit 6."""
     label, gate, true_position = StateLabel.A, PauliGate.IY, 1
     o1, o2, o3 = B_P, A_M, A_P
-    prob = _probability(_branches(label, gate, true_position), o1, o2, o3)
+    prob = sum(b.probability for b in _view(_branches(label, gate, true_position), o1, o2, o3))
     run = _reconstruction(o2, o3, label, o1, 6)
     trace = _trace_of(run)
     expected_kept = (("000001", 1), ("111110", -1))
@@ -601,12 +598,13 @@ def scenario_p1_withholds() -> ScenarioReport:
     all_positive = True
     all_display = True
     for o1 in expected_map:
-        run, positive = _reconstructed_branch(o2, o3, label, o1, position)
+        run = _reconstruction(o2, o3, label, o1, position)
         observed_map[o1.ascii] = _deduced(run)[0]
         if not isinstance(run, NoMatch):
             consistent.add(observed_map[o1.ascii])
-            all_positive = all_positive and positive
-            collapse = _collapse_after(_branches(label, run.result.action.gate, position), o1)
+            table = _branches(label, run.result.action.gate, position)
+            all_positive = all_positive and bool(_view(table, o1, o2, o3))
+            collapse = _view(table, o1)[0].mid_after_p1
             all_display = all_display and _phase_equal(collapse, display_state)
 
     expected_deductions = {o.ascii: a for o, a in expected_map.items()}
@@ -645,21 +643,23 @@ def scenario_no_collusion() -> ScenarioReport:
     label, position = StateLabel.A, 1
     p2_outcome = A_P
 
-    def consistent_gates(p1_outcome: BellOutcome) -> list[str]:
-        gates = set()
-        for o3 in BELL_OUTCOMES:
-            run, positive = _reconstructed_branch(p2_outcome, o3, label, p1_outcome, position)
-            if positive:
-                gates.add(run.result.action.render())
-        return sorted(gates)
+    tables = {gate: _branches(label, gate, position) for gate in GATES}
+
+    def gates_shown(o1: BellOutcome) -> list[str]:
+        # P2's view with P3's outcome withheld: P1's outcome and its own
+        return sorted(
+            GateAction(g, position).render() for g, t in tables.items() if _view(t, o1, p2_outcome)
+        )
 
     def p3_outcomes_seen(gate: PauliGate) -> list[str]:
-        return sorted({b.o3.ascii for b in _branches(label, gate, position) if b.o2 is p2_outcome})
+        return sorted({b.o3.ascii for b in _view(tables[gate], o2=p2_outcome)})
 
-    iy_gates = consistent_gates(B_P)
-    i_gates = consistent_gates(A_P)
+    iy_gates = gates_shown(B_P)
+    i_gates = gates_shown(A_P)
     iy_p3 = p3_outcomes_seen(PauliGate.IY)
     i_p3 = p3_outcomes_seen(PauliGate.I)
+    iy_collapse = _view(tables[PauliGate.IY], B_P)[0].mid_after_p1
+    i_collapse = _view(tables[PauliGate.I], A_P)[0].mid_after_p1
     eq3 = BellProductExpr(PAIRING_2534, ((A_P, A_M, 1), (A_M, A_P, 1)))
     eq9_corrected = BellProductExpr(PAIRING_2534, ((A_P, A_P, 1), (A_M, A_M, 1)))
 
@@ -685,14 +685,12 @@ def scenario_no_collusion() -> ScenarioReport:
         _check_match(
             "toggled-run collapse re-pairs to a+a- + a-a+ on (2,5),(3,4)",
             eq3.render(),
-            _phase_equal(_collapse_after(_branches(label, PauliGate.IY, 1), B_P), eq3.expand()),
+            _phase_equal(iy_collapse, eq3.expand()),
         ),
         _check_match(
             "identity-run collapse re-pairs to a+a+ + a-a- on (2,5),(3,4)",
             eq9_corrected.render() + " (corrected from a duplicated printed term)",
-            _phase_equal(
-                _collapse_after(_branches(label, PauliGate.I, 1), A_P), eq9_corrected.expand()
-            ),
+            _phase_equal(i_collapse, eq9_corrected.expand()),
         ),
     )
     script = {
@@ -720,7 +718,7 @@ def scenario_eve_intercept() -> ScenarioReport:
     modified_ok = modified == expected_modified
 
     walk = tuple(enumerate_branches(modified))
-    prob = _probability(walk, A_P, B_M, B_P)
+    prob = sum(b.probability for b in _view(walk, A_P, B_M, B_P))
     collapse_expr = BellProductExpr(PAIRING_2534, ((B_P, B_M, 1), (B_M, B_P, 1)))
 
     trace = _reconstruction(B_M, B_P, label, A_P, position)
@@ -752,7 +750,7 @@ def scenario_eve_intercept() -> ScenarioReport:
         _check_match(
             "collapse after P1=a+ re-pairs to b+b- + b-b+ on (2,5),(3,4)",
             collapse_expr.render(),
-            _phase_equal(_collapse_after(walk, A_P), collapse_expr.expand()),
+            _phase_equal(_view(walk, A_P)[0].mid_after_p1, collapse_expr.expand()),
         ),
         _check_positive("a+, b-, b+", prob),
         _check_terms(

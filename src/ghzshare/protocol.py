@@ -31,6 +31,8 @@ ENCODING_POSITIONS = (1, 6)
 P1_PAIR: BellPair = (1, 6)
 P2_PAIR: BellPair = (2, 5)
 P3_PAIR: BellPair = (3, 4)
+# P2's and P3's pairs together: the (2,5),(3,4) pairing of the middle qubits 2..5
+PAIRING_2534: tuple[BellPair, BellPair] = (P2_PAIR, P3_PAIR)
 
 
 class Party:

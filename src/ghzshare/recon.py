@@ -38,8 +38,7 @@ from .protocol import (
     Announcement,
     GateAction,
     MeasurementAnnouncement,
-    P2_PAIR,
-    P3_PAIR,
+    PAIRING_2534,
     Party,
     PositionAnnouncement,
     StateLabelAnnouncement,
@@ -215,7 +214,7 @@ def _decoder(label: StateLabel, position: int) -> Decoder:
     """
     support = label.half_support
     toggled, untouched = _HALVES[position]
-    reference = SymbolicState.from_terms(toggled, [Term(h, 1) for h in support], 1)
+    reference = SymbolicState.from_terms(toggled, [Term(h, 1) for h in support])
     gates: dict[tuple[int, int, int], tuple[GateAction, str]] = {}
     for gate in GATES:
         image = apply_gate_sym(reference, gate, position)
@@ -244,7 +243,7 @@ def filter_untouched(terms: Sequence[Term], decoder: Decoder) -> FilterResult:
 def _no_gate_message(position: int, a: int, sign_a: int, b: int, sign_b: int) -> str:
     """The NoMatch message for a kept pair no gate table entry names."""
     toggled = _HALVES[position][0]
-    target = SymbolicState.from_terms(toggled, [Term(a, sign_a), Term(b, sign_b)], 1)
+    target = SymbolicState.from_terms(toggled, [Term(a, sign_a), Term(b, sign_b)])
     return f"no gate maps the reference onto {target.render()}"
 
 
@@ -329,10 +328,6 @@ def _validated(announcements: Sequence[Announcement]) -> tuple:
     return p2.outcome, p3.outcome, state_ann.label, p1.outcome, pos_ann.position
 
 
-# the pairs of the P2 x P3 Bell product over qubits 2..5
-_MIDDLE_PAIRS = (P2_PAIR, P3_PAIR)
-
-
 def _stages(
     o2: BellOutcome, o3: BellOutcome, label: StateLabel, o1: BellOutcome, position: int
 ) -> tuple[tuple, "ReconstructionResult | str"]:
@@ -342,7 +337,7 @@ def _stages(
     the entry point raises, so that a kept NoMatch holds neither this frame
     nor the pieces.
     """
-    expansion = bell_products(_MIDDLE_PAIRS)[o2, o3]
+    expansion = bell_products(PAIRING_2534)[o2, o3]
     middle = filter_support(expansion.terms, label)
     if not middle.kept:
         return (expansion, middle), "announced state is inconsistent with every expanded term"

@@ -20,15 +20,25 @@ from ghzshare.harness import (
     table1,
     verify_summary,
 )
-from ghzshare.protocol import P1_PAIR, P2_PAIR, P3_PAIR, GateAction, decode_secret
+from ghzshare.protocol import (
+    ENCODING_POSITIONS,
+    P1_PAIR,
+    P2_PAIR,
+    P3_PAIR,
+    GateAction,
+    decode_secret,
+    make_announcements,
+)
 from ghzshare.qcore import (
     BELL_OUTCOMES,
     GATES,
+    LABELS,
     BellOutcome,
     StateLabel,
     bell_probabilities,
     global_phase_equal,
 )
+from ghzshare.recon import NoMatch, reconstruct
 from ghzshare.symexact import SymbolicState, Term, to_statevector
 from oracles import FRAME, par, ph
 
@@ -187,13 +197,36 @@ def test_the_table_lookup_agrees_with_the_dense_walk_on_every_outcome_triple():
         encoded = harness._encoded(*cfg)
         for triple in itertools.product(BELL_OUTCOMES, repeat=3):
             o1, o2, o3 = triple
-            probability = harness._probability(branches, *triple)
+            probability = sum(b.probability for b in harness._view(branches, *triple))
             assert probability == born_walk(encoded, triple)[0], (cfg, triple)
             reachable = (par(o2) ^ par(o3)) == (label in (StateLabel.B, StateLabel.C))
             framed = FRAME[par(o1) ^ par(o3), ph(o1) ^ ph(o2) ^ ph(o3)] is gate
             assert probability == (Fraction(1, 8) if reachable and framed else 0), (cfg, triple)
             positive += probability > 0
     assert positive == 256
+
+
+def test_the_view_names_the_gates_the_reconstructions_find_with_p3_withheld():
+    # P2's view with P1's outcome: over the four P3 outcomes, the gates
+    # reconstructed whose honest branch the dense walk finds positive
+    views = 0
+    for label, position in itertools.product(LABELS, ENCODING_POSITIONS):
+        tables = {gate: harness._branches(label, gate, position) for gate in GATES}
+        for o1, o2 in itertools.product(BELL_OUTCOMES, repeat=2):
+            reconstructed = set()
+            for o3 in BELL_OUTCOMES:
+                try:
+                    result = reconstruct(make_announcements(o2, o3, label, o1, position))
+                except NoMatch:
+                    continue
+                encoded = harness._encoded(label, result.action.gate, position)
+                if born_walk(encoded, (o1, o2, o3))[0] > 0:
+                    reconstructed.add(result.action.gate)
+            viewed = {gate for gate, table in tables.items() if harness._view(table, o1, o2)}
+            assert reconstructed == viewed, (label, position, o1, o2)
+            assert len(viewed) == 2, (label, position, o1, o2)
+            views += 1
+    assert views == 128
 
 
 def test_a_warm_audit_walks_only_the_state_eve_modified(monkeypatch):
@@ -282,10 +315,14 @@ def test_a_warm_table_still_reconstructs_on_every_call(monkeypatch):
 def test_a_warm_audit_reconstructs_each_call_what_it_checks(monkeypatch):
     # per call: every honest branch traced for verify; eve-intercept's two
     # scripted tuples traced and every honest branch untraced for its tamper
-    # count; the matrix's 64 distinct (outcome triple, announced label) keys
+    # count; the matrix's 64 distinct (outcome triple, announced label) keys,
+    # which lie-state prints beside its one scripted tuple; lie-position's one
+    # scripted tuple and p1-withholds' four; table1 and no-collusion read only
+    # the table
     exhaustive_verify()
-    scenario_eve_intercept()
-    misannouncement_matrix()
+    table1()
+    for scenario in SCENARIOS.values():
+        scenario()
     calls = Counter()
     for name in ("reconstruct", "reconstruct_trace"):
 
@@ -298,6 +335,11 @@ def test_a_warm_audit_reconstructs_each_call_what_it_checks(monkeypatch):
         (exhaustive_verify, {"reconstruct_trace": 256}),
         (scenario_eve_intercept, {"reconstruct": 256, "reconstruct_trace": 2}),
         (misannouncement_matrix, {"reconstruct": 64}),
+        (table1, {}),
+        (scenario_lie_state, {"reconstruct": 64, "reconstruct_trace": 1}),
+        (scenario_lie_position, {"reconstruct_trace": 1}),
+        (scenario_p1_withholds, {"reconstruct_trace": 4}),
+        (scenario_no_collusion, {}),
     )
     for _ in range(2):
         for audit, counts in expected:

@@ -460,6 +460,12 @@ def test_partial_inner_matches_slice_reference(reachable_states):
                 assert np.array_equal(ints(got) << halvings, want)
 
 
+def test_partial_inner_of_an_outcome_the_state_cannot_show_is_the_zero_vector():
+    # A's (2,3) pair is always parallel, so b+ projects every amplitude away;
+    # the exponent is the state's plus one, with no halving
+    assert partial_inner(prepare_state(StateLabel.A), (2, 3), B_P) == DenseState((), 3, 4)
+
+
 def test_apply_gate_matches_kron_matrix(reachable_states):
     for state in reachable_states:
         for gate in GATES:

@@ -27,6 +27,7 @@ from ghzshare.symexact import (
     OverlappingQubits,
     SymbolicState,
     Term,
+    apply_gate_sym,
     bell_decompose,
     bell_terms,
     expand_product,
@@ -146,6 +147,22 @@ def test_bell_decompose_single_term_is_four_entry():
     expr = bell_decompose(s, ((2, 3), (4, 5)))
     assert len(expr.entries) == 4
     assert expr.expand().terms == s.terms
+
+
+def test_bell_decompose_supports_only_one_two_and_four_entry_sums():
+    # a uniform three-entry sum passes every check but the scope guard
+    pairing = ((2, 3), (4, 5))
+    three = BellProductExpr(pairing, ((A_P, A_P, 1), (A_P, B_P, 1), (B_P, B_P, 1)))
+    with pytest.raises(NotBellExpressible, match="^3-entry expansion is out of scope$"):
+        bell_decompose(three.expand(), pairing)
+    four = BellProductExpr(pairing, ((A_P, A_P, 1), (A_P, B_P, 1), (B_P, A_P, 1), (B_P, B_P, 1)))
+    assert bell_decompose(four.expand(), pairing) == four
+
+
+def test_apply_gate_sym_rejects_a_qubit_outside_the_state():
+    s = state_of((1, 2), [("00", 1), ("11", 1)])
+    with pytest.raises(ValueError, match=r"^qubit 3 not in state over \(1, 2\)$"):
+        apply_gate_sym(s, PauliGate.X, 3)
 
 
 def test_to_statevector_two_terms():
