@@ -24,8 +24,12 @@ the pieces it has reached with the result or the rejection's message, and
 frame.  A NoMatch holds only the five announced values, so a kept rejection
 pins neither the sequence's frame nor its pieces; the first read of
 ``.trace`` re-runs the sequence on them to build the partial trace.
-``reconstruct`` builds no state or trace.  A NoMatch message is rendered
-once per key, into a cached table.
+A NoMatch message is rendered once per key, into a cached table.
+
+The announcements fix the reconstruction, so ``reconstruct`` reads a decode
+table of the 512 announced tuples, each entry filled on first use by one run
+of the stage sequence, and builds no state or trace.  ``reconstruct_trace``
+and ``.trace`` run the stages on every call: they explain a result.
 """
 
 from __future__ import annotations
@@ -64,7 +68,8 @@ class NoMatch(ReconError):
 
     One that ``reconstruct`` or ``reconstruct_trace`` raises holds the five
     announced values it rejected, and nothing of the stages that rejected
-    them; one that ``infer_gate`` raises on its own holds none.
+    them; one that ``infer_gate`` raises on its own holds none.  Pickle and
+    ``copy`` rebuild it through its constructor, so the copy keeps them.
     """
 
     # no per-instance dict: a sweep may keep hundreds of these
@@ -74,6 +79,10 @@ class NoMatch(ReconError):
         # all BaseException.__init__ does is set args
         self.args = (message,)
         self._announced, self._trace = announced, None
+
+    def __reduce__(self):
+        # BaseException's passes args alone, which would drop the announced values
+        return type(self), (self.args[0], self._announced), self.__dict__
 
     @property
     def trace(self) -> "PipelineTrace | None":
@@ -357,6 +366,18 @@ def _stages(
     return pieces, tuple.__new__(ReconstructionResult, (action, secret, tamper))
 
 
+@functools.cache
+def _decoded(
+    o2: BellOutcome, o3: BellOutcome, label: StateLabel, o1: BellOutcome, position: int
+) -> tuple[Optional[ReconstructionResult], Optional[str]]:
+    """One decode table entry: the stage sequence's result, or its rejection message.
+
+    Callers pass validated announcements: True and 1.0 are equal to 1 as cache keys.
+    """
+    result = _stages(o2, o3, label, o1, position)[1]
+    return (None, result) if type(result) is str else (result, None)
+
+
 def _trace(
     expansion: SymbolicState,
     middle: FilterResult,
@@ -397,7 +418,7 @@ def reconstruct_trace(announcements: Sequence[Announcement]) -> PipelineTrace:
 def reconstruct(announcements: Sequence[Announcement]) -> ReconstructionResult:
     """Reconstruct the secret from announcements alone."""
     announced = _validated(announcements)
-    result = _stages(*announced)[1]
-    if type(result) is str:
-        raise NoMatch(result, announced)
+    result, message = _decoded(*announced)
+    if result is None:
+        raise NoMatch(message, announced)
     return result

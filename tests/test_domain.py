@@ -20,6 +20,7 @@ from ghzshare.protocol import GateAction, decode_secret, make_announcements
 from ghzshare.qcore import BELL_OUTCOMES, LABELS, StateLabel
 from ghzshare.recon import NoMatch, reconstruct
 from oracles import FRAME, par, ph
+from test_lint import SOURCES, cached_functions
 
 TUPLES = tuple(itertools.product(LABELS, (1, 6), BELL_OUTCOMES, BELL_OUTCOMES, BELL_OUTCOMES))
 
@@ -63,27 +64,33 @@ def _sweep_and_table():
     table1()
 
 
+# the cached tables whose size the domain bounds
+SIZED = {
+    "bell_products": symexact.bell_products,
+    "decode_table": recon._decoded,
+    "decoders": recon._decoder,
+    "attached_terms": recon._attached_terms,
+    "no_gate_messages": recon._no_gate_message,
+    "flip_reports": recon._flip_report,
+}
+
+
 def test_constant_tables_fill_to_their_domains_and_stop_missing():
     # The cached tables are keyed on small finite domains, never on a state
     # or a trace: one pass over every tuple (plus the collapse table, which
     # decomposes under both pairings) fills each to its domain size, and a
     # second pass adds no miss anywhere.
-    sized = {
-        "bell_products": symexact.bell_products,
-        "decoders": recon._decoder,
-        "attached_terms": recon._attached_terms,
-        "no_gate_messages": recon._no_gate_message,
-        "flip_reports": recon._flip_report,
-    }
-    tables = {**sized, "shifts": symexact._shifts, "layouts": symexact._check_layout}
+    tables = {**SIZED, "shifts": symexact._shifts, "layouts": symexact._check_layout}
     for table in tables.values():
         table.cache_clear()
     _sweep_and_table()
-    sizes = {name: table.cache_info().currsize for name, table in sized.items()}
-    # one decoder per (label, position), one interned-term table per (1,6) outcome,
-    # one message per kept pair that no gate names, one report per flipped qubit
+    sizes = {name: table.cache_info().currsize for name, table in SIZED.items()}
+    # one decode entry per announced tuple, one decoder per (label, position),
+    # one interned-term table per (1,6) outcome, one message per kept pair that
+    # no gate names, one report per flipped qubit
     assert sizes == {
         "bell_products": 2,
+        "decode_table": 512,
         "decoders": 8,
         "attached_terms": 4,
         "no_gate_messages": 14,
@@ -92,3 +99,10 @@ def test_constant_tables_fill_to_their_domains_and_stop_missing():
     misses = {name: table.cache_info().misses for name, table in tables.items()}
     _sweep_and_table()
     assert {name: table.cache_info().misses for name, table in tables.items()} == misses
+
+
+def test_every_recon_cache_is_sized_over_the_domain():
+    # a table added to recon later is checked against its domain, not left to grow
+    cached = {node.name for node in cached_functions(SOURCES["recon.py"])}
+    assert "_decoded" in cached
+    assert cached <= {table.__name__ for table in SIZED.values()}

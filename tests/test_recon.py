@@ -11,7 +11,14 @@ import pytest
 
 from ghzshare import recon
 
-from ghzshare.protocol import GateAction, PositionAnnouncement, decode_secret, make_announcements
+from ghzshare.protocol import (
+    GateAction,
+    PositionAnnouncement,
+    decode_secret,
+    make_announcements,
+    replay,
+    run_protocol,
+)
 from ghzshare.qcore import (
     BELL_OUTCOMES,
     GATES,
@@ -650,41 +657,38 @@ def test_a_kept_sweep_leaves_few_objects_for_the_cyclic_collector():
     assert left <= 256 + 256 * 6 + 16, left
 
 
-def _sweep():
+def _sweep(reconstruction=reconstruct):
     for label, position, o1, o2, o3 in TUPLES:
         try:
-            reconstruct(make_announcements(o2, o3, label, o1, position))
+            reconstruction(make_announcements(o2, o3, label, o1, position))
         except NoMatch:
             pass
 
 
 def test_reconstruct_runs_the_five_public_stage_functions(monkeypatch):
     # the stage sequence calls each stage by its public name, so a wrapper set
-    # on the module, as a tracer sets one, sees every call and every NoMatch
-    stages = ("filter_support", "attach_p1", "filter_untouched", "infer_gate", "tamper_report")
-    calls, raised = dict.fromkeys(stages, 0), dict.fromkeys(stages, 0)
-
-    def counted(name, stage):
-        def call(*args):
-            calls[name] += 1
-            try:
-                return stage(*args)
-            except NoMatch:
-                raised[name] += 1
-                raise
-
-        return call
-
-    for name in stages:
-        monkeypatch.setattr(recon, name, counted(name, getattr(recon, name)))
+    # on the module, as a tracer sets one, sees every call and every NoMatch;
+    # the decode table runs them once per tuple, as it fills
+    recon._decoded.cache_clear()
+    calls, raised = _count_stages(monkeypatch)
     _sweep()
     assert list(calls.values()) == [512, 512, 512, 384, 256]
-    assert raised == {**dict.fromkeys(stages, 0), "infer_gate": 128}
-
-
-def test_a_warm_sweep_builds_no_term_state_or_render(monkeypatch):
-    # rejection messages and tamper reports come from tables the first sweep fills
+    assert raised == {**dict.fromkeys(STAGES, 0), "infer_gate": 128}
+    calls.update(dict.fromkeys(STAGES, 0))
+    raised.update(dict.fromkeys(STAGES, 0))
     _sweep()
+    assert not any(calls.values()) and not any(raised.values())
+    # a traced reconstruction explains its result, so it runs them on every call
+    for _ in range(2):
+        _sweep(reconstruct_trace)
+        assert list(calls.values()) == [512, 512, 512, 384, 256]
+        assert raised == {**dict.fromkeys(STAGES, 0), "infer_gate": 128}
+        calls.update(dict.fromkeys(STAGES, 0))
+        raised.update(dict.fromkeys(STAGES, 0))
+
+
+def _count_builds(monkeypatch):
+    """Every term, stage state and render built from now on, by name."""
     calls = []
 
     def counted(name, wrapped):
@@ -699,10 +703,73 @@ def test_a_warm_sweep_builds_no_term_state_or_render(monkeypatch):
     from_terms = counted("from_terms", SymbolicState.from_terms.__func__)
     monkeypatch.setattr(SymbolicState, "from_terms", classmethod(from_terms))
     monkeypatch.setattr(SymbolicState, "render", counted("render", SymbolicState.render))
+    return calls
+
+
+def test_a_warm_sweep_builds_no_term_state_or_render(monkeypatch):
+    # results and rejection messages come from the decode table the first sweep fills
+    _sweep()
+    calls = _count_builds(monkeypatch)
     _sweep()
     assert calls == []
     SymbolicState.from_terms((1,), [Term(1, 1)]).render()
     assert calls == ["Term", "from_terms", "render"]
+
+
+def test_a_warm_replay_runs_no_stage_and_builds_nothing(monkeypatch):
+    transcripts = [
+        run_protocol(label, bits, position, seed)
+        for label in LABELS
+        for bits in ("00", "01", "10", "11")
+        for position in (1, 6)
+        for seed in range(4)
+    ]
+    for transcript in transcripts:
+        replay(transcript)
+    stage_calls = _count_stages(monkeypatch)[0]
+    calls = _count_builds(monkeypatch)
+    results = [replay(transcript) for transcript in transcripts]
+    assert not any(stage_calls.values())
+    assert calls == []
+    assert [r.action for r in results] == [t.true_action for t in transcripts]
+
+
+def test_the_decode_table_agrees_with_the_stages_on_every_tuple():
+    recon._decoded.cache_clear()
+    _sweep()
+    assert recon._decoded.cache_info().currsize == 512
+    for label, position, o1, o2, o3 in TUPLES:
+        announced = (o2, o3, label, o1, position)
+        result, message = recon._decoded(*announced)
+        assert (result is None) != (message is None)
+        assert (message if result is None else result) == recon._stages(*announced)[1]
+        announcements = make_announcements(o2, o3, label, o1, position)
+        if result is not None:
+            assert reconstruct(announcements) is result
+            assert reconstruct_trace(announcements).result == result
+            continue
+        with pytest.raises(NoMatch) as warm:
+            reconstruct(announcements)
+        with pytest.raises(NoMatch) as traced:
+            reconstruct_trace(announcements)
+        assert str(warm.value) == str(traced.value) == message
+        assert warm.value.trace == traced.value.trace
+
+
+def test_a_rejection_keeps_its_announced_values_through_pickle_and_copy():
+    rejections = [o for o in _kept_sweep(reconstruct) if isinstance(o, NoMatch)]
+    assert len(rejections) == 256
+    # one that infer_gate raises on its own holds no announced values
+    rejections.append(NoMatch("no gate maps the reference onto +|000> on (1,2,3)"))
+    for exc in rejections:
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        copies = [pickle.loads(pickle.dumps(exc, protocol)) for protocol in protocols]
+        copies += [copy.copy(exc), copy.deepcopy(exc)]
+        for copied in copies:
+            assert type(copied) is NoMatch
+            assert copied.args == exc.args
+            assert copied.trace == exc.trace
+    assert rejections[-1].trace is None
 
 
 def _string_partition(state, qubits, allowed):

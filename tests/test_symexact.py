@@ -369,6 +369,43 @@ def test_from_statevector_rejects_bad_vectors():
         from_statevector(DenseState(((0, 3), (1, 3)), 0, 1), (1,))
 
 
+@pytest.mark.parametrize(
+    "signed_bits, k, merged, exponent",
+    [
+        # nothing merges, in order or out of it: the exponent is the one given
+        ([("00", 1), ("11", -1)], 1, [("00", 1), ("11", -1)], 1),
+        ([("11", -1), ("00", 1)], 1, [("00", 1), ("11", -1)], 1),
+        # each pattern twice: 2 * 2**(-3/2) is 2**(-1/2)
+        ([("00", 1), ("11", -1), ("00", 1), ("11", -1)], 3, [("00", 1), ("11", -1)], 1),
+        # twice after a cancelling pair, and four times
+        ([("01", 1), ("10", 1), ("01", 1), ("10", -1)], 2, [("01", 1)], 0),
+        ([("01", -1)] * 4 + [("10", 1)] * 4, 4, [("01", -1), ("10", 1)], 0),
+    ],
+)
+def test_merged_terms_carry_their_multiplicity_into_the_norm_exponent(
+    signed_bits, k, merged, exponent
+):
+    s = state_of((2, 3), signed_bits, k)
+    assert s.term_signs() == tuple(merged)
+    assert s.norm_exponent == exponent
+
+
+def test_expand_pins_the_norm_exponent_of_its_sum():
+    pairing = ((2, 3), (4, 5))
+    # a+a+ + a-a-: |0000> and |1111> double, |0011> and |1100> cancel
+    doubled = BellProductExpr(pairing, ((A_P, A_P, 1), (A_M, A_M, 1))).expand()
+    assert doubled.term_signs() == (("0000", 1), ("1111", 1))
+    assert doubled.norm_exponent == 0
+    flipped = BellProductExpr(pairing, ((A_P, A_P, 1), (A_M, A_M, -1))).expand()
+    assert flipped.term_signs() == (("0011", 1), ("1100", 1))
+    assert flipped.norm_exponent == 0
+    # one product: four terms at 1/2 each, nothing merges
+    single = BellProductExpr(pairing, ((A_P, B_M, 1),)).expand()
+    assert single == expand_product([bell_terms(A_P, (2, 3)), bell_terms(B_M, (4, 5))])
+    assert len(single.terms) == 4
+    assert single.norm_exponent == 2
+
+
 def test_canonical_order_is_ascending_and_stable():
     shuffled = state_of((2, 3), [("11", -1), ("00", 1)])
     ordered = state_of((2, 3), [("00", 1), ("11", -1)])
