@@ -4,9 +4,10 @@ Branch enumeration chains exact Born probabilities instead of sampling,
 so the honest-run check covers every positive-probability outcome triple
 of every configuration.  Those branches, with their oracle states and their
 no-signalling verdicts, are a read-only table filled once per
-configuration: every check of an honest configuration reads it, and only
-the reconstructions under test and their comparisons run again on each
-call.  Every probability, P1-conditional collapse and consistent gate a
+configuration: every check of an honest configuration reads it.  Every
+reconstruction is a traced one, read from recon's decode table, so only the
+comparisons of its stages with the oracle states run again on each call.
+Every probability, P1-conditional collapse and consistent gate a
 check reads comes through one view of walked branches, the table's or one
 walk of the state Eve modified: the branches that show the outcomes a party
 has heard.  A scenario reconstructs only the tuples whose deduction or count
@@ -53,8 +54,6 @@ from .recon import (
     MIDDLE_QUBITS,
     NoMatch,
     PipelineTrace,
-    ReconstructionResult,
-    reconstruct,
     reconstruct_trace,
 )
 from .symexact import (
@@ -227,15 +226,10 @@ def _reconstruction(
     label: StateLabel,
     o1: BellOutcome,
     position: int,
-    traced: bool = True,
-) -> PipelineTrace | ReconstructionResult | NoMatch:
-    """The reconstruction from these announcements, or the NoMatch it raised.
-
-    Traced, it is the PipelineTrace; untraced, the ReconstructionResult alone.
-    """
-    announcements = make_announcements(o2, o3, label, o1, position)
+) -> PipelineTrace | NoMatch:
+    """The traced reconstruction from these announcements, or the NoMatch it raised."""
     try:
-        return reconstruct_trace(announcements) if traced else reconstruct(announcements)
+        return reconstruct_trace(make_announcements(o2, o3, label, o1, position))
     except NoMatch as exc:
         return exc
 
@@ -484,21 +478,16 @@ def _stage_renders(trace: PipelineTrace, stages: int = 4) -> dict[str, str]:
 def misannouncement_matrix() -> dict:
     """Deductions per (true label, announced label) over all honest branches of X1.
 
-    True labels A and D have the same X1 outcome triples, and so do B and C,
-    so each distinct announced tuple is reconstructed once per call.
+    Each of the 128 (branch, announced label) reconstructions is one lookup in
+    the decode table.
     """
-    deductions: dict[tuple[BellOutcome, BellOutcome, BellOutcome, StateLabel], str] = {}
     matrix: dict[str, dict[str, list[str]]] = {}
     for true_label in LABELS:
         row: dict[str, set[str]] = {lab.value: set() for lab in LABELS}
         for branch in _branches(true_label, PauliGate.X, 1):
             for announced in LABELS:
-                key = (branch.o1, branch.o2, branch.o3, announced)
-                deduction = deductions.get(key)
-                if deduction is None:
-                    run = _reconstruction(branch.o2, branch.o3, announced, branch.o1, 1, False)
-                    deduction = "no-match" if isinstance(run, NoMatch) else run.action.render()
-                    deductions[key] = deduction
+                run = _reconstruction(branch.o2, branch.o3, announced, branch.o1, 1)
+                deduction = "no-match" if isinstance(run, NoMatch) else run.result.action.render()
                 row[announced.value].add(deduction)
         matrix[true_label.value] = {k: sorted(v) for k, v in row.items()}
     return matrix
@@ -732,12 +721,12 @@ def scenario_eve_intercept() -> ScenarioReport:
     counterfactual_action = _deduced(counterfactual)[0]
 
     honest_runs = (
-        _reconstruction(b.o2, b.o3, lab, b.o1, pos, False)
+        _reconstruction(b.o2, b.o3, lab, b.o1, pos)
         for lab, gate, pos in configurations()
         for b in _branches(lab, gate, pos)
     )
     false_positives = sum(
-        1 for run in honest_runs if not isinstance(run, NoMatch) and run.tamper
+        1 for run in honest_runs if not isinstance(run, NoMatch) and run.result.tamper
     )
 
     assertions = (

@@ -15,21 +15,17 @@ gate images, and a table of single-qubit flips.  A filter is then a mask
 and a set lookup, gate inference one lookup, and the tamper report one
 lookup per discard.
 
-The five public stage functions are the steps, and one stage sequence,
-``_stages``, calls each in turn on tuples of terms drawn from constant
-tables: the (1,6) attach reads interned six-qubit terms, so a
-reconstruction constructs no term.  The sequence raises nothing: it returns
-the pieces it has reached with the result or the rejection's message, and
-``reconstruct`` and ``reconstruct_trace`` raise each NoMatch from their own
-frame.  A NoMatch holds only the five announced values, so a kept rejection
-pins neither the sequence's frame nor its pieces; the first read of
-``.trace`` re-runs the sequence on them to build the partial trace.
+The five public stage functions are the steps.  The announcements fix the
+reconstruction, so it lives in one decode table of the 512 announced tuples,
+``_decoded``: each entry holds the trace of the stages reached and the result
+or the rejection's message, filled on first use by one run of the stages on
+tuples of terms drawn from constant tables (the (1,6) attach reads interned
+six-qubit terms, so a reconstruction constructs no term).  ``reconstruct``,
+``reconstruct_trace`` and a NoMatch's ``.trace`` read that entry, so a warm
+reconstruction runs no stage.  The fill raises nothing, and each entry point
+raises its NoMatch from its own frame: a NoMatch holds only the five announced
+values, so a kept rejection pins neither the fill's frame nor its trace.
 A NoMatch message is rendered once per key, into a cached table.
-
-The announcements fix the reconstruction, so ``reconstruct`` reads a decode
-table of the 512 announced tuples, each entry filled on first use by one run
-of the stage sequence, and builds no state or trace.  ``reconstruct_trace``
-and ``.trace`` run the stages on every call: they explain a result.
 """
 
 from __future__ import annotations
@@ -73,12 +69,12 @@ class NoMatch(ReconError):
     """
 
     # no per-instance dict: a sweep may keep hundreds of these
-    __slots__ = ("_announced", "_trace")
+    __slots__ = ("_announced",)
 
     def __init__(self, message: str, announced: Optional[tuple] = None):
         # all BaseException.__init__ does is set args
         self.args = (message,)
-        self._announced, self._trace = announced, None
+        self._announced = announced
 
     def __reduce__(self):
         # BaseException's passes args alone, which would drop the announced values
@@ -86,10 +82,8 @@ class NoMatch(ReconError):
 
     @property
     def trace(self) -> "PipelineTrace | None":
-        """The partial trace, built on first read by re-running the stages, or None."""
-        if self._trace is None and self._announced is not None:
-            self._trace = _trace(*_stages(*self._announced)[0])
-        return self._trace
+        """The partial trace of the rejected announcements, from the decode table, or None."""
+        return None if self._announced is None else _decoded(*self._announced)[0]
 
 
 class Ambiguous(ReconError):
@@ -317,10 +311,13 @@ def _validated(announcements: Sequence[Announcement]) -> tuple:
     fields, so what is left to check is the order: each slot's exact record
     type and each measurement's party.
     """
-    if len(announcements) != len(_HONEST_ORDER):
-        raise IncompleteTranscript(
-            f"expected {len(_HONEST_ORDER)} announcements, got {len(announcements)}"
-        )
+    try:
+        count = len(announcements)
+    except TypeError:  # an iterator, a generator, None
+        given = type(announcements).__name__
+        raise IncompleteTranscript(f"announcements must be a sequence, got {given}") from None
+    if count != len(_HONEST_ORDER):
+        raise IncompleteTranscript(f"expected {len(_HONEST_ORDER)} announcements, got {count}")
     p2, p3, state_ann, p1, pos_ann = announcements
     if not (
         type(p2) is type(p3) is type(p1) is MeasurementAnnouncement
@@ -337,88 +334,69 @@ def _validated(announcements: Sequence[Announcement]) -> tuple:
     return p2.outcome, p3.outcome, state_ann.label, p1.outcome, pos_ann.position
 
 
-def _stages(
-    o2: BellOutcome, o3: BellOutcome, label: StateLabel, o1: BellOutcome, position: int
-) -> tuple[tuple, "ReconstructionResult | str"]:
-    """The pipeline on term tuples: the pieces ``_trace`` reads, and the result.
-
-    On rejection the result is the NoMatch message.  Nothing is raised here:
-    the entry point raises, so that a kept NoMatch holds neither this frame
-    nor the pieces.
-    """
-    expansion = bell_products(PAIRING_2534)[o2, o3]
-    middle = filter_support(expansion.terms, label)
-    if not middle.kept:
-        return (expansion, middle), "announced state is inconsistent with every expanded term"
-    attached = attach_p1(middle.kept, o1)
-    decoder = _decoder(label, position)
-    untouched = filter_untouched(attached, decoder)
-    pieces = (expansion, middle, attached, untouched)
-    kept = untouched.kept
-    if len(kept) != 2:
-        return pieces, f"{len(kept)} terms survive the untouched-half filter"
-    try:
-        action, secret = infer_gate(kept, decoder)
-    except NoMatch as exc:
-        return pieces, exc.args[0]
-    tamper = tamper_report(untouched.discarded, decoder)
-    # what ReconstructionResult's generated __new__ calls, without its Python frame
-    return pieces, tuple.__new__(ReconstructionResult, (action, secret, tamper))
-
-
 @functools.cache
 def _decoded(
     o2: BellOutcome, o3: BellOutcome, label: StateLabel, o1: BellOutcome, position: int
-) -> tuple[Optional[ReconstructionResult], Optional[str]]:
-    """One decode table entry: the stage sequence's result, or its rejection message.
+) -> tuple[PipelineTrace, "ReconstructionResult | str"]:
+    """One decode table entry: the trace of the stages reached, and the result.
 
+    On rejection the trace is partial and the result is the NoMatch message.
+    Nothing is raised here: a cache keeps no call that raised, and the entry
+    point raises, so that a kept NoMatch holds neither this frame nor the trace.
     Callers pass validated announcements: True and 1.0 are equal to 1 as cache keys.
-    """
-    result = _stages(o2, o3, label, o1, position)[1]
-    return (None, result) if type(result) is str else (result, None)
-
-
-def _trace(
-    expansion: SymbolicState,
-    middle: FilterResult,
-    attached_terms: _Terms = (),
-    untouched: Optional[FilterResult] = None,
-    result: Optional[ReconstructionResult] = None,
-) -> PipelineTrace:
-    """The stage states and filter results of a stage sequence's pieces.
 
     Each record is built as the generated ``__new__`` builds it, without its
     Python frame: terms kept in order from a canonical state are canonical
     already, so no state needs ``from_terms``.
     """
     new = tuple.__new__
+    expansion = bell_products(PAIRING_2534)[o2, o3]
+    middle = filter_support(expansion.terms, label)
     norm = expansion.norm_exponent
     kept_mid = new(SymbolicState, (MIDDLE_QUBITS, middle.kept, norm))
-    if untouched is None:
-        return new(PipelineTrace, (expansion, middle, kept_mid, None, None, None, None))
+    if not middle.kept:
+        trace = new(PipelineTrace, (expansion, middle, kept_mid, None, None, None, None))
+        return trace, "announced state is inconsistent with every expanded term"
+    attached = attach_p1(middle.kept, o1)
+    decoder = _decoder(label, position)
+    untouched = filter_untouched(attached, decoder)
+    kept = untouched.kept
     # the (1,6) ket's 1/sqrt2 adds 1 to the norm exponent
-    attached = new(SymbolicState, (ALL_QUBITS, attached_terms, norm + 1))
-    final_kept = new(SymbolicState, (ALL_QUBITS, untouched.kept, norm + 1))
-    return new(
-        PipelineTrace, (expansion, middle, kept_mid, attached, untouched, final_kept, result)
+    reached = (
+        expansion,
+        middle,
+        kept_mid,
+        new(SymbolicState, (ALL_QUBITS, attached, norm + 1)),
+        untouched,
+        new(SymbolicState, (ALL_QUBITS, kept, norm + 1)),
     )
+    if len(kept) != 2:
+        message = f"{len(kept)} terms survive the untouched-half filter"
+        return new(PipelineTrace, (*reached, None)), message
+    try:
+        action, secret = infer_gate(kept, decoder)
+    except NoMatch as exc:
+        return new(PipelineTrace, (*reached, None)), exc.args[0]
+    tamper = tamper_report(untouched.discarded, decoder)
+    result = new(ReconstructionResult, (action, secret, tamper))
+    return new(PipelineTrace, (*reached, result)), result
 
 
 def reconstruct_trace(announcements: Sequence[Announcement]) -> PipelineTrace:
-    """Run the full pipeline, keeping every intermediate for reporting."""
+    """The full pipeline's trace, every intermediate kept for reporting."""
     announced = _validated(announcements)
-    pieces, result = _stages(*announced)
+    trace, result = _decoded(*announced)
     if type(result) is str:
         # the traceback keeps this frame's locals
-        del pieces
+        del trace
         raise NoMatch(result, announced)
-    return _trace(*pieces, result)
+    return trace
 
 
 def reconstruct(announcements: Sequence[Announcement]) -> ReconstructionResult:
     """Reconstruct the secret from announcements alone."""
     announced = _validated(announcements)
-    result, message = _decoded(*announced)
-    if result is None:
-        raise NoMatch(message, announced)
+    result = _decoded(*announced)[1]
+    if type(result) is str:
+        raise NoMatch(result, announced)
     return result

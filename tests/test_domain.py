@@ -13,10 +13,18 @@ as an independent oracle.
 """
 
 import itertools
+import sys
 
-from ghzshare import recon, symexact
+import ghzshare.cli  # noqa: F401  -- loads every module that may hold a cache
+from ghzshare import harness, recon, symexact
 from ghzshare.harness import table1
-from ghzshare.protocol import GateAction, decode_secret, make_announcements
+from ghzshare.protocol import (
+    GateAction,
+    decode_secret,
+    make_announcements,
+    replay,
+    run_protocol,
+)
 from ghzshare.qcore import BELL_OUTCOMES, LABELS, StateLabel
 from ghzshare.recon import NoMatch, reconstruct
 from oracles import FRAME, par, ph
@@ -106,3 +114,60 @@ def test_every_recon_cache_is_sized_over_the_domain():
     cached = {node.name for node in cached_functions(SOURCES["recon.py"])}
     assert "_decoded" in cached
     assert cached <= {table.__name__ for table in SIZED.values()}
+
+
+def _package_caches() -> dict:
+    """Every functools cache in the package, by its defining module and name."""
+    caches = {}
+    for module in list(sys.modules):
+        if module.split(".")[0] == "ghzshare":
+            for value in vars(sys.modules[module]).values():
+                if hasattr(value, "cache_info"):
+                    caches[f"{value.__module__}.{value.__qualname__}"] = value
+    return caches
+
+
+def _full_pass():
+    _sweep_and_table()
+    harness.exhaustive_verify()
+    for scenario in harness.SCENARIOS.values():
+        scenario()
+    for seed, label in enumerate(LABELS):
+        replay(run_protocol(label, "01", (1, 6)[seed % 2], seed))
+
+
+def test_every_package_cache_fills_to_its_domain_and_stops_missing():
+    # one pass over everything the package does fills each table to a size
+    # its finite domain fixes, and a second pass adds no miss: a cache added
+    # later must be pinned here, not left to grow
+    caches = _package_caches()
+    assert len(caches) == sum(len(cached_functions(tree)) for tree in SOURCES.values())
+    for cache in caches.values():
+        cache.cache_clear()
+    _full_pass()
+    sizes = {name: cache.cache_info().currsize for name, cache in caches.items()}
+    assert sizes == {
+        # the honest state space: 32 configurations, one product per outcome triple
+        "ghzshare.harness._branches": 32,
+        "ghzshare.harness._announced_product": 64,
+        # per label, per (gate, qubit), per pair, per probability reached
+        "ghzshare.qcore.prepare_state": 4,
+        "ghzshare.qcore._gate_table": 8,
+        "ghzshare.qcore._bell_tables": 3,
+        "ghzshare.qcore._probability": 5,
+        # per (1,6) outcome, per (label, position), per kept pair no gate names,
+        # per flipped qubit, per announced tuple
+        "ghzshare.recon._attached_terms": 4,
+        "ghzshare.recon._decoder": 8,
+        "ghzshare.recon._no_gate_message": 14,
+        "ghzshare.recon._flip_report": 2,
+        "ghzshare.recon._decoded": 512,
+        # per (layout, qubits), per layout, per pairing
+        "ghzshare.symexact._shifts": 9,
+        "ghzshare.symexact._check_layout": 9,
+        "ghzshare.symexact.bell_products": 2,
+        "ghzshare.symexact._bell_gather": 2,
+    }
+    misses = {name: cache.cache_info().misses for name, cache in caches.items()}
+    _full_pass()
+    assert {name: cache.cache_info().misses for name, cache in caches.items()} == misses

@@ -41,6 +41,7 @@ from ghzshare.qcore import (
 from ghzshare.recon import NoMatch, reconstruct
 from ghzshare.symexact import SymbolicState, Term, to_statevector
 from oracles import FRAME, par, ph
+from test_recon import _count_builds, _count_stages
 
 EXPECTED_FLAGGED_ROWS = {
     ("I", "b+"),
@@ -313,30 +314,30 @@ def test_a_warm_table_still_reconstructs_on_every_call(monkeypatch):
 
 
 def test_a_warm_audit_reconstructs_each_call_what_it_checks(monkeypatch):
-    # per call: every honest branch traced for verify; eve-intercept's two
-    # scripted tuples traced and every honest branch untraced for its tamper
-    # count; the matrix's 64 distinct (outcome triple, announced label) keys,
-    # which lie-state prints beside its one scripted tuple; lie-position's one
+    # per call, every reconstruction traced: every honest branch for verify;
+    # eve-intercept's two scripted tuples and every honest branch for its
+    # tamper count; the matrix's 128 (branch, announced label) pairs, which
+    # lie-state prints beside its one scripted tuple; lie-position's one
     # scripted tuple and p1-withholds' four; table1 and no-collusion read only
-    # the table
+    # the branch table
     exhaustive_verify()
     table1()
     for scenario in SCENARIOS.values():
         scenario()
     calls = Counter()
-    for name in ("reconstruct", "reconstruct_trace"):
+    reconstruct_trace = harness.reconstruct_trace
 
-        def counted(announcements, _name=name, _run=getattr(harness, name)):
-            calls[_name] += 1
-            return _run(announcements)
+    def counted(announcements):
+        calls["reconstruct_trace"] += 1
+        return reconstruct_trace(announcements)
 
-        monkeypatch.setattr(harness, name, counted)
+    monkeypatch.setattr(harness, "reconstruct_trace", counted)
     expected = (
         (exhaustive_verify, {"reconstruct_trace": 256}),
-        (scenario_eve_intercept, {"reconstruct": 256, "reconstruct_trace": 2}),
-        (misannouncement_matrix, {"reconstruct": 64}),
+        (scenario_eve_intercept, {"reconstruct_trace": 258}),
+        (misannouncement_matrix, {"reconstruct_trace": 128}),
         (table1, {}),
-        (scenario_lie_state, {"reconstruct": 64, "reconstruct_trace": 1}),
+        (scenario_lie_state, {"reconstruct_trace": 129}),
         (scenario_lie_position, {"reconstruct_trace": 1}),
         (scenario_p1_withholds, {"reconstruct_trace": 4}),
         (scenario_no_collusion, {}),
@@ -346,6 +347,24 @@ def test_a_warm_audit_reconstructs_each_call_what_it_checks(monkeypatch):
             calls.clear()
             audit()
             assert calls == counts, audit.__name__
+
+
+def test_a_warm_audit_runs_no_stage(monkeypatch):
+    # every reconstruction an audit makes is read from the decode table
+    exhaustive_verify()
+    table1()
+    for scenario in SCENARIOS.values():
+        scenario()
+    stage_calls = _count_stages(monkeypatch)[0]
+    builds = _count_builds(monkeypatch)
+    exhaustive_verify()
+    assert not any(stage_calls.values())
+    # no term, stage state or render
+    assert builds == []
+    table1()
+    for scenario in SCENARIOS.values():
+        scenario()
+    assert not any(stage_calls.values())
 
 
 def test_exhaustive_is_deterministic(records):

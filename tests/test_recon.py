@@ -14,6 +14,7 @@ from ghzshare import recon
 from ghzshare.protocol import (
     GateAction,
     PositionAnnouncement,
+    Transcript,
     decode_secret,
     make_announcements,
     replay,
@@ -274,6 +275,26 @@ def test_reconstruct_rejects_reordered_announcements():
         reconstruct(reordered)
     with pytest.raises(IncompleteTranscript):
         reconstruct(announcements[:4])
+
+
+def test_a_value_with_no_length_is_an_incomplete_transcript():
+    announcements = make_announcements(A_M, A_P, StateLabel.A, B_P, 1)
+    given = (
+        (None, "NoneType"),
+        (5, "int"),
+        (iter(announcements), "tuple_iterator"),
+        ((a for a in announcements), "generator"),
+    )
+    for value, kind in given:
+        message = f"^announcements must be a sequence, got {kind}$"
+        transcript = Transcript(0, StateLabel.A, GateAction(PauliGate.IY, 1), value)
+        for reconstruction in (reconstruct, reconstruct_trace, replay):
+            with pytest.raises(IncompleteTranscript, match=message):
+                reconstruction(transcript if reconstruction is replay else value)
+    expected = reconstruct(announcements)
+    for sequence in (list(announcements), tuple(announcements)):
+        assert reconstruct(sequence) is expected
+        assert reconstruct_trace(sequence).result is expected
 
 
 def test_reconstruct_rejects_plain_tuples_equal_to_valid_announcements():
@@ -537,12 +558,10 @@ def test_reconstruct_and_reconstruct_trace_agree_on_every_tuple(monkeypatch):
                 calls.update(dict.fromkeys(STAGES, 0))
                 raises.update(dict.fromkeys(STAGES, 0))
                 trace = exc.trace
-                # the first read re-runs the stages once, up to the one that rejected
+                # the trace is read from the decode table the reconstructions filled
                 passed = _stages_reached(trace)
-                assert list(calls.values()) == [1] * passed + [0] * (5 - passed)
-                assert raises["infer_gate"] == (passed == 4)
+                assert not any(calls.values()) and not any(raises.values())
                 # later reads return the same object and run nothing
-                calls.update(dict.fromkeys(STAGES, 0))
                 assert exc.trace is trace
                 assert not any(calls.values())
             reached.append(passed)
@@ -666,25 +685,46 @@ def _sweep(reconstruction=reconstruct):
 
 
 def test_reconstruct_runs_the_five_public_stage_functions(monkeypatch):
-    # the stage sequence calls each stage by its public name, so a wrapper set
-    # on the module, as a tracer sets one, sees every call and every NoMatch;
-    # the decode table runs them once per tuple, as it fills
-    recon._decoded.cache_clear()
+    # the decode table's fill calls each stage by its public name, so a wrapper
+    # set on the module, as a tracer sets one, sees every call and every
+    # NoMatch; it runs them once per tuple, whichever entry point fills it
     calls, raised = _count_stages(monkeypatch)
-    _sweep()
-    assert list(calls.values()) == [512, 512, 512, 384, 256]
-    assert raised == {**dict.fromkeys(STAGES, 0), "infer_gate": 128}
-    calls.update(dict.fromkeys(STAGES, 0))
-    raised.update(dict.fromkeys(STAGES, 0))
-    _sweep()
-    assert not any(calls.values()) and not any(raised.values())
-    # a traced reconstruction explains its result, so it runs them on every call
-    for _ in range(2):
-        _sweep(reconstruct_trace)
-        assert list(calls.values()) == [512, 512, 512, 384, 256]
-        assert raised == {**dict.fromkeys(STAGES, 0), "infer_gate": 128}
+    warm_sweeps = (_sweep, lambda: _sweep(reconstruct_trace), lambda: list(_traces()))
+    for reconstruction in (reconstruct, reconstruct_trace):
+        recon._decoded.cache_clear()
         calls.update(dict.fromkeys(STAGES, 0))
         raised.update(dict.fromkeys(STAGES, 0))
+        _sweep(reconstruction)
+        assert list(calls.values()) == [512, 512, 512, 384, 256]
+        assert raised == {**dict.fromkeys(STAGES, 0), "infer_gate": 128}
+        # a warm sweep of either entry point, or of the .trace reads, runs none
+        for warm in warm_sweeps:
+            calls.update(dict.fromkeys(STAGES, 0))
+            raised.update(dict.fromkeys(STAGES, 0))
+            warm()
+            assert not any(calls.values()) and not any(raised.values())
+
+
+def test_one_decode_table_serves_all_three_readers(monkeypatch):
+    # whichever entry point fills an entry, the stages run once for it, and the
+    # other entry point and the .trace reads find the same objects there
+    calls = _count_stages(monkeypatch)[0]
+    for first, then in ((reconstruct_trace, reconstruct), (reconstruct, reconstruct_trace)):
+        recon._decoded.cache_clear()
+        calls.update(dict.fromkeys(STAGES, 0))
+        filled = _kept_sweep(first)
+        assert list(calls.values()) == [512, 512, 512, 384, 256]
+        calls.update(dict.fromkeys(STAGES, 0))
+        read = _kept_sweep(then)
+        assert not any(calls.values())
+        outcomes = zip(filled, read) if first is reconstruct else zip(read, filled)
+        for result, traced in outcomes:
+            if isinstance(result, NoMatch):
+                assert type(traced) is NoMatch and str(traced) == str(result)
+                assert result.trace is traced.trace
+            else:
+                assert result is traced.result
+        assert not any(calls.values())
 
 
 def _count_builds(monkeypatch):
@@ -740,20 +780,22 @@ def test_the_decode_table_agrees_with_the_stages_on_every_tuple():
     assert recon._decoded.cache_info().currsize == 512
     for label, position, o1, o2, o3 in TUPLES:
         announced = (o2, o3, label, o1, position)
-        result, message = recon._decoded(*announced)
-        assert (result is None) != (message is None)
-        assert (message if result is None else result) == recon._stages(*announced)[1]
+        entry = recon._decoded(*announced)
+        trace, result = entry
+        assert entry == recon._decoded.__wrapped__(*announced)
         announcements = make_announcements(o2, o3, label, o1, position)
-        if result is not None:
+        if type(result) is not str:
+            assert trace.result is result
             assert reconstruct(announcements) is result
-            assert reconstruct_trace(announcements).result == result
+            assert reconstruct_trace(announcements) is trace
             continue
+        assert trace.result is None
         with pytest.raises(NoMatch) as warm:
             reconstruct(announcements)
         with pytest.raises(NoMatch) as traced:
             reconstruct_trace(announcements)
-        assert str(warm.value) == str(traced.value) == message
-        assert warm.value.trace == traced.value.trace
+        assert str(warm.value) == str(traced.value) == result
+        assert warm.value.trace is traced.value.trace is trace
 
 
 def test_a_rejection_keeps_its_announced_values_through_pickle_and_copy():
