@@ -172,7 +172,6 @@ def main(argv=None) -> int:
         return code
     except ValueError as exc:
         parser.exit(2, f"error: {exc}\n")
-        return 2
     except BrokenPipeError:
         # The reader closed the pipe, as `| head` does. What stdout still holds
         # goes to devnull, so that the flush at exit raises nothing.

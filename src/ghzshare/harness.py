@@ -5,8 +5,9 @@ so the honest-run check covers every positive-probability outcome triple
 of every configuration.  Those branches, with their oracle states and their
 no-signalling verdicts, are a read-only table filled once per
 configuration: every check of an honest configuration reads it.  Every
-reconstruction is a traced one, read from recon's decode table, so only the
-comparisons of its stages with the oracle states run again on each call.
+reconstruction is a trace, read from recon's decode table, that ends in its
+result or its rejection, so only the comparisons of its stages with the oracle
+states run again on each call.
 Every probability, P1-conditional collapse and consistent gate a
 check reads comes through one view of walked branches, the table's or one
 walk of the state Eve modified: the branches that show the outcomes a party
@@ -212,7 +213,7 @@ def _stage_failures(branch: Branch, trace: PipelineTrace) -> list[str]:
     if not _phase_equal(branch.mid_after_p1, trace.kept_mid):
         failures.append("kept terms differ from the P1-conditional collapse")
     # attached state vs the post-P1 six-qubit state
-    if trace.attached is None or not _phase_equal(branch.after_p1, trace.attached):
+    if not _phase_equal(branch.after_p1, trace.attached):
         failures.append("attached state differs from the post-P1 state")
     # no-signaling: the final state is exactly the product of announced kets
     if not branch.no_signalling:
@@ -226,12 +227,12 @@ def _reconstruction(
     label: StateLabel,
     o1: BellOutcome,
     position: int,
-) -> PipelineTrace | NoMatch:
-    """The traced reconstruction from these announcements, or the NoMatch it raised."""
+) -> PipelineTrace:
+    """The trace of the reconstruction from these announcements, which may end in a rejection."""
     try:
         return reconstruct_trace(make_announcements(o2, o3, label, o1, position))
     except NoMatch as exc:
-        return exc
+        return exc.trace
 
 
 def exhaustive_verify() -> list[BranchRecord]:
@@ -248,11 +249,11 @@ def exhaustive_verify() -> list[BranchRecord]:
         fixed = (label.value, gate.value, position, secret)
         for branch in _branches(label, gate, position):
             run = _reconstruction(branch.o2, branch.o3, label, branch.o1, position)
-            if isinstance(run, NoMatch):
-                failures = [f"reconstruction failed: {run}"]
+            result = run.result
+            if result is None:
+                failures = [f"reconstruction failed: {run.rejection}"]
                 deduced = (None, None, None)
             else:
-                result = run.result
                 observed = result.action.render()
                 failures = []
                 if result.secret != secret:
@@ -456,23 +457,19 @@ def _check_terms(name: str, state: SymbolicState, printed: str) -> AssertionReco
     return _check(name, printed, state.render(), signed == printed)
 
 
-def _deduced(run: PipelineTrace | NoMatch) -> tuple[str, str]:
-    """The reconstructed action and secret as reported; a failure reads the same in both."""
-    if isinstance(run, NoMatch):
-        return (f"no-match ({run})",) * 2
-    return run.result.action.render(), run.result.secret
-
-
-def _trace_of(run: PipelineTrace | NoMatch) -> PipelineTrace:
-    """The stages a reconstruction reached, whether or not it succeeded."""
-    return run.trace if isinstance(run, NoMatch) else run
+def _deduced(trace: PipelineTrace) -> tuple[str, str]:
+    """The reconstructed action and secret as reported; a rejection reads the same in both."""
+    result = trace.result
+    if result is None:
+        return (f"no-match ({trace.rejection})",) * 2
+    return result.action.render(), result.secret
 
 
 def _stage_renders(trace: PipelineTrace, stages: int = 4) -> dict[str, str]:
-    """The first pipeline stages of a trace, rendered ("" for a stage it did not reach)."""
+    """The first pipeline stages of a trace, rendered."""
     keys = ("expansion", "kept_after_state_filter", "attached", "final_kept")
     states = (trace.expansion, trace.kept_mid, trace.attached, trace.final_kept)
-    return {k: s.render() if s is not None else "" for k, s in zip(keys[:stages], states)}
+    return {k: s.render() for k, s in zip(keys[:stages], states)}
 
 
 def misannouncement_matrix() -> dict:
@@ -487,7 +484,7 @@ def misannouncement_matrix() -> dict:
         for branch in _branches(true_label, PauliGate.X, 1):
             for announced in LABELS:
                 run = _reconstruction(branch.o2, branch.o3, announced, branch.o1, 1)
-                deduction = "no-match" if isinstance(run, NoMatch) else run.result.action.render()
+                deduction = "no-match" if run.result is None else run.result.action.render()
                 row[announced.value].add(deduction)
         matrix[true_label.value] = {k: sorted(v) for k, v in row.items()}
     return matrix
@@ -525,7 +522,7 @@ def scenario_lie_state() -> ScenarioReport:
         "collapse_terms": post.render(),
         "collapse_pairing_23_45": bell_decompose(post, PAIRING_2345).render(),
         "collapse_pairing_25_34": bell_decompose(post, PAIRING_2534).render(),
-        **_stage_renders(_trace_of(run), 2),
+        **_stage_renders(run, 2),
         "misannouncement_matrix": misannouncement_matrix(),
     }
     script = {
@@ -545,11 +542,10 @@ def scenario_lie_position() -> ScenarioReport:
     label, gate, true_position = StateLabel.A, PauliGate.IY, 1
     o1, o2, o3 = B_P, A_M, A_P
     prob = sum(b.probability for b in _view(_branches(label, gate, true_position), o1, o2, o3))
-    run = _reconstruction(o2, o3, label, o1, 6)
-    trace = _trace_of(run)
+    trace = _reconstruction(o2, o3, label, o1, 6)
     expected_kept = (("000001", 1), ("111110", -1))
-    observed_kept = trace.final_kept.term_signs() if trace.final_kept else ()
-    deduction, deduced_secret = _deduced(run)
+    observed_kept = trace.final_kept.term_signs()
+    deduction, deduced_secret = _deduced(trace)
     assertions = (
         _check_positive("b+, a-, a+", prob),
         _check(
@@ -589,7 +585,7 @@ def scenario_p1_withholds() -> ScenarioReport:
     for o1 in expected_map:
         run = _reconstruction(o2, o3, label, o1, position)
         observed_map[o1.ascii] = _deduced(run)[0]
-        if not isinstance(run, NoMatch):
+        if run.result is not None:
             consistent.add(observed_map[o1.ascii])
             table = _branches(label, run.result.action.gate, position)
             all_positive = all_positive and bool(_view(table, o1, o2, o3))
@@ -711,13 +707,12 @@ def scenario_eve_intercept() -> ScenarioReport:
     collapse_expr = BellProductExpr(PAIRING_2534, ((B_P, B_M, 1), (B_M, B_P, 1)))
 
     trace = _reconstruction(B_M, B_P, label, A_P, position)
-    assert isinstance(trace, PipelineTrace)
     deduction, deduced_secret = _deduced(trace)
     tamper = trace.result.tamper
 
     # the same announcements with the dealer naming qubit 6
     counterfactual = _reconstruction(B_M, B_P, label, A_P, 6)
-    counterfactual_state = _trace_of(counterfactual).final_kept
+    counterfactual_state = counterfactual.final_kept
     counterfactual_action = _deduced(counterfactual)[0]
 
     honest_runs = (
@@ -725,9 +720,7 @@ def scenario_eve_intercept() -> ScenarioReport:
         for lab, gate, pos in configurations()
         for b in _branches(lab, gate, pos)
     )
-    false_positives = sum(
-        1 for run in honest_runs if not isinstance(run, NoMatch) and run.result.tamper
-    )
+    false_positives = sum(1 for run in honest_runs if run.result is not None and run.result.tamper)
 
     assertions = (
         _check(

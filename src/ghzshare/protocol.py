@@ -274,6 +274,11 @@ class Transcript(NamedTuple):
     announcements: tuple[Announcement, ...]
 
     def to_dict(self) -> dict:
+        announcements = self.announcements
+        # an iterator would write its announcements once, and then none
+        if not isinstance(announcements, (tuple, list)):
+            given = type(announcements).__name__
+            raise ValueError(f"announcements must be a sequence, got {given}")
         return {
             "seed": self.seed,
             "true_config": {
@@ -281,7 +286,7 @@ class Transcript(NamedTuple):
                 "gate": self.true_action.gate.value,
                 "position": self.true_action.position,
             },
-            "announcements": [a.to_dict() for a in self.announcements],
+            "announcements": [a.to_dict() for a in announcements],
         }
 
     def to_json(self) -> str:

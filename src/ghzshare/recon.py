@@ -17,10 +17,11 @@ lookup per discard.
 
 The five public stage functions are the steps.  The announcements fix the
 reconstruction, so it lives in one decode table of the 512 announced tuples,
-``_decoded``: each entry holds the trace of the stages reached and the result
-or the rejection's message, filled on first use by one run of the stages on
-tuples of terms drawn from constant tables (the (1,6) attach reads interned
-six-qubit terms, so a reconstruction constructs no term).  ``reconstruct``,
+``_decoded``: each entry is one trace of every stage, as each label's support
+keeps two of the four expanded terms, and it ends in the result or the
+rejection's message.  It is filled on first use by one run of the stages on
+terms drawn from constant tables (the (1,6) attach reads interned six-qubit
+terms, so a reconstruction constructs no term).  ``reconstruct``,
 ``reconstruct_trace`` and a NoMatch's ``.trace`` read that entry, so a warm
 reconstruction runs no stage.  The fill raises nothing, and each entry point
 raises its NoMatch from its own frame: a NoMatch holds only the five announced
@@ -82,8 +83,8 @@ class NoMatch(ReconError):
 
     @property
     def trace(self) -> "PipelineTrace | None":
-        """The partial trace of the rejected announcements, from the decode table, or None."""
-        return None if self._announced is None else _decoded(*self._announced)[0]
+        """The trace of the rejected announcements, from the decode table, or None."""
+        return None if self._announced is None else _decoded(*self._announced)
 
 
 class Ambiguous(ReconError):
@@ -115,15 +116,16 @@ class ReconstructionResult(NamedTuple):
 
 
 class PipelineTrace(NamedTuple):
-    """All intermediate states of one reconstruction, for reporting."""
+    """All intermediate states of one reconstruction, and its result or its rejection."""
 
     expansion: SymbolicState
     support_filter: FilterResult
     kept_mid: SymbolicState
-    attached: Optional[SymbolicState]
-    untouched_filter: Optional[FilterResult]
-    final_kept: Optional[SymbolicState]
+    attached: SymbolicState
+    untouched_filter: FilterResult
+    final_kept: SymbolicState
     result: Optional[ReconstructionResult]
+    rejection: Optional[str]
 
 
 class Decoder(NamedTuple):
@@ -337,10 +339,9 @@ def _validated(announcements: Sequence[Announcement]) -> tuple:
 @functools.cache
 def _decoded(
     o2: BellOutcome, o3: BellOutcome, label: StateLabel, o1: BellOutcome, position: int
-) -> tuple[PipelineTrace, "ReconstructionResult | str"]:
-    """One decode table entry: the trace of the stages reached, and the result.
+) -> PipelineTrace:
+    """One decode table entry: the trace, which ends in the result or the rejection.
 
-    On rejection the trace is partial and the result is the NoMatch message.
     Nothing is raised here: a cache keeps no call that raised, and the entry
     point raises, so that a kept NoMatch holds neither this frame nor the trace.
     Callers pass validated announcements: True and 1.0 are equal to 1 as cache keys.
@@ -353,10 +354,6 @@ def _decoded(
     expansion = bell_products(PAIRING_2534)[o2, o3]
     middle = filter_support(expansion.terms, label)
     norm = expansion.norm_exponent
-    kept_mid = new(SymbolicState, (MIDDLE_QUBITS, middle.kept, norm))
-    if not middle.kept:
-        trace = new(PipelineTrace, (expansion, middle, kept_mid, None, None, None, None))
-        return trace, "announced state is inconsistent with every expanded term"
     attached = attach_p1(middle.kept, o1)
     decoder = _decoder(label, position)
     untouched = filter_untouched(attached, decoder)
@@ -365,38 +362,43 @@ def _decoded(
     reached = (
         expansion,
         middle,
-        kept_mid,
+        new(SymbolicState, (MIDDLE_QUBITS, middle.kept, norm)),
         new(SymbolicState, (ALL_QUBITS, attached, norm + 1)),
         untouched,
         new(SymbolicState, (ALL_QUBITS, kept, norm + 1)),
     )
     if len(kept) != 2:
-        message = f"{len(kept)} terms survive the untouched-half filter"
-        return new(PipelineTrace, (*reached, None)), message
+        rejection = f"{len(kept)} terms survive the untouched-half filter"
+        return new(PipelineTrace, (*reached, None, rejection))
     try:
         action, secret = infer_gate(kept, decoder)
     except NoMatch as exc:
-        return new(PipelineTrace, (*reached, None)), exc.args[0]
+        return new(PipelineTrace, (*reached, None, exc.args[0]))
     tamper = tamper_report(untouched.discarded, decoder)
     result = new(ReconstructionResult, (action, secret, tamper))
-    return new(PipelineTrace, (*reached, result)), result
+    return new(PipelineTrace, (*reached, result, None))
 
 
 def reconstruct_trace(announcements: Sequence[Announcement]) -> PipelineTrace:
     """The full pipeline's trace, every intermediate kept for reporting."""
     announced = _validated(announcements)
-    trace, result = _decoded(*announced)
-    if type(result) is str:
+    trace = _decoded(*announced)
+    if trace.result is None:
+        rejection = trace.rejection
         # the traceback keeps this frame's locals
         del trace
-        raise NoMatch(result, announced)
+        raise NoMatch(rejection, announced)
     return trace
 
 
 def reconstruct(announcements: Sequence[Announcement]) -> ReconstructionResult:
     """Reconstruct the secret from announcements alone."""
     announced = _validated(announcements)
-    result = _decoded(*announced)[1]
-    if type(result) is str:
-        raise NoMatch(result, announced)
+    trace = _decoded(*announced)
+    result = trace.result
+    if result is None:
+        rejection = trace.rejection
+        # the traceback keeps this frame's locals
+        del trace
+        raise NoMatch(rejection, announced)
     return result

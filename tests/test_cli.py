@@ -314,6 +314,26 @@ def test_a_closed_pipe_ends_the_cli_quietly_with_the_sigpipe_status():
     assert (proc.wait(timeout=60), stderr) == (141, b"")
 
 
+def test_a_buffered_write_to_a_closed_pipe_ends_the_cli_with_the_sigpipe_status():
+    # a buffered stdout holds the whole small run until the CLI's own flush, which
+    # fails inside main; at interpreter exit it would fail as an ignored exception
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ghzshare.cli", "run", "--seed", "7"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 def _traced_names() -> tuple:
     """The (module, attribute path) pairs of perfbench/tracer.py's TRACED, read with ast."""
     tree = ast.parse((SRC.parent / "perfbench" / "tracer.py").read_text())

@@ -34,12 +34,14 @@ from ghzshare.qcore import (
     GATES,
     LABELS,
     BellOutcome,
+    PauliGate,
     StateLabel,
     bell_probabilities,
     global_phase_equal,
 )
+from ghzshare import recon
 from ghzshare.recon import NoMatch, reconstruct
-from ghzshare.symexact import SymbolicState, Term, to_statevector
+from ghzshare.symexact import SymbolicState, Term, bell_terms, to_statevector
 from oracles import FRAME, par, ph
 from test_recon import _count_builds, _count_stages
 
@@ -543,3 +545,46 @@ def test_collapse_checks_report_mismatch_when_the_phase_check_fails(monkeypatch)
             record = report.assertion(assertion_name)
             assert (record.observed, record.passed) == ("mismatch", False), (name, record)
         assert not report.verdict
+
+
+def test_phase_equal_refuses_a_vector_of_another_width_or_norm():
+    state = bell_terms(BELL_OUTCOMES[1], (2, 5))
+    vec = to_statevector(state)
+    assert harness._phase_equal(vec, state)
+    # the amplitudes still equal the terms, so only the width or the norm tells them apart
+    assert vec.amplitudes == state.terms
+    assert not harness._phase_equal(vec._replace(n_qubits=vec.n_qubits + 1), state)
+    assert not harness._phase_equal(vec._replace(exponent=vec.exponent + 2), state)
+
+
+def test_a_report_raises_for_an_assertion_it_does_not_hold():
+    report = scenario_lie_position()
+    assert report.assertion("deduction").name == "deduction"
+    with pytest.raises(KeyError, match="nope"):
+        report.assertion("nope")
+
+
+def test_a_planted_rejection_fails_exactly_its_record(monkeypatch):
+    # no honest tuple is rejected, so a rejection is planted in one decode table entry
+    label, gate, position = StateLabel.B, PauliGate.Z, 6
+    branch = harness._branches(label, gate, position)[2]
+    planted = (branch.o2, branch.o3, label, branch.o1, position)
+    decoded = recon._decoded
+
+    def with_planted(*announced):
+        trace = decoded(*announced)
+        if announced == planted:
+            return trace._replace(result=None, rejection="planted")
+        return trace
+
+    monkeypatch.setattr(recon, "_decoded", with_planted)
+    records = exhaustive_verify()
+    failed = [r for r in records if not r.passed]
+    assert verify_summary(records) == {"configurations": 32, "branches": 256, "failures": 1}
+    (record,) = failed
+    assert (record.label, record.gate, record.position) == ("B", "Z", 6)
+    assert (record.p1, record.p2, record.p3) == (branch.o1.ascii, branch.o2.ascii, branch.o3.ascii)
+    assert record.failures == ("reconstruction failed: planted",)
+    assert record.to_dict()["failures"] == ["reconstruction failed: planted"]
+    deduced = (record.reconstructed_action, record.reconstructed_secret, record.tamper)
+    assert deduced == (None, None, None)

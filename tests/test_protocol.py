@@ -328,6 +328,7 @@ MALFORMED = {
     "position out of range": _set(("announcements", 4, "position"), 3),
     "position is a boolean": _set(("announcements", 4, "position"), True),
     "config position is a float": _set(("true_config", "position"), 1.0),
+    "unknown announcement type": _set(("announcements", 2, "type"), "dealer_secret"),
 }
 
 
@@ -337,6 +338,57 @@ def test_malformed_transcript_raises_value_error(mutate):
     mutate(doc)
     with pytest.raises(ValueError):
         Transcript.from_dict(doc)
+
+
+def test_an_unknown_announcement_type_is_named():
+    doc = _valid_transcript_dict()
+    doc["announcements"][2]["type"] = "dealer_secret"
+    with pytest.raises(ValueError, match="^unknown announcement type 'dealer_secret'$"):
+        Transcript.from_dict(doc)
+
+
+def _seven_a_iy1():
+    return run_protocol(StateLabel.A, "11", 1, seed=7)
+
+
+NOT_SEQUENCES = {
+    "iterator": lambda anns: iter(anns),
+    "generator": lambda anns: (a for a in anns),
+    "None": lambda anns: None,
+    "int": lambda anns: 5,
+    "str": lambda anns: "ab",
+}
+
+
+@pytest.mark.parametrize("make", NOT_SEQUENCES.values(), ids=NOT_SEQUENCES.keys())
+def test_a_transcript_over_no_sequence_refuses_to_write(make):
+    honest = _seven_a_iy1()
+    announcements = make(honest.announcements)
+    transcript = honest._replace(announcements=announcements)
+    message = f"^announcements must be a sequence, got {type(announcements).__name__}$"
+    # refused every time: an iterator would write its announcements once, then none
+    for write in (transcript.to_dict, transcript.to_json, transcript.to_json):
+        with pytest.raises(ValueError, match=message):
+            write()
+
+
+def test_a_tuple_and_a_list_of_announcements_write_the_same_bytes():
+    honest = _seven_a_iy1()
+    as_list = honest._replace(announcements=list(honest.announcements))
+    assert as_list.to_json() == honest.to_json()
+    assert len(json.loads(honest.to_json())["announcements"]) == 5
+
+
+def test_no_checked_record_has_a_per_instance_dict():
+    records = (GateAction(PauliGate.X, 1), *_seven_a_iy1().announcements)
+    assert {type(r).__name__ for r in records} == {
+        "GateAction",
+        "MeasurementAnnouncement",
+        "StateLabelAnnouncement",
+        "PositionAnnouncement",
+    }
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
 
 
 @pytest.mark.parametrize("text", ["[]", "null", "5", '"transcript"', "{"])

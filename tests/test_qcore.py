@@ -167,6 +167,19 @@ def test_measure_bell_deterministic_per_seed():
     assert first[1] == second[1]
 
 
+def test_measure_bell_takes_a_list_pair_as_the_tuple_it_holds():
+    state = prepare_state(StateLabel.A)
+    for seed in range(8):
+        listed = measure_bell(state, [1, 6], random.Random(seed))
+        assert listed == measure_bell(state, (1, 6), random.Random(seed))
+
+
+def test_a_pair_of_one_qubit_twice_is_named():
+    for pair in ((2, 2), [6, 6]):
+        with pytest.raises(ValueError, match="two distinct qubits"):
+            check_pair(pair)
+
+
 def test_measure_bell_frequencies_within_four_sigma():
     state = prepare_state(StateLabel.A)
     rng = random.Random(2024)

@@ -122,6 +122,19 @@ def test_filter_partition_is_exact():
         assert not set(result.kept) & set(result.discarded)
 
 
+def test_filter_support_keeps_two_of_four_terms_on_every_input():
+    # each Bell ket takes both values of each of its qubits, so the four terms of
+    # a (2,5)x(3,4) product take all four (q4,q5) values, and a label allows two:
+    # every announced tuple reaches the last stage
+    inputs = list(itertools.product(BELL_OUTCOMES, BELL_OUTCOMES, LABELS))
+    for o2, o3, label in inputs:
+        expansion = expand_product([bell_terms(o2, (2, 5)), bell_terms(o3, (3, 4))])
+        assert len({t.bits & 0b11 for t in expansion.terms}) == 4
+        result = filter_support(expansion.terms, label)
+        assert (len(result.kept), len(result.discarded)) == (2, 2)
+    assert len(inputs) == 64
+
+
 def test_attach_p1_produces_six_qubit_expansion():
     kept = state_of((2, 3, 4, 5), [("0000", 1), ("1111", -1)], k=2)
     assert patterns(attach_p1(kept.terms, B_P)) == (
@@ -780,21 +793,21 @@ def test_the_decode_table_agrees_with_the_stages_on_every_tuple():
     assert recon._decoded.cache_info().currsize == 512
     for label, position, o1, o2, o3 in TUPLES:
         announced = (o2, o3, label, o1, position)
-        entry = recon._decoded(*announced)
-        trace, result = entry
-        assert entry == recon._decoded.__wrapped__(*announced)
+        trace = recon._decoded(*announced)
+        assert type(trace) is PipelineTrace
+        assert trace == recon._decoded.__wrapped__(*announced)
+        # every tuple reaches the last stage and ends in exactly one of the two
+        assert (trace.result is None) != (trace.rejection is None)
         announcements = make_announcements(o2, o3, label, o1, position)
-        if type(result) is not str:
-            assert trace.result is result
-            assert reconstruct(announcements) is result
+        if trace.result is not None:
+            assert reconstruct(announcements) is trace.result
             assert reconstruct_trace(announcements) is trace
             continue
-        assert trace.result is None
         with pytest.raises(NoMatch) as warm:
             reconstruct(announcements)
         with pytest.raises(NoMatch) as traced:
             reconstruct_trace(announcements)
-        assert str(warm.value) == str(traced.value) == result
+        assert warm.value.args == traced.value.args == (trace.rejection,)
         assert warm.value.trace is traced.value.trace is trace
 
 

@@ -26,10 +26,12 @@ from ghzshare.symexact import (
     NotBellExpressible,
     OverlappingQubits,
     SymbolicState,
+    SymexactError,
     Term,
     apply_gate_sym,
     bell_decompose,
     bell_terms,
+    equal_up_to_global_sign,
     expand_product,
     from_statevector,
     to_statevector,
@@ -429,3 +431,31 @@ def test_symbolic_products_are_measurement_eigenstates(o1, o2):
             assert probs[outcome][0] == 1
             post = probs[outcome][1]
             assert post is not None and global_phase_equal(post, dense)
+
+
+def test_merged_terms_of_unequal_or_odd_multiplicity_are_refused():
+    with pytest.raises(SymexactError, match=r"^non-uniform term multiplicities \[1, 2\]$"):
+        SymbolicState.from_terms((1, 2), [Term(1, 1), Term(1, 1), Term(2, 1)])
+    with pytest.raises(SymexactError, match="^multiplicity 3 is not a power of two$"):
+        SymbolicState.from_terms((1, 2), [Term(1, 1)] * 3)
+
+
+def test_equal_terms_over_different_qubits_are_different_states():
+    assert bell_terms(A_P, (1, 6)).terms == bell_terms(A_P, (2, 5)).terms
+    assert not equal_up_to_global_sign(bell_terms(A_P, (1, 6)), bell_terms(A_P, (2, 5)))
+    assert equal_up_to_global_sign(bell_terms(A_P, (2, 5)), bell_terms(A_P, (2, 5)))
+
+
+def test_bell_decompose_refuses_a_foreign_layout_a_cancelled_state_and_uneven_overlaps():
+    pairing = ((2, 3), (4, 5))
+    with pytest.raises(ValueError, match=r"^state over \(1, 2, 3, 4\) does not match pairing"):
+        bell_decompose(state_of((1, 2, 3, 4), [("0000", 1), ("1111", 1)], 1), pairing)
+    with pytest.raises(EmptyState):
+        bell_decompose(state_of((2, 3, 4, 5), [("0000", 1), ("0000", -1)]), pairing)
+    uneven = state_of((2, 3, 4, 5), [("0000", 1), ("0001", 1), ("0010", 1)])
+    with pytest.raises(NotBellExpressible, match="coefficients are not uniform"):
+        bell_decompose(uneven, pairing)
+
+
+def test_a_term_has_no_per_instance_dict():
+    assert not hasattr(Term(5, -1), "__dict__")
