@@ -104,7 +104,8 @@ class GateAction(_GateAction):
         return tuple.__new__(cls, (gate, check_position(position)))
 
     def render(self) -> str:
-        return f"{self.gate.value}{self.position}"
+        # the member's attribute: Enum.value is a Python-level property
+        return f"{self.gate._value_}{self.position}"
 
 
 _ENCODE = {
@@ -129,7 +130,10 @@ def encode_secret(bits: str, position: int) -> GateAction:
 
 def decode_secret(action: GateAction) -> str:
     """Inverse of encode_secret at the action's position."""
-    return _DECODE[(action.gate, action.position)]
+    try:
+        return _DECODE[(action.gate, action.position)]
+    except (AttributeError, KeyError, TypeError):  # not a GateAction's gate and position
+        raise ValueError(f"action must be a GateAction, got {action!r}") from None
 
 
 class _MeasurementAnnouncement(NamedTuple):

@@ -203,7 +203,10 @@ def outcome_from_ascii(text: str) -> BellOutcome:
 @functools.cache
 def prepare_state(label: StateLabel) -> DenseState:
     """Tensor product of the label's two GHZ halves: 4 amplitudes of +1/2."""
-    support = label.half_support
+    try:
+        support = label.half_support
+    except AttributeError:  # not a StateLabel
+        raise ValueError(f"state label must be a StateLabel, got {label!r}") from None
     indices = sorted(first << 3 | second for first in support for second in support)
     return DenseState(tuple((i, 1) for i in indices), 2)
 
@@ -211,10 +214,14 @@ def prepare_state(label: StateLabel) -> DenseState:
 @functools.cache
 def _gate_table(gate: PauliGate, q: int) -> tuple[tuple[int, int], ...]:
     """Per basis index, the (index, sign) it moves to under the gate at qubit q."""
+    try:
+        images = GATE_IMAGES[gate]
+    except KeyError:  # not a PauliGate
+        raise ValueError(f"gate must be a PauliGate, got {gate!r}") from None
     shift = N_QUBITS - q
     table = []
     for index in range(DIM):
-        image, sign = GATE_IMAGES[gate][(index >> shift) & 1]
+        image, sign = images[(index >> shift) & 1]
         table.append((index & ~(1 << shift) | image << shift, sign))
     return tuple(table)
 

@@ -105,8 +105,9 @@ class TamperReport(NamedTuple):
     hypothesized_gate: PauliGate
 
     def render(self) -> str:
-        qubits = ",".join(str(q) for q in self.flipped_qubits)
-        return f"{self.hypothesized_gate.value} on qubit {qubits}"
+        qubits = ",".join(map(str, self.flipped_qubits))
+        # the member's attribute: Enum.value is a Python-level property
+        return f"{self.hypothesized_gate._value_} on qubit {qubits}"
 
 
 class ReconstructionResult(NamedTuple):

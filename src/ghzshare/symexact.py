@@ -177,8 +177,12 @@ def bell_terms(outcome: BellOutcome, pair: BellPair) -> SymbolicState:
     first, second = check_pair(pair)
     ascending = first < second
     qubits = (first, second) if ascending else (second, first)
+    try:
+        kets = BELL_KET_SIGNS[outcome]
+    except (KeyError, TypeError):  # not a BellOutcome, or unhashable
+        raise ValueError(f"outcome must be a BellOutcome, got {outcome!r}") from None
     terms = []
-    for (k1, k2), sign in BELL_KET_SIGNS[outcome].items():
+    for (k1, k2), sign in kets.items():
         bits = k1 << 1 | k2 if ascending else k2 << 1 | k1
         terms.append(Term(bits, sign))
     return SymbolicState.from_terms(qubits, terms, 1)

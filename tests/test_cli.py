@@ -234,6 +234,12 @@ def test_dataclasses_and_inspect_are_not_in_sys_modules_after_import():
     assert loaded_after_importing_the_cli(["dataclasses", "inspect"]) == []
 
 
+def test_fractions_is_not_in_sys_modules_after_import():
+    # fractions loads decimal and numbers: milliseconds of every cold command,
+    # `ghzshare run` included, though only a probability needs a Fraction
+    assert loaded_after_importing_the_cli(["fractions", "decimal", "numbers"]) == []
+
+
 # each cache once, under the first name that holds it: several modules import prepare_state
 CACHE_SIZES = """import sys, ghzshare.cli
 caches = {}

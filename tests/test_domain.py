@@ -88,7 +88,13 @@ def test_constant_tables_fill_to_their_domains_and_stop_missing():
     # or a trace: one pass over every tuple (plus the collapse table, which
     # decomposes under both pairings) fills each to its domain size, and a
     # second pass adds no miss anywhere.
-    tables = {**SIZED, "shifts": symexact._shifts, "layouts": symexact._check_layout}
+    # the collapse forms too: while they are warm, table1 refills no bell_products
+    tables = {
+        **SIZED,
+        "shifts": symexact._shifts,
+        "layouts": symexact._check_layout,
+        "collapse_forms": harness._collapse_forms,
+    }
     for table in tables.values():
         table.cache_clear()
     _sweep_and_table()
@@ -150,6 +156,8 @@ def test_every_package_cache_fills_to_its_domain_and_stops_missing():
         # the honest state space: 32 configurations, one product per outcome triple
         "ghzshare.harness._branches": 32,
         "ghzshare.harness._announced_product": 64,
+        # the collapse table's 16 P1-conditional collapses and lie-state's one
+        "ghzshare.harness._collapse_forms": 17,
         # per label, per (gate, qubit), per pair, per probability reached
         "ghzshare.qcore.prepare_state": 4,
         "ghzshare.qcore._gate_table": 8,

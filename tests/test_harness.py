@@ -369,6 +369,32 @@ def test_a_warm_audit_runs_no_stage(monkeypatch):
     assert not any(stage_calls.values())
 
 
+def test_a_warm_table_reads_its_collapse_forms_and_still_diffs_every_row(monkeypatch):
+    # the oracle forms are a table; the comparison with the printed entries is not
+    table1()
+    scenario_lie_state()
+    calls = Counter()
+
+    def counted(name):
+        wrapped = getattr(harness, name)
+
+        def call(*args):
+            calls[name] += 1
+            return wrapped(*args)
+
+        monkeypatch.setattr(harness, name, call)
+
+    for name in ("from_statevector", "bell_decompose", "_entries_match"):
+        counted(name)
+    for _ in range(2):
+        calls.clear()
+        table1()
+        assert calls == {"_entries_match": 32}
+    calls.clear()
+    scenario_lie_state()
+    assert calls == {}
+
+
 def test_exhaustive_is_deterministic(records):
     again = exhaustive_verify()
     assert [r.to_dict() for r in again] == [r.to_dict() for r in records]

@@ -209,6 +209,14 @@ def test_announcements_reject_a_label_or_outcome_given_as_text():
     assert StateLabelAnnouncement(StateLabel.A).label is StateLabel.A
 
 
+def test_decode_secret_rejects_what_is_no_gate_action():
+    # a plain tuple has no fields; GateAction checks its position, not its gate
+    for bad in [("X", 1), None, GateAction("X", 1)]:
+        with pytest.raises(ValueError, match="^action must be a GateAction, got "):
+            decode_secret(bad)
+    assert decode_secret(GateAction(PauliGate.X, 1)) == "01"
+
+
 def test_prebuilt_announcements_equal_fresh_records_on_all_512_tuples():
     for label, position, o1, o2, o3 in itertools.product(
         LABELS, (1, 6), BELL_OUTCOMES, BELL_OUTCOMES, BELL_OUTCOMES

@@ -508,6 +508,21 @@ def test_list_pair_and_bad_pairs():
         apply_gate(state, PauliGate.X, 6.0)
 
 
+def test_a_gate_or_label_given_as_text_fails_typed_cached_or_not():
+    # the builders' lookups raise ValueError naming the value, not KeyError or AttributeError
+    state = prepare_state(StateLabel.C)
+    qcore._gate_table.cache_clear()
+    prepare_state.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^gate must be a PauliGate, got 'X'$"):
+            apply_gate(state, "X", 1)
+        with pytest.raises(ValueError, match="^state label must be a StateLabel, got 'A'$"):
+            prepare_state("A")
+        # the second round runs with the enum tables cached
+        apply_gate(state, PauliGate.X, 1)
+        prepare_state(StateLabel.A)
+
+
 def test_bool_qubits_are_rejected_cached_or_not():
     # True == 1 and hashes alike, so a bool would otherwise run as qubit 1
     state = apply_gate(prepare_state(StateLabel.C), PauliGate.IY, 6)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -53,6 +54,13 @@ def test_bell_terms_conventions():
     assert bell_terms(A_P, (3, 4)).term_signs() == (("00", 1), ("11", 1))
     assert bell_terms(B_M, (2, 5)).term_signs() == (("01", 1), ("10", -1))
     assert bell_terms(A_P, (1, 6)).norm_exponent == 1
+
+
+def test_bell_terms_rejects_an_outcome_given_as_text():
+    for bad in ["a+", None, ["a+"]]:
+        message = f"^outcome must be a BellOutcome, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            bell_terms(bad, (1, 6))
 
 
 def test_bell_terms_checks_the_pair_before_its_table():
