@@ -91,7 +91,10 @@ def check_qubit(q: int) -> int:
 
 def check_pair(pair: BellPair) -> BellPair:
     """The pair as a tuple of two distinct checked qubits."""
-    first, second = pair
+    try:
+        first, second = pair
+    except (TypeError, ValueError):  # not a sequence, or not of two
+        raise ValueError(f"measurement pair must be two qubits, got {pair!r}") from None
     first, second = check_qubit(first), check_qubit(second)
     if first == second:
         raise ValueError(f"measurement pair must use two distinct qubits, got {pair!r}")
@@ -200,13 +203,17 @@ def outcome_from_ascii(text: str) -> BellOutcome:
         raise ValueError(f"unknown Bell outcome {text!r}") from None
 
 
-@functools.cache
 def prepare_state(label: StateLabel) -> DenseState:
     """Tensor product of the label's two GHZ halves: 4 amplitudes of +1/2."""
     try:
-        support = label.half_support
-    except AttributeError:  # not a StateLabel
+        return _prepare_state(label)
+    except (AttributeError, TypeError):  # not a StateLabel, or unhashable
         raise ValueError(f"state label must be a StateLabel, got {label!r}") from None
+
+
+@functools.cache
+def _prepare_state(label: StateLabel) -> DenseState:
+    support = label.half_support
     indices = sorted(first << 3 | second for first in support for second in support)
     return DenseState(tuple((i, 1) for i in indices), 2)
 
@@ -214,10 +221,7 @@ def prepare_state(label: StateLabel) -> DenseState:
 @functools.cache
 def _gate_table(gate: PauliGate, q: int) -> tuple[tuple[int, int], ...]:
     """Per basis index, the (index, sign) it moves to under the gate at qubit q."""
-    try:
-        images = GATE_IMAGES[gate]
-    except KeyError:  # not a PauliGate
-        raise ValueError(f"gate must be a PauliGate, got {gate!r}") from None
+    images = GATE_IMAGES[gate]
     shift = N_QUBITS - q
     table = []
     for index in range(DIM):
@@ -228,7 +232,11 @@ def _gate_table(gate: PauliGate, q: int) -> tuple[tuple[int, int], ...]:
 
 def apply_gate(state: DenseState, gate: PauliGate, q: int) -> DenseState:
     """Apply a single-qubit gate at 1-based qubit position q."""
-    table = _gate_table(gate, check_qubit(q))
+    q = check_qubit(q)
+    try:
+        table = _gate_table(gate, q)
+    except (KeyError, TypeError):  # not a PauliGate, or unhashable
+        raise ValueError(f"gate must be a PauliGate, got {gate!r}") from None
     _check_width(state)
     moved = []
     for index, amp in state.amplitudes:

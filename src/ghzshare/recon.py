@@ -19,14 +19,12 @@ The five public stage functions are the steps.  The announcements fix the
 reconstruction, so it lives in one decode table of the 512 announced tuples,
 ``_decoded``: each entry is one trace of every stage, as each label's support
 keeps two of the four expanded terms, and it ends in the result or the
-rejection's message.  It is filled on first use by one run of the stages on
-terms drawn from constant tables (the (1,6) attach reads interned six-qubit
-terms, so a reconstruction constructs no term).  ``reconstruct``,
-``reconstruct_trace`` and a NoMatch's ``.trace`` read that entry, so a warm
-reconstruction runs no stage.  The fill raises nothing, and each entry point
-raises its NoMatch from its own frame: a NoMatch holds only the five announced
-values, so a kept rejection pins neither the fill's frame nor its trace.
-A NoMatch message is rendered once per key, into a cached table.
+rejection's message.  It is filled on first use by one run of the stages.
+``reconstruct``, ``reconstruct_trace`` and a NoMatch's ``.trace`` read that
+entry, so a warm reconstruction runs no stage.  The fill raises nothing, and
+each entry point raises its NoMatch from its own frame: a NoMatch holds only
+the five announced values, so a kept rejection pins neither the fill's frame
+nor its trace.
 """
 
 from __future__ import annotations
@@ -144,16 +142,12 @@ class Decoder(NamedTuple):
     flips: tuple[Optional[int], ...]
 
 
-_Terms = tuple[Term, ...]
-
-
 def _split(terms: Sequence[Term], shift: int, mask: int, allowed: Collection[int]) -> FilterResult:
     """Split terms by whether their bits ``shift`` up, under ``mask``, are allowed."""
     kept, discarded = [], []
     for t in terms:
         (kept if t.bits >> shift & mask in allowed else discarded).append(t)
-    # what FilterResult's generated __new__ calls, without its Python frame
-    return tuple.__new__(FilterResult, (tuple(kept), tuple(discarded)))
+    return FilterResult(tuple(kept), tuple(discarded))
 
 
 # per announced state, the (q4,q5) bits its GHZ half support allows: (q4,q5)
@@ -176,24 +170,13 @@ def filter_support(terms: Sequence[Term], label: StateLabel) -> FilterResult:
     return _split(terms, 0, 0b11, allowed)
 
 
-@functools.cache
-def _attached_terms(p1: BellOutcome) -> tuple[_Terms, _Terms]:
-    """The six-qubit terms of the (1,6) ket tensored onto each signed middle term.
-
-    One row per ket term, q1 first; entry ``bits << 1 | (sign < 0)`` of a row
-    is that ket term times the middle term (bits, sign) over qubits 2..5.
-    """
-    placed = sorted((k1 << 5 | k6, s) for (k1, k6), s in BELL_KET_SIGNS[p1].items())
-    return tuple(
-        tuple(Term(b | bits << 1, s * sign) for bits in range(16) for sign in (1, -1))
-        for b, s in placed
-    )
-
-
-def attach_p1(kept: Sequence[Term], p1: BellOutcome) -> _Terms:
+def attach_p1(kept: Sequence[Term], p1: BellOutcome) -> tuple[Term, ...]:
     """Tensor the announced (1,6) Bell ket onto kept terms over qubits 2..5: terms over 1..6."""
-    # the ket's two terms differ on q1, the top bit, so ket-major order is canonical
-    return tuple([row[t.bits << 1 | (t.sign < 0)] for row in _attached_terms(p1) for t in kept])
+    # each ket lists its q1 = 0 term first, and q1 is the top bit, so ket-major order is canonical
+    attached = []
+    for (k1, k6), s in BELL_KET_SIGNS[p1].items():
+        attached += [Term(k1 << 5 | t.bits << 1 | k6, s * t.sign) for t in kept]
+    return tuple(attached)
 
 
 # per encoding position, the qubits of the GHZ half the dealer's gate toggles
@@ -245,14 +228,6 @@ def filter_untouched(terms: Sequence[Term], decoder: Decoder) -> FilterResult:
     return _split(terms, decoder.untouched_shift, 0b111, decoder.support)
 
 
-@functools.cache
-def _no_gate_message(position: int, a: int, sign_a: int, b: int, sign_b: int) -> str:
-    """The NoMatch message for a kept pair no gate table entry names."""
-    toggled = _HALVES[position][0]
-    target = SymbolicState.from_terms(toggled, [Term(a, sign_a), Term(b, sign_b)])
-    return f"no gate maps the reference onto {target.render()}"
-
-
 def infer_gate(kept: Sequence[Term], decoder: Decoder) -> tuple[GateAction, str]:
     """The action, and its secret, whose image of the reference is the kept pair.
 
@@ -270,13 +245,10 @@ def infer_gate(kept: Sequence[Term], decoder: Decoder) -> tuple[GateAction, str]
         raise NoMatch("kept terms collapse onto one toggled-half pattern")
     entry = decoder.gates.get(_pair_key(a, first.sign, b, second.sign))
     if entry is None:
-        raise NoMatch(_no_gate_message(decoder.position, a, first.sign, b, second.sign))
+        toggled = _HALVES[decoder.position][0]
+        target = SymbolicState.from_terms(toggled, [Term(a, first.sign), Term(b, second.sign)])
+        raise NoMatch(f"no gate maps the reference onto {target.render()}")
     return entry
-
-
-@functools.cache
-def _flip_report(qubit: int) -> TamperReport:
-    return TamperReport((qubit,), PauliGate.X)
 
 
 def tamper_report(discarded: Sequence[Term], decoder: Decoder) -> Optional[TamperReport]:
@@ -294,7 +266,7 @@ def tamper_report(discarded: Sequence[Term], decoder: Decoder) -> Optional[Tampe
     for t in discarded:
         if flips[t.bits >> shift & 7] != qubit:
             return None
-    return None if qubit is None else _flip_report(qubit)
+    return None if qubit is None else TamperReport((qubit,), PauliGate.X)
 
 
 # (kind, party) of each announcement, in the honest order
@@ -346,12 +318,7 @@ def _decoded(
     Nothing is raised here: a cache keeps no call that raised, and the entry
     point raises, so that a kept NoMatch holds neither this frame nor the trace.
     Callers pass validated announcements: True and 1.0 are equal to 1 as cache keys.
-
-    Each record is built as the generated ``__new__`` builds it, without its
-    Python frame: terms kept in order from a canonical state are canonical
-    already, so no state needs ``from_terms``.
     """
-    new = tuple.__new__
     expansion = bell_products(PAIRING_2534)[o2, o3]
     middle = filter_support(expansion.terms, label)
     norm = expansion.norm_exponent
@@ -359,25 +326,25 @@ def _decoded(
     decoder = _decoder(label, position)
     untouched = filter_untouched(attached, decoder)
     kept = untouched.kept
-    # the (1,6) ket's 1/sqrt2 adds 1 to the norm exponent
+    # terms kept in order from a canonical state need no from_terms; the (1,6)
+    # ket's 1/sqrt2 adds 1 to the norm exponent
     reached = (
         expansion,
         middle,
-        new(SymbolicState, (MIDDLE_QUBITS, middle.kept, norm)),
-        new(SymbolicState, (ALL_QUBITS, attached, norm + 1)),
+        SymbolicState(MIDDLE_QUBITS, middle.kept, norm),
+        SymbolicState(ALL_QUBITS, attached, norm + 1),
         untouched,
-        new(SymbolicState, (ALL_QUBITS, kept, norm + 1)),
+        SymbolicState(ALL_QUBITS, kept, norm + 1),
     )
     if len(kept) != 2:
         rejection = f"{len(kept)} terms survive the untouched-half filter"
-        return new(PipelineTrace, (*reached, None, rejection))
+        return PipelineTrace(*reached, None, rejection)
     try:
         action, secret = infer_gate(kept, decoder)
     except NoMatch as exc:
-        return new(PipelineTrace, (*reached, None, exc.args[0]))
+        return PipelineTrace(*reached, None, exc.args[0])
     tamper = tamper_report(untouched.discarded, decoder)
-    result = new(ReconstructionResult, (action, secret, tamper))
-    return new(PipelineTrace, (*reached, result, None))
+    return PipelineTrace(*reached, ReconstructionResult(action, secret, tamper), None)
 
 
 def reconstruct_trace(announcements: Sequence[Announcement]) -> PipelineTrace:

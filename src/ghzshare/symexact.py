@@ -14,9 +14,7 @@ Qubits are read and moved with shifts, masks and XOR.
 ``qcore``: a term is one nonzero amplitude, its pattern the basis index.
 
 The sixteen Bell-product expansions of a pairing are a cached table, filled
-on first use, and so is the pairing's gather table, which lists the four
-products holding each pattern, for decomposition; states are immutable, so
-every caller may share them.
+on first use; states are immutable, so every caller may share them.
 
 Canonical form sorts terms by bit pattern and cancels opposite-sign
 duplicates; same-pattern terms that add instead of cancelling are
@@ -259,19 +257,6 @@ def bell_products(
     )
 
 
-@functools.cache
-def _bell_gather(pairing: tuple[BellPair, BellPair]) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per 4-bit pattern, the (index, sign) of each of the four products that hold it.
-
-    Indices follow ``bell_products(pairing)``'s order.
-    """
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(16)]
-    for k, product in enumerate(bell_products(pairing).values()):
-        for t in product.terms:
-            rows[t.bits].append((k, t.sign))
-    return tuple(tuple(row) for row in rows)
-
-
 class BellProductExpr(NamedTuple):
     """A signed sum of Bell(x)Bell products over a fixed 4-qubit pairing."""
 
@@ -327,15 +312,12 @@ def bell_decompose(
         raise ValueError(f"state over {state.qubits} does not match pairing {pairing}")
     if not state.terms:
         raise EmptyState("cannot decompose a cancelled state")
-    # each term adds its sign times its sign in the four products that hold its pattern
-    sums = [0] * 16
-    gather = _bell_gather(pairing)
-    for bits, sign in state.terms:
-        for k, product_sign in gather[bits]:
-            sums[k] += sign * product_sign
+    signs = dict(state.terms)
     entries = []
     overlaps = []
-    for (o1, o2), m in zip(bell_products(pairing), sums):
+    for (o1, o2), product in bell_products(pairing).items():
+        # the overlap with the product: the signs of their shared patterns, multiplied and summed
+        m = sum([sign * signs.get(bits, 0) for bits, sign in product.terms])
         if m:
             entries.append((o1, o2, 1 if m > 0 else -1))
             overlaps.append(abs(m))

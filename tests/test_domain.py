@@ -77,9 +77,6 @@ SIZED = {
     "bell_products": symexact.bell_products,
     "decode_table": recon._decoded,
     "decoders": recon._decoder,
-    "attached_terms": recon._attached_terms,
-    "no_gate_messages": recon._no_gate_message,
-    "flip_reports": recon._flip_report,
 }
 
 
@@ -99,17 +96,8 @@ def test_constant_tables_fill_to_their_domains_and_stop_missing():
         table.cache_clear()
     _sweep_and_table()
     sizes = {name: table.cache_info().currsize for name, table in SIZED.items()}
-    # one decode entry per announced tuple, one decoder per (label, position),
-    # one interned-term table per (1,6) outcome, one message per kept pair that
-    # no gate names, one report per flipped qubit
-    assert sizes == {
-        "bell_products": 2,
-        "decode_table": 512,
-        "decoders": 8,
-        "attached_terms": 4,
-        "no_gate_messages": 14,
-        "flip_reports": 2,
-    }
+    # one decode entry per announced tuple, one decoder per (label, position)
+    assert sizes == {"bell_products": 2, "decode_table": 512, "decoders": 8}
     misses = {name: table.cache_info().misses for name, table in tables.items()}
     _sweep_and_table()
     assert {name: table.cache_info().misses for name, table in tables.items()} == misses
@@ -159,22 +147,17 @@ def test_every_package_cache_fills_to_its_domain_and_stops_missing():
         # the collapse table's 16 P1-conditional collapses and lie-state's one
         "ghzshare.harness._collapse_forms": 17,
         # per label, per (gate, qubit), per pair, per probability reached
-        "ghzshare.qcore.prepare_state": 4,
+        "ghzshare.qcore._prepare_state": 4,
         "ghzshare.qcore._gate_table": 8,
         "ghzshare.qcore._bell_tables": 3,
         "ghzshare.qcore._probability": 5,
-        # per (1,6) outcome, per (label, position), per kept pair no gate names,
-        # per flipped qubit, per announced tuple
-        "ghzshare.recon._attached_terms": 4,
+        # per (label, position), per announced tuple
         "ghzshare.recon._decoder": 8,
-        "ghzshare.recon._no_gate_message": 14,
-        "ghzshare.recon._flip_report": 2,
         "ghzshare.recon._decoded": 512,
         # per (layout, qubits), per layout, per pairing
         "ghzshare.symexact._shifts": 9,
         "ghzshare.symexact._check_layout": 9,
         "ghzshare.symexact.bell_products": 2,
-        "ghzshare.symexact._bell_gather": 2,
     }
     misses = {name: cache.cache_info().misses for name, cache in caches.items()}
     _full_pass()

@@ -491,7 +491,7 @@ def test_list_pair_and_bad_pairs():
     state = apply_gate(prepare_state(StateLabel.C), PauliGate.IY, 6)
     assert bell_probabilities(state, [1, 6]) == bell_probabilities(state, (1, 6))
     assert partial_inner(state, [1, 6], A_P) == partial_inner(state, (1, 6), A_P)
-    for bad in [(1, 1), (0, 6), (1, 7), (1,), (1, 2, 3)]:
+    for bad in [(1, 1), (0, 6), (1, 7), (1,), (1, 2, 3), None, 7, 1.5]:
         with pytest.raises(ValueError):
             bell_probabilities(state, bad)
         with pytest.raises(ValueError):
@@ -509,15 +509,19 @@ def test_list_pair_and_bad_pairs():
 
 
 def test_a_gate_or_label_given_as_text_fails_typed_cached_or_not():
-    # the builders' lookups raise ValueError naming the value, not KeyError or AttributeError
+    # a non-enum value raises ValueError naming it, not KeyError, AttributeError or TypeError
     state = prepare_state(StateLabel.C)
     qcore._gate_table.cache_clear()
-    prepare_state.cache_clear()
+    qcore._prepare_state.cache_clear()
     for _ in range(2):
-        with pytest.raises(ValueError, match="^gate must be a PauliGate, got 'X'$"):
-            apply_gate(state, "X", 1)
-        with pytest.raises(ValueError, match="^state label must be a StateLabel, got 'A'$"):
-            prepare_state("A")
+        # text, and unhashable values that no cache can take as a key
+        for gate, label in [("X", "A"), (["X"], ["X"]), ({"A"}, {"A"}), ({}, {})]:
+            message = re.escape(f"gate must be a PauliGate, got {gate!r}")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                apply_gate(state, gate, 1)
+            message = re.escape(f"state label must be a StateLabel, got {label!r}")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                prepare_state(label)
         # the second round runs with the enum tables cached
         apply_gate(state, PauliGate.X, 1)
         prepare_state(StateLabel.A)

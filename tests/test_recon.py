@@ -674,7 +674,7 @@ def test_a_kept_rejection_holds_its_entry_point_and_no_stage_piece(reconstructio
 
 
 def test_a_kept_sweep_leaves_few_objects_for_the_cyclic_collector():
-    _kept_sweep(reconstruct)  # fills the message and report tables
+    _kept_sweep(reconstruct)  # fills the decode table
     gc.collect()
     gc.disable()
     try:
