@@ -232,13 +232,61 @@ _LABEL_RECORDS = {label: StateLabelAnnouncement(label) for label in LABELS}
 _POSITION_RECORDS = {p: PositionAnnouncement(p) for p in ENCODING_POSITIONS}
 
 
+class _Announcements(NamedTuple):
+    p2: MeasurementAnnouncement
+    p3: MeasurementAnnouncement
+    dealer_state: StateLabelAnnouncement
+    p1: MeasurementAnnouncement
+    dealer_position: PositionAnnouncement
+
+
+# (kind, party) of each announcement, in the honest order
+_HONEST_ORDER = (
+    (MeasurementAnnouncement, Party.P2),
+    (MeasurementAnnouncement, Party.P3),
+    (StateLabelAnnouncement, None),
+    (MeasurementAnnouncement, Party.P1),
+    (PositionAnnouncement, None),
+)
+
+
+class Announcements(_Announcements):
+    """The five announcements in the honest order: P2, P3, dealer's state, P1, dealer's position.
+
+    Each record was checked by its constructor, so what is left to check is
+    the order: each slot's exact record type and each measurement's party.
+    A subclass may override what reconstruction reads, so only the exact
+    type is in order.
+    """
+
+    __slots__ = ()
+    _make = classmethod(_construct)
+    __reduce__ = _reduce
+
+    def __new__(cls, p2, p3, dealer_state, p1, dealer_position) -> Announcements:
+        listed = (p2, p3, dealer_state, p1, dealer_position)
+        if not (
+            type(p2) is type(p3) is type(p1) is MeasurementAnnouncement
+            and type(dealer_state) is StateLabelAnnouncement
+            and type(dealer_position) is PositionAnnouncement
+            and p2.party == Party.P2
+            and p3.party == Party.P3
+            and p1.party == Party.P1
+        ):
+            # name the first record out of place
+            for ann, (kind, party) in zip(listed, _HONEST_ORDER):
+                if type(ann) is not kind or party is not None and ann.party != party:
+                    raise ValueError(f"announcement {ann!r} out of order")
+        return tuple.__new__(cls, listed)
+
+
 def make_announcements(
     o2: BellOutcome,
     o3: BellOutcome,
     label: StateLabel,
     o1: BellOutcome,
     position: int,
-) -> tuple[Announcement, ...]:
+) -> Announcements:
     """Announcements in the honest order: P2, P3, dealer's state, P1, dealer's position.
 
     The records are the prebuilt ones; any other input reaches the
@@ -247,16 +295,21 @@ def make_announcements(
     # True and 1.0 are equal to 1 as keys, so the position's type is checked first
     if type(position) is int:
         try:
-            return (
-                _P2_RECORDS[o2],
-                _P3_RECORDS[o3],
-                _LABEL_RECORDS[label],
-                _P1_RECORDS[o1],
-                _POSITION_RECORDS[position],
+            # each table holds the records of one slot, so the order holds by
+            # construction and the order test can be skipped
+            return tuple.__new__(
+                Announcements,
+                (
+                    _P2_RECORDS[o2],
+                    _P3_RECORDS[o3],
+                    _LABEL_RECORDS[label],
+                    _P1_RECORDS[o1],
+                    _POSITION_RECORDS[position],
+                ),
             )
         except (KeyError, TypeError):  # a value outside the vocabulary, or unhashable
             pass
-    return (
+    return Announcements(
         MeasurementAnnouncement(Party.P2, P2_PAIR, o2),
         MeasurementAnnouncement(Party.P3, P3_PAIR, o3),
         StateLabelAnnouncement(label),
@@ -355,4 +408,9 @@ def replay(transcript: Transcript):
     """Reconstruct from a stored transcript's announcements only."""
     from .recon import reconstruct
 
-    return reconstruct(transcript.announcements)
+    try:
+        announcements = transcript.announcements
+    except AttributeError:  # no Transcript
+        given = type(transcript).__name__
+        raise ValueError(f"transcript must be a Transcript, got {given}") from None
+    return reconstruct(announcements)

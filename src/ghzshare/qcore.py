@@ -381,8 +381,12 @@ def measure_bell(state: DenseState, pair: BellPair, rng) -> tuple[BellOutcome, D
     pair = check_pair(pair)
     rows = _project(state, pair)
     weights = _weights(state, rows)
+    try:
+        uniform = rng.random
+    except AttributeError:  # no generator
+        raise ValueError(f"rng must have a random() method, got {type(rng).__name__}") from None
     # the weights of a unit vector sum to the scale, which the draw stays below
-    draw = rng.random() * (2 << state.exponent)
+    draw = uniform() * (2 << state.exponent)
     cumulative = 0
     for k, weight in enumerate(weights):
         cumulative += weight

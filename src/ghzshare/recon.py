@@ -35,12 +35,9 @@ from typing import Collection, Mapping, NamedTuple, Optional, Sequence
 
 from .protocol import (
     Announcement,
+    Announcements,
     GateAction,
-    MeasurementAnnouncement,
     PAIRING_2534,
-    Party,
-    PositionAnnouncement,
-    StateLabelAnnouncement,
     decode_secret,
 )
 from .qcore import BELL_KET_SIGNS, GATES, LABELS, BellOutcome, PauliGate, StateLabel
@@ -269,43 +266,26 @@ def tamper_report(discarded: Sequence[Term], decoder: Decoder) -> Optional[Tampe
     return None if qubit is None else TamperReport((qubit,), PauliGate.X)
 
 
-# (kind, party) of each announcement, in the honest order
-_HONEST_ORDER = (
-    (MeasurementAnnouncement, Party.P2),
-    (MeasurementAnnouncement, Party.P3),
-    (StateLabelAnnouncement, None),
-    (MeasurementAnnouncement, Party.P1),
-    (PositionAnnouncement, None),
-)
-
-
 def _validated(announcements: Sequence[Announcement]) -> tuple:
     """The announced (o2, o3, label, o1, position) of a list in the honest order.
 
-    Every record was built through its constructor, which checked its
-    fields, so what is left to check is the order: each slot's exact record
-    type and each measurement's party.
+    An Announcements record checked the order when it was built; any other
+    sequence of five is checked by building one.
     """
-    try:
-        count = len(announcements)
-    except TypeError:  # an iterator, a generator, None
-        given = type(announcements).__name__
-        raise IncompleteTranscript(f"announcements must be a sequence, got {given}") from None
-    if count != len(_HONEST_ORDER):
-        raise IncompleteTranscript(f"expected {len(_HONEST_ORDER)} announcements, got {count}")
+    if type(announcements) is not Announcements:
+        try:
+            count = len(announcements)
+        except TypeError:  # an iterator, a generator, None
+            given = type(announcements).__name__
+            raise IncompleteTranscript(f"announcements must be a sequence, got {given}") from None
+        expected = len(Announcements._fields)
+        if count != expected:
+            raise IncompleteTranscript(f"expected {expected} announcements, got {count}")
+        try:
+            announcements = Announcements(*announcements)
+        except ValueError as exc:
+            raise IncompleteTranscript(exc.args[0]) from None
     p2, p3, state_ann, p1, pos_ann = announcements
-    if not (
-        type(p2) is type(p3) is type(p1) is MeasurementAnnouncement
-        and type(state_ann) is StateLabelAnnouncement
-        and type(pos_ann) is PositionAnnouncement
-        and p2.party == Party.P2
-        and p3.party == Party.P3
-        and p1.party == Party.P1
-    ):
-        # name the first record out of place
-        for ann, (kind, party) in zip(announcements, _HONEST_ORDER):
-            if type(ann) is not kind or party is not None and ann.party != party:
-                raise IncompleteTranscript(f"announcement {ann!r} out of order")
     return p2.outcome, p3.outcome, state_ann.label, p1.outcome, pos_ann.position
 
 

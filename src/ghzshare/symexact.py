@@ -306,6 +306,12 @@ def bell_decompose(
     share the same power-of-two overlap magnitude; anything else raises
     NotBellExpressible rather than approximating.
     """
+    try:
+        pair1, pair2 = pairing
+    except (TypeError, ValueError):  # not a sequence, or not of two
+        raise ValueError(f"pairing must be two qubit pairs, got {pairing!r}") from None
+    # the cache key: a list pairing, or a list pair, as the tuples it holds
+    pairing = (check_pair(pair1), check_pair(pair2))
     pair1, pair2 = pairing
     expected = tuple(sorted(set(pair1) | set(pair2)))
     if state.qubits != expected or len(expected) != 4:

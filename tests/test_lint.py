@@ -490,6 +490,7 @@ def test_make_check_catches_a_planted_record():
         ("MeasurementAnnouncement", True),
         ("StateLabelAnnouncement", True),
         ("PositionAnnouncement", True),
+        ("Announcements", True),
         ("Term", True),
     ]
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzshare.protocol import (
+    Announcements,
     GateAction,
     MeasurementAnnouncement,
     PositionAnnouncement,
@@ -177,6 +178,13 @@ def test_replay_missing_announcement_raises():
         replay(truncated)
 
 
+@pytest.mark.parametrize("value", [None, "x", ()], ids=repr)
+def test_replay_refuses_what_is_no_transcript(value):
+    message = f"^transcript must be a Transcript, got {type(value).__name__}$"
+    with pytest.raises(ValueError, match=message):
+        replay(value)
+
+
 def test_transcript_json_round_trip():
     transcript = run_protocol(None, "01", None, seed=42)
     text = transcript.to_json()
@@ -229,7 +237,9 @@ def test_prebuilt_announcements_equal_fresh_records_on_all_512_tuples():
             MeasurementAnnouncement("P1", (1, 6), o1),
             PositionAnnouncement(position),
         )
-        assert made == fresh
+        # one checked record, equal to the plain tuple of its records
+        assert type(made) is Announcements
+        assert made == fresh and made == Announcements(*fresh)
         assert [type(a) for a in made] == [type(a) for a in fresh]
         # built once: a second call returns the same records
         assert all(a is b for a, b in zip(made, make_announcements(o2, o3, label, o1, position)))
@@ -388,8 +398,10 @@ def test_a_tuple_and_a_list_of_announcements_write_the_same_bytes():
 
 
 def test_no_checked_record_has_a_per_instance_dict():
-    records = (GateAction(PauliGate.X, 1), *_seven_a_iy1().announcements)
+    announcements = _seven_a_iy1().announcements
+    records = (GateAction(PauliGate.X, 1), announcements, *announcements)
     assert {type(r).__name__ for r in records} == {
+        "Announcements",
         "GateAction",
         "MeasurementAnnouncement",
         "StateLabelAnnouncement",

@@ -174,6 +174,13 @@ def test_measure_bell_takes_a_list_pair_as_the_tuple_it_holds():
         assert listed == measure_bell(state, (1, 6), random.Random(seed))
 
 
+@pytest.mark.parametrize("rng", [object(), None, 7], ids=lambda rng: type(rng).__name__)
+def test_measure_bell_refuses_an_rng_with_no_random(rng):
+    message = re.escape(f"rng must have a random() method, got {type(rng).__name__}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        measure_bell(prepare_state(StateLabel.A), (1, 6), rng)
+
+
 def test_a_pair_of_one_qubit_twice_is_named():
     for pair in ((2, 2), [6, 6]):
         with pytest.raises(ValueError, match="two distinct qubits"):

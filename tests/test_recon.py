@@ -12,6 +12,7 @@ import pytest
 from ghzshare import recon
 
 from ghzshare.protocol import (
+    Announcements,
     GateAction,
     PositionAnnouncement,
     Transcript,
@@ -57,6 +58,12 @@ from oracles import restrict
 
 A_P, A_M, B_P, B_M = BELL_OUTCOMES
 ALL = (1, 2, 3, 4, 5, 6)
+
+
+def out_of_order(record) -> str:
+    """The whole message that names ``record`` as out of the honest order."""
+    return "^" + re.escape(f"announcement {record!r} out of order") + "$"
+
 
 # Each state's GHZ half support as the paper writes it; the string oracles below read these.
 SUPPORT = {
@@ -219,8 +226,11 @@ def test_the_boundary_checks_the_position_before_the_decoder_cache(position):
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
         make_announcements(A_M, A_P, StateLabel.A, B_P, position)
     honest = make_announcements(A_M, A_P, StateLabel.A, B_P, 1)
-    with pytest.raises(IncompleteTranscript, match="out of order"):
-        reconstruct(honest[:4] + ((position,),))
+    listed = honest[:4] + ((position,),)
+    with pytest.raises(IncompleteTranscript, match=out_of_order((position,))):
+        reconstruct(listed)
+    with pytest.raises(ValueError, match=out_of_order((position,))):
+        Announcements(*listed)
     assert _decoder.cache_info().currsize == 0
 
 
@@ -283,9 +293,18 @@ def test_reconstruct_identity_branch():
 
 def test_reconstruct_rejects_reordered_announcements():
     announcements = make_announcements(A_M, A_P, StateLabel.A, B_P, 1)
-    reordered = (announcements[1], announcements[0]) + announcements[2:]
-    with pytest.raises(IncompleteTranscript):
-        reconstruct(reordered)
+    p2, p3, state, p1, position = announcements
+    # every other placing of the three measurements, repeats too, names the first
+    # one out of place
+    for q2, q3, q1 in itertools.product((p2, p3, p1), repeat=3):
+        reordered = (q2, q3, state, q1, position)
+        if reordered == announcements:
+            continue
+        first = next(a for a, b in zip(reordered, announcements) if a is not b)
+        with pytest.raises(IncompleteTranscript, match=out_of_order(first)):
+            reconstruct(reordered)
+        with pytest.raises(ValueError, match=out_of_order(first)):
+            Announcements(*reordered)
     with pytest.raises(IncompleteTranscript):
         reconstruct(announcements[:4])
 
@@ -315,12 +334,16 @@ def test_reconstruct_rejects_plain_tuples_equal_to_valid_announcements():
     announcements = make_announcements(A_M, A_P, StateLabel.A, B_P, 1)
     plain = tuple(tuple(a) for a in announcements)
     assert plain == announcements
-    with pytest.raises(IncompleteTranscript):
+    with pytest.raises(IncompleteTranscript, match=out_of_order(plain[0])):
         reconstruct(plain)
+    with pytest.raises(ValueError, match=out_of_order(plain[0])):
+        Announcements(*plain)
     for i, ann in enumerate(announcements):
         mixed = announcements[:i] + (tuple(ann),) + announcements[i + 1 :]
-        with pytest.raises(IncompleteTranscript, match="out of order"):
+        with pytest.raises(IncompleteTranscript, match=out_of_order(tuple(ann))):
             reconstruct(mixed)
+        with pytest.raises(ValueError, match=out_of_order(tuple(ann))):
+            Announcements(*mixed)
 
 
 # per record field, values its constructor refuses in every slot of the honest list
@@ -389,7 +412,7 @@ def counted_constructors(monkeypatch, kinds) -> dict[type, int]:
 
 
 def test_pickle_and_copy_rebuild_equal_records(monkeypatch):
-    records = validating_records()
+    records = validating_records() + (make_announcements(A_M, A_P, StateLabel.A, B_P, 1),)
     calls = counted_constructors(monkeypatch, {type(record) for record in records})
     for record in records:
         protocols = range(pickle.HIGHEST_PROTOCOL + 1)
@@ -412,9 +435,10 @@ def test_a_subclass_of_a_record_in_its_slot_is_out_of_order(reconstruction):
         derived = subclass(*record)
         assert derived == record
         listed = honest[:i] + (derived,) + honest[i + 1 :]
-        message = re.escape(f"announcement {derived!r} out of order")
-        with pytest.raises(IncompleteTranscript, match=f"^{message}$"):
+        with pytest.raises(IncompleteTranscript, match=out_of_order(derived)):
             reconstruction(listed)
+        with pytest.raises(ValueError, match=out_of_order(derived)):
+            Announcements(*listed)
 
 
 def test_filter_support_refuses_a_value_that_is_no_label():
@@ -564,6 +588,15 @@ def test_reconstruct_and_reconstruct_trace_agree_on_every_tuple(monkeypatch):
         announcements = make_announcements(o2, o3, label, o1, position)
         result = _outcome(reconstruct, announcements)
         traced = _outcome(reconstruct_trace, announcements)
+        # a plain sequence of the same records is checked, then read as the record is
+        for listed in (tuple(announcements), list(announcements)):
+            for reconstruction, outcome in ((reconstruct, result), (reconstruct_trace, traced)):
+                again = _outcome(reconstruction, listed)
+                if isinstance(outcome, NoMatch):
+                    assert type(again) is NoMatch and str(again) == str(outcome)
+                    assert again.trace is outcome.trace
+                else:
+                    assert again is outcome
         if isinstance(traced, NoMatch):
             assert type(result) is type(traced)
             assert str(result) == str(traced)

@@ -463,6 +463,16 @@ def test_bell_decompose_refuses_a_foreign_layout_a_cancelled_state_and_uneven_ov
     uneven = state_of((2, 3, 4, 5), [("0000", 1), ("0001", 1), ("0010", 1)])
     with pytest.raises(NotBellExpressible, match="coefficients are not uniform"):
         bell_decompose(uneven, pairing)
+    # a list pairing, or a list pair, decomposes as its tuple form
+    product = expand_product([bell_terms(A_P, (2, 3)), bell_terms(B_M, (4, 5))])
+    expected = bell_decompose(product, pairing)
+    for listed in ([(2, 3), (4, 5)], ((2, 3), [4, 5])):
+        assert bell_decompose(product, listed) == expected
+    # what is no two pairs is named, not unpacked
+    for bad in (None, 7, ((2, 3),)):
+        message = re.escape(f"pairing must be two qubit pairs, got {bad!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bell_decompose(product, bad)
 
 
 def test_a_term_has_no_per_instance_dict():
