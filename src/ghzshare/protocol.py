@@ -265,18 +265,9 @@ class Announcements(_Announcements):
 
     def __new__(cls, p2, p3, dealer_state, p1, dealer_position) -> Announcements:
         listed = (p2, p3, dealer_state, p1, dealer_position)
-        if not (
-            type(p2) is type(p3) is type(p1) is MeasurementAnnouncement
-            and type(dealer_state) is StateLabelAnnouncement
-            and type(dealer_position) is PositionAnnouncement
-            and p2.party == Party.P2
-            and p3.party == Party.P3
-            and p1.party == Party.P1
-        ):
-            # name the first record out of place
-            for ann, (kind, party) in zip(listed, _HONEST_ORDER):
-                if type(ann) is not kind or party is not None and ann.party != party:
-                    raise ValueError(f"announcement {ann!r} out of order")
+        for ann, (kind, party) in zip(listed, _HONEST_ORDER):
+            if type(ann) is not kind or party is not None and ann.party != party:
+                raise ValueError(f"announcement {ann!r} out of order")
         return tuple.__new__(cls, listed)
 
 

@@ -12,8 +12,9 @@ nonzero integer amplitudes and one shared sqrt(2) exponent, and every Born
 probability is a dyadic fraction.  A result with no such exact form raises
 NotDyadic; nothing is rounded.
 
-Gates and Bell measurements visit only the nonzero amplitudes, through small
-index tables cached per (gate, qubit) and per pair on first use.
+Gates and Bell measurements visit only the nonzero amplitudes.  A gate moves
+each with a shift and a mask on ``GATE_IMAGES``, as the symbolic engine does;
+a Bell measurement reads small index tables cached per pair on first use.
 """
 
 from __future__ import annotations
@@ -75,8 +76,12 @@ def normalized(vec: DenseState) -> DenseState:
 
 
 def _check_width(state: DenseState) -> None:
-    if state.n_qubits != N_QUBITS:
-        raise ValueError(f"expected a {N_QUBITS}-qubit state, got {state.n_qubits} qubits")
+    try:
+        width = state.n_qubits
+    except AttributeError:  # no state
+        raise ValueError(f"state must be a DenseState, got {type(state).__name__}") from None
+    if width != N_QUBITS:
+        raise ValueError(f"expected a {N_QUBITS}-qubit state, got {width} qubits")
 
 
 def check_qubit(q: int) -> int:
@@ -218,30 +223,20 @@ def _prepare_state(label: StateLabel) -> DenseState:
     return DenseState(tuple((i, 1) for i in indices), 2)
 
 
-@functools.cache
-def _gate_table(gate: PauliGate, q: int) -> tuple[tuple[int, int], ...]:
-    """Per basis index, the (index, sign) it moves to under the gate at qubit q."""
-    images = GATE_IMAGES[gate]
-    shift = N_QUBITS - q
-    table = []
-    for index in range(DIM):
-        image, sign = images[(index >> shift) & 1]
-        table.append((index & ~(1 << shift) | image << shift, sign))
-    return tuple(table)
-
-
 def apply_gate(state: DenseState, gate: PauliGate, q: int) -> DenseState:
     """Apply a single-qubit gate at 1-based qubit position q."""
     q = check_qubit(q)
     try:
-        table = _gate_table(gate, q)
+        images = GATE_IMAGES[gate]
     except (KeyError, TypeError):  # not a PauliGate, or unhashable
         raise ValueError(f"gate must be a PauliGate, got {gate!r}") from None
     _check_width(state)
+    shift = N_QUBITS - q
+    mask = ~(1 << shift)
     moved = []
     for index, amp in state.amplitudes:
-        target, sign = table[index]
-        moved.append((target, sign * amp))
+        image, sign = images[index >> shift & 1]
+        moved.append((index & mask | image << shift, sign * amp))
     moved.sort()
     return DenseState(tuple(moved), state.exponent)
 
@@ -401,8 +396,12 @@ def global_phase_equal(a: DenseState, b: DenseState) -> bool:
     For unit vectors with real amplitudes, as every state here is, that is
     equality up to a global phase.
     """
-    if a.exponent != b.exponent or a.n_qubits != b.n_qubits:
-        return False
+    try:
+        if a.exponent != b.exponent or a.n_qubits != b.n_qubits:
+            return False
+    except AttributeError:  # not two states
+        given = f"{type(a).__name__} and {type(b).__name__}"
+        raise ValueError(f"states must be DenseStates, got {given}") from None
     return a.amplitudes == b.amplitudes or a.amplitudes == tuple(
         (i, -amp) for i, amp in b.amplitudes
     )

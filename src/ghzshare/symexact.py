@@ -94,7 +94,6 @@ class Term(_Term):
             raise ValueError(f"bits must be a non-negative int, got {self.bits!r}")
 
 
-@functools.cache
 def _shifts(layout: tuple[int, ...], qubits: tuple[int, ...]) -> tuple[int, ...]:
     """Right shift that brings each of ``qubits`` to bit 0 of a pattern over ``layout``."""
     missing = [q for q in qubits if q not in layout]
@@ -104,16 +103,11 @@ def _shifts(layout: tuple[int, ...], qubits: tuple[int, ...]) -> tuple[int, ...]
     return tuple(top - layout.index(q) for q in qubits)
 
 
-@functools.cache
-def _check_layout(qubits: tuple[int, ...]) -> None:
-    if tuple(sorted(set(qubits))) != qubits:
-        raise ValueError(f"qubits must be strictly ascending, got {qubits!r}")
-
-
 def _canonical(
     qubits: tuple[int, ...], raw_terms: Iterable[Term], norm_exponent: int
 ) -> tuple[tuple[Term, ...], int]:
-    _check_layout(qubits)
+    if tuple(sorted(set(qubits))) != qubits:
+        raise ValueError(f"qubits must be strictly ascending, got {qubits!r}")
     raw = tuple(raw_terms)
     top = max((t.bits for t in raw), default=0)
     if top >> len(qubits):
@@ -197,11 +191,18 @@ def _spread(bits: int, shifts: tuple[int, ...]) -> int:
 def expand_product(parts: Sequence[SymbolicState]) -> SymbolicState:
     """Distributive product of states over pairwise-disjoint qubit sets."""
     seen: set[int] = set()
-    for part in parts:
-        overlap = seen.intersection(part.qubits)
-        if overlap:
-            raise OverlappingQubits(f"qubits {sorted(overlap)} appear in more than one factor")
-        seen.update(part.qubits)
+    try:
+        for part in parts:
+            overlap = seen.intersection(part.qubits)
+            if overlap:
+                raise OverlappingQubits(f"qubits {sorted(overlap)} appear in more than one factor")
+            seen.update(part.qubits)
+    except TypeError:  # parts is no iterable
+        given = type(parts).__name__
+        raise ValueError(f"parts must be a sequence of SymbolicStates, got {given}") from None
+    except AttributeError:  # a part is no state
+        given = type(part).__name__
+        raise ValueError(f"each part must be a SymbolicState, got {given}") from None
     qubits = tuple(sorted(seen))
     norm_exponent = sum(p.norm_exponent for p in parts)
     # each factor's terms as (pattern over the product's qubits, sign)
@@ -314,8 +315,12 @@ def bell_decompose(
     pairing = (check_pair(pair1), check_pair(pair2))
     pair1, pair2 = pairing
     expected = tuple(sorted(set(pair1) | set(pair2)))
-    if state.qubits != expected or len(expected) != 4:
-        raise ValueError(f"state over {state.qubits} does not match pairing {pairing}")
+    try:
+        qubits = state.qubits
+    except AttributeError:  # no state
+        raise ValueError(f"state must be a SymbolicState, got {type(state).__name__}") from None
+    if qubits != expected or len(expected) != 4:
+        raise ValueError(f"state over {qubits} does not match pairing {pairing}")
     if not state.terms:
         raise EmptyState("cannot decompose a cancelled state")
     signs = dict(state.terms)

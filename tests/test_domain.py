@@ -88,8 +88,6 @@ def test_constant_tables_fill_to_their_domains_and_stop_missing():
     # the collapse forms too: while they are warm, table1 refills no bell_products
     tables = {
         **SIZED,
-        "shifts": symexact._shifts,
-        "layouts": symexact._check_layout,
         "collapse_forms": harness._collapse_forms,
     }
     for table in tables.values():
@@ -146,17 +144,14 @@ def test_every_package_cache_fills_to_its_domain_and_stops_missing():
         "ghzshare.harness._announced_product": 64,
         # the collapse table's 16 P1-conditional collapses and lie-state's one
         "ghzshare.harness._collapse_forms": 17,
-        # per label, per (gate, qubit), per pair, per probability reached
+        # per label, per pair, per probability reached
         "ghzshare.qcore._prepare_state": 4,
-        "ghzshare.qcore._gate_table": 8,
         "ghzshare.qcore._bell_tables": 3,
         "ghzshare.qcore._probability": 5,
         # per (label, position), per announced tuple
         "ghzshare.recon._decoder": 8,
         "ghzshare.recon._decoded": 512,
-        # per (layout, qubits), per layout, per pairing
-        "ghzshare.symexact._shifts": 9,
-        "ghzshare.symexact._check_layout": 9,
+        # per pairing
         "ghzshare.symexact.bell_products": 2,
     }
     misses = {name: cache.cache_info().misses for name, cache in caches.items()}

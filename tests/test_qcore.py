@@ -518,7 +518,6 @@ def test_list_pair_and_bad_pairs():
 def test_a_gate_or_label_given_as_text_fails_typed_cached_or_not():
     # a non-enum value raises ValueError naming it, not KeyError, AttributeError or TypeError
     state = prepare_state(StateLabel.C)
-    qcore._gate_table.cache_clear()
     qcore._prepare_state.cache_clear()
     for _ in range(2):
         # text, and unhashable values that no cache can take as a key
@@ -529,7 +528,7 @@ def test_a_gate_or_label_given_as_text_fails_typed_cached_or_not():
             message = re.escape(f"state label must be a StateLabel, got {label!r}")
             with pytest.raises(ValueError, match=f"^{message}$"):
                 prepare_state(label)
-        # the second round runs with the enum tables cached
+        # the second round runs with the preparation table cached; a gate caches nothing
         apply_gate(state, PauliGate.X, 1)
         prepare_state(StateLabel.A)
 
@@ -537,7 +536,6 @@ def test_a_gate_or_label_given_as_text_fails_typed_cached_or_not():
 def test_bool_qubits_are_rejected_cached_or_not():
     # True == 1 and hashes alike, so a bool would otherwise run as qubit 1
     state = apply_gate(prepare_state(StateLabel.C), PauliGate.IY, 6)
-    qcore._gate_table.cache_clear()
     qcore._bell_tables.cache_clear()
     for _ in range(2):
         for qubit in (True, False):
@@ -548,7 +546,7 @@ def test_bool_qubits_are_rejected_cached_or_not():
                 bell_probabilities(state, pair)
             with pytest.raises(ValueError):
                 partial_inner(state, pair, A_P)
-        # the second round runs with the int tables for qubit 1 and (1, 6) cached
+        # the second round runs with the Bell table for (1, 6) cached; a gate caches nothing
         apply_gate(state, PauliGate.X, 1)
         bell_probabilities(state, (1, 6))
         bell_probabilities(state, (6, 1))
@@ -578,7 +576,7 @@ def test_outcome_from_ascii_reads_each_outcome_and_refuses_the_rest():
 
 def test_states_and_cached_tables_are_immutable():
     tables = [prepare_state(label) for label in LABELS]
-    tables += [qcore._gate_table(gate, q) for gate in GATES for q in range(1, 7)]
+    tables += [apply_gate(tables[0], gate, q) for gate in GATES for q in range(1, 7)]
     tables += [qcore._bell_tables(pair) for pair in ORDERED_PAIRS]
     for table in tables:
         assert _only_tuples_and_ints(table)

@@ -17,6 +17,7 @@ from ghzshare.qcore import (
     apply_gate,
     bell_probabilities,
     global_phase_equal,
+    measure_bell,
     normalized,
     partial_inner,
     prepare_state,
@@ -223,19 +224,19 @@ def test_restrict():
 
 
 @pytest.mark.parametrize(
-    "qubits,bits",
+    "qubits,bits,message",
     [
-        ((2, 1), int("01", 2)),
-        ((1, 1), int("01", 2)),
-        ((), int("1", 2)),
-        ((1, 2), int("111", 2)),
-        ((1, 2), int("100", 2)),
-        ((1, 2, 3), 2**64),
+        ((2, 1), int("01", 2), r"^qubits must be strictly ascending, got \(2, 1\)$"),
+        ((1, 1), int("01", 2), r"^qubits must be strictly ascending, got \(1, 1\)$"),
+        ((), int("1", 2), "does not fit state qubits"),
+        ((1, 2), int("111", 2), "does not fit state qubits"),
+        ((1, 2), int("100", 2), "does not fit state qubits"),
+        ((1, 2, 3), 2**64, "does not fit state qubits"),
     ],
     ids=["descending", "duplicate", "empty-layout", "long-bits", "at-limit", "far-out"],
 )
-def test_from_terms_rejects_bad_layout(qubits, bits):
-    with pytest.raises(ValueError):
+def test_from_terms_rejects_bad_layout(qubits, bits, message):
+    with pytest.raises(ValueError, match=message):
         SymbolicState.from_terms(qubits, [Term(bits, 1)])
 
 
@@ -477,3 +478,36 @@ def test_bell_decompose_refuses_a_foreign_layout_a_cancelled_state_and_uneven_ov
 
 def test_a_term_has_no_per_instance_dict():
     assert not hasattr(Term(5, -1), "__dict__")
+
+
+# Each exported call that takes a state, keyed by (function, argument slot),
+# with the value under test in that slot and valid values in the others.
+_DENSE = prepare_state(StateLabel.A)
+_PART = bell_terms(A_P, (2, 3))
+NON_STATE_SLOTS = {
+    ("apply_gate", "state"): lambda bad: apply_gate(bad, PauliGate.X, 1),
+    ("bell_probabilities", "state"): lambda bad: bell_probabilities(bad, (1, 6)),
+    ("measure_bell", "state"): lambda bad: measure_bell(bad, (1, 6), random.Random(0)),
+    ("partial_inner", "state"): lambda bad: partial_inner(bad, (1, 6), A_P),
+    ("global_phase_equal", "a"): lambda bad: global_phase_equal(bad, _DENSE),
+    ("global_phase_equal", "b"): lambda bad: global_phase_equal(_DENSE, bad),
+    ("bell_decompose", "state"): lambda bad: bell_decompose(bad, ((2, 3), (4, 5))),
+    ("expand_product", "part"): lambda bad: expand_product([_PART, bad]),
+}
+NON_STATES = [None, "x", 7, object(), (1, 2, 3)]
+
+
+@pytest.mark.parametrize("bad", NON_STATES, ids=lambda bad: type(bad).__name__)
+@pytest.mark.parametrize(
+    "call", list(NON_STATE_SLOTS.values()), ids=[f"{f}-{slot}" for f, slot in NON_STATE_SLOTS]
+)
+def test_a_non_state_argument_raises_value_error_naming_its_type(call, bad):
+    with pytest.raises(ValueError, match=rf"\bgot\b.*\b{type(bad).__name__}\b"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [None, 7, object()], ids=lambda bad: type(bad).__name__)
+def test_expand_product_names_parts_that_are_no_iterable(bad):
+    message = f"parts must be a sequence of SymbolicStates, got {type(bad).__name__}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        expand_product(bad)
