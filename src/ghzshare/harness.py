@@ -289,12 +289,7 @@ def exhaustive_verify() -> list[BranchRecord]:
                 tamper = result.tamper.render() if result.tamper else None
                 deduced = (observed, result.secret, tamper)
             outcomes = (branch.o1.ascii, branch.o2.ascii, branch.o3.ascii, branch.probability)
-            # what BranchRecord's generated __new__ calls, without its Python frame
-            records.append(
-                tuple.__new__(
-                    BranchRecord, (*fixed, *outcomes, *deduced, not failures, tuple(failures))
-                )
-            )
+            records.append(BranchRecord(*fixed, *outcomes, *deduced, not failures, tuple(failures)))
     return records
 
 

@@ -8,12 +8,12 @@ transcript.  Reconstruction never reads the transcript's ground truth.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from typing import NamedTuple, Union
 
 from .qcore import (
-    BELL_OUTCOMES,
     LABELS,
     BellOutcome,
     BellPair,
@@ -223,15 +223,6 @@ def announcement_from_dict(data: dict) -> Announcement:
     raise ValueError(f"unknown announcement type {kind!r}")
 
 
-# Every record make_announcements can return, built once through the
-# checking constructors: 4 outcomes per party, 4 labels and 2 positions.
-_P1_RECORDS = {o: MeasurementAnnouncement(Party.P1, P1_PAIR, o) for o in BELL_OUTCOMES}
-_P2_RECORDS = {o: MeasurementAnnouncement(Party.P2, P2_PAIR, o) for o in BELL_OUTCOMES}
-_P3_RECORDS = {o: MeasurementAnnouncement(Party.P3, P3_PAIR, o) for o in BELL_OUTCOMES}
-_LABEL_RECORDS = {label: StateLabelAnnouncement(label) for label in LABELS}
-_POSITION_RECORDS = {p: PositionAnnouncement(p) for p in ENCODING_POSITIONS}
-
-
 class _Announcements(NamedTuple):
     p2: MeasurementAnnouncement
     p3: MeasurementAnnouncement
@@ -280,26 +271,22 @@ def make_announcements(
 ) -> Announcements:
     """Announcements in the honest order: P2, P3, dealer's state, P1, dealer's position.
 
-    The records are the prebuilt ones; any other input reaches the
-    constructors, which raise ValueError.
+    Each announced tuple's record is built once, through the checking
+    constructors, which raise ValueError on a value outside the vocabulary.
     """
     # True and 1.0 are equal to 1 as keys, so the position's type is checked first
-    if type(position) is int:
-        try:
-            # each table holds the records of one slot, so the order holds by
-            # construction and the order test can be skipped
-            return tuple.__new__(
-                Announcements,
-                (
-                    _P2_RECORDS[o2],
-                    _P3_RECORDS[o3],
-                    _LABEL_RECORDS[label],
-                    _P1_RECORDS[o1],
-                    _POSITION_RECORDS[position],
-                ),
-            )
-        except (KeyError, TypeError):  # a value outside the vocabulary, or unhashable
-            pass
+    check_position(position)
+    try:
+        return _announcements(o2, o3, label, o1, position)
+    except TypeError:  # unhashable, so no enum member
+        announced = (o2, o3, label, o1)
+        raise ValueError(f"announced outcomes and label must be enums, got {announced!r}") from None
+
+
+@functools.cache
+def _announcements(
+    o2: BellOutcome, o3: BellOutcome, label: StateLabel, o1: BellOutcome, position: int
+) -> Announcements:
     return Announcements(
         MeasurementAnnouncement(Party.P2, P2_PAIR, o2),
         MeasurementAnnouncement(Party.P3, P3_PAIR, o3),
@@ -348,7 +335,7 @@ class Transcript(NamedTuple):
             config = data["true_config"]
             true_label = StateLabel(config["state"])
             true_action = GateAction(PauliGate(config["gate"]), config["position"])
-            announcements = tuple(announcement_from_dict(a) for a in data["announcements"])
+            announcements = Announcements(*map(announcement_from_dict, data["announcements"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed transcript: {exc!r}") from exc
         return cls(check_seed(seed), true_label, true_action, announcements)
@@ -374,7 +361,6 @@ def run_protocol(
     (label first, then position, then the three measurements in order
     (1,6), (2,5), (3,4)).
     """
-    check_secret(bits)
     if label is not None and not isinstance(label, StateLabel):
         raise ValueError(f"state label must be a StateLabel or None, got {label!r}")
     rng = random.Random(check_seed(seed))

@@ -192,6 +192,8 @@ def expand_product(parts: Sequence[SymbolicState]) -> SymbolicState:
     """Distributive product of states over pairwise-disjoint qubit sets."""
     seen: set[int] = set()
     try:
+        # taken once: a one-shot iterator would be empty on the next pass
+        parts = tuple(parts)
         for part in parts:
             overlap = seen.intersection(part.qubits)
             if overlap:
@@ -313,7 +315,6 @@ def bell_decompose(
         raise ValueError(f"pairing must be two qubit pairs, got {pairing!r}") from None
     # the cache key: a list pairing, or a list pair, as the tuples it holds
     pairing = (check_pair(pair1), check_pair(pair2))
-    pair1, pair2 = pairing
     expected = tuple(sorted(set(pair1) | set(pair2)))
     try:
         qubits = state.qubits

@@ -12,6 +12,7 @@ import pytest
 
 from ghzshare.cli import main
 from ghzshare.protocol import Transcript
+from ghzshare.recon import NoMatch
 from test_golden import GOLDEN
 
 
@@ -50,6 +51,26 @@ def test_run_structured_round_trips(capsys):
     transcript = Transcript.from_dict(payload["transcript"])
     assert transcript.to_dict() == payload["transcript"]
     assert payload["reconstruction"]["secret"] == "01"
+
+
+def test_run_reports_a_failed_reconstruction_and_exits_1(capsys, monkeypatch):
+    # no honest run is rejected, so the rejection is planted
+    def refuse(transcript):
+        raise NoMatch("planted rejection")
+
+    monkeypatch.setattr("ghzshare.cli.replay", refuse)
+    code, out = run_cli(capsys, "run", "--seed", "7")
+    assert code == 1
+    assert out.endswith("reconstruction failed: planted rejection\n")
+    code, out = run_cli(capsys, "run", "--seed", "7", "--format", "structured")
+    assert code == 1
+    reconstruction = json.loads(out)["reconstruction"]
+    assert reconstruction == {
+        "action": None,
+        "secret": None,
+        "tamper": None,
+        "error": "planted rejection",
+    }
 
 
 def test_run_default_seed_reproducible(capsys):

@@ -149,6 +149,7 @@ def test_every_package_cache_fills_to_its_domain_and_stops_missing():
         "ghzshare.qcore._bell_tables": 3,
         "ghzshare.qcore._probability": 5,
         # per (label, position), per announced tuple
+        "ghzshare.protocol._announcements": 512,
         "ghzshare.recon._decoder": 8,
         "ghzshare.recon._decoded": 512,
         # per pairing

@@ -34,6 +34,7 @@ from ghzshare.qcore import (
     GATES,
     LABELS,
     BellOutcome,
+    DenseState,
     PauliGate,
     StateLabel,
     bell_probabilities,
@@ -152,6 +153,15 @@ def test_no_signalling_is_decided_once_when_the_branch_table_fills(monkeypatch, 
     finally:
         # the next fill, after the plant is undone, is an honest one
         harness._branches.cache_clear()
+
+
+def test_enumerate_branches_skips_the_p1_outcomes_a_state_cannot_show():
+    # a+ on (1,6) times |0000>: P1 hears a+ alone, then P2 and P3 each a+ or a-
+    state = DenseState(((0b000000, 1), (0b100001, 1)), 1)
+    branches = list(harness.enumerate_branches(state))
+    assert len(branches) == 4
+    assert {branch.o1 for branch in branches} == {BellOutcome.A_PLUS}
+    assert [branch.probability for branch in branches] == [Fraction(1, 4)] * 4
 
 
 def test_honest_branches_are_a_read_only_table_over_the_configurations():

@@ -12,12 +12,14 @@ tuples of these), so that no cache can memoise a whole result keyed on a
 state, a trace, an announcement list or a seed, and no cache is applied by
 a call, where the check could not read its key; a sixth keeps what a cache
 returns immutable, since every caller gets the one object the cache holds.
-Three more keep the records cheap and checked: no module imports
+Four more keep the records cheap and checked: no module imports
 ``dataclasses`` (with ``inspect``, it costs a cold start milliseconds); no
 module calls a record's ``_make`` or ``_replace``, since the package builds
-each record through its constructor alone; and every record that checks its
-fields in ``__new__`` defines its own ``_make``, which ``_replace`` calls, so
-that neither builds a record past the checks.
+each record through its constructor alone; no module calls ``__new__`` but
+a record's own ``__new__``, as ``tuple.__new__(cls, ...)`` once its checks
+pass; and every record that checks its fields in ``__new__`` defines its own
+``_make``, which ``_replace`` calls, so that neither builds a record past the
+checks.
 Another keeps lookups on the protocol's vocabulary in C: every ``Enum``
 subclass sets ``__hash__ = object.__hash__``, since ``Enum``'s own hash is a
 Python function that each cache and dict lookup on a member would call.
@@ -158,6 +160,29 @@ def record_rebuilds(tree: ast.Module) -> list[str]:
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
         and node.func.attr in ("_make", "_replace")
+    ]
+
+
+def forged_records(tree: ast.Module) -> list[str]:
+    """Calls of ``__new__``, on any receiver, but ``x.__new__(cls, ...)`` in a ``__new__``.
+
+    A record's own ``__new__`` builds itself that way once its checks pass;
+    any other call builds a record of a type it names past those checks.
+    """
+    own = {
+        id(call)
+        for method in ast.walk(tree)
+        if isinstance(method, ast.FunctionDef) and method.name == "__new__"
+        for call in ast.walk(method)
+        if isinstance(call, ast.Call) and call.args and ast.unparse(call.args[0]) == "cls"
+    }
+    return [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__new__"
+        and id(node) not in own
     ]
 
 
@@ -525,6 +550,12 @@ def test_no_record_is_built_past_its_constructor(module):
 
 
 @pytest.mark.parametrize("module", sorted(SOURCES))
+def test_no_record_is_built_past_its_own_new(module):
+    forged = forged_records(SOURCES[module])
+    assert not forged, f"{module}: builds records past their checks: {forged}"
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
 def test_no_unused_imports(module):
     tree = SOURCES[module]
     unused = [name for name in imported_names(tree) if name not in used_names(tree)]
@@ -596,3 +627,31 @@ def test_record_checks_catch_planted_imports_and_rebuilds():
         "GateAction._make((gate, True))",
         "action._replace(position=1.0)",
     ]
+
+
+def test_new_check_catches_planted_forgeries():
+    planted = ast.parse(
+        "a = tuple.__new__(Announcements, records)\n\n"
+        "def _made(cls, it):\n    return tuple.__new__(cls, it)\n\n"
+        "class Pair(_Pair):\n    def __new__(cls, a, b):\n"
+        "        other = tuple.__new__(Other, (a, b))\n"
+        "        inner = _Pair.__new__(cls, a, b)\n"
+        "        return tuple.__new__(cls, (a, b))\n\n"
+        "    def _make(cls, it):\n        return super().__new__(cls, *it)\n\n"
+        "b = _Pair.__new__(Pair, 1, 2)\nc = Pair(1, 2)\n"
+    )
+    assert forged_records(planted) == [
+        "tuple.__new__(Announcements, records)",
+        "_Pair.__new__(Pair, 1, 2)",
+        "tuple.__new__(cls, it)",
+        "tuple.__new__(Other, (a, b))",
+        "super().__new__(cls, *it)",
+    ]
+    # the package's own calls are the checking records' __new__s
+    calls = [
+        ast.unparse(node)
+        for tree in SOURCES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(".__new__")
+    ]
+    assert len(calls) == 6 and all(call.startswith("tuple.__new__(cls, ") for call in calls)

@@ -16,6 +16,7 @@ from ghzshare.protocol import (
     PositionAnnouncement,
     StateLabelAnnouncement,
     Transcript,
+    _announcements,
     decode_secret,
     encode_secret,
     make_announcements,
@@ -241,8 +242,8 @@ def test_prebuilt_announcements_equal_fresh_records_on_all_512_tuples():
         assert type(made) is Announcements
         assert made == fresh and made == Announcements(*fresh)
         assert [type(a) for a in made] == [type(a) for a in fresh]
-        # built once: a second call returns the same records
-        assert all(a is b for a, b in zip(made, make_announcements(o2, o3, label, o1, position)))
+        # built once: a second call returns the same record
+        assert make_announcements(o2, o3, label, o1, position) is made
 
 
 HONEST_ARGS = (BellOutcome.A_MINUS, BellOutcome.B_PLUS, StateLabel.C, BellOutcome.A_PLUS, 6)
@@ -263,10 +264,23 @@ HONEST_ARGS = (BellOutcome.A_MINUS, BellOutcome.B_PLUS, StateLabel.C, BellOutcom
     ids=repr,
 )
 def test_make_announcements_still_rejects_what_the_constructors_reject(index, value):
+    # warm at positions 1 and 6, which True and 1.0, and 6.0, equal as keys
+    make_announcements(*HONEST_ARGS[:4], 1)
+    make_announcements(*HONEST_ARGS)
     args = list(HONEST_ARGS)
     args[index] = value
     with pytest.raises(ValueError):
         make_announcements(*args)
+
+
+def test_a_refused_value_is_cached_nowhere_and_refused_again_alike():
+    args = list(HONEST_ARGS)
+    args[0] = "a+"
+    cached = _announcements.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^outcome must be a BellOutcome, got 'a\+'$"):
+            make_announcements(*args)
+    assert _announcements.cache_info().currsize == cached
 
 
 @pytest.mark.parametrize("pair", [(True, 6), (1.0, 6), (1, 6.0), (True, 6.0)])
@@ -296,6 +310,7 @@ def test_a_transcript_equals_and_hashes_as_its_json_round_trip():
         transcript = run_protocol(None, "01", None, seed)
         parsed = Transcript.from_json(transcript.to_json())
         assert parsed == transcript and hash(parsed) == hash(transcript)
+        assert type(parsed.announcements) is Announcements
         assert [type(a) for a in parsed.announcements] == [
             type(a) for a in transcript.announcements
         ]
@@ -325,6 +340,14 @@ def _set(path, value):
     return mutate
 
 
+def _swap(i, j):
+    def mutate(doc):
+        listed = doc["announcements"]
+        listed[i], listed[j] = listed[j], listed[i]
+
+    return mutate
+
+
 MALFORMED = {
     "missing seed": _delete(("seed",)),
     "missing true_config": _delete(("true_config",)),
@@ -347,6 +370,9 @@ MALFORMED = {
     "position is a boolean": _set(("announcements", 4, "position"), True),
     "config position is a float": _set(("true_config", "position"), 1.0),
     "unknown announcement type": _set(("announcements", 2, "type"), "dealer_secret"),
+    # refused by the parser, not later by replay
+    "announcements swapped": _swap(0, 1),
+    "announcement missing": _delete(("announcements", 3)),
 }
 
 

@@ -202,6 +202,14 @@ def test_infer_gate_no_match_on_foreign_support():
     assert raised.value.trace is None
 
 
+def test_infer_gate_refuses_a_pair_whose_toggled_halves_coincide():
+    # reconstruct never reaches this: the untouched-half filter keeps two distinct terms
+    kept = [Term(0b000000, 1), Term(0b000111, 1)]
+    message = "^kept terms collapse onto one toggled-half pattern$"
+    with pytest.raises(NoMatch, match=message):
+        infer_gate(kept, _decoder(StateLabel.A, 1))
+
+
 def test_infer_gate_unique_across_honest_candidates():
     # For each label/position, the four candidate actions are pairwise
     # distinguishable, so Ambiguous is unreachable on honest inputs.

@@ -109,6 +109,16 @@ def test_expand_product_rejects_overlap():
         expand_product([bell_terms(A_P, (1, 6)), bell_terms(A_P, (1, 2))])
 
 
+def test_expand_product_takes_an_iterator_or_a_generator_as_its_list():
+    parts = [bell_terms(A_P, (2, 3)), bell_terms(B_M, (4, 5))]
+    listed = expand_product(parts)
+    assert listed.render() == "+|0001> -|0010> +|1101> -|1110> on (2,3,4,5)"
+    assert listed.norm_exponent == 2
+    # parts are read more than once, so a one-shot iterable must not run dry
+    assert expand_product(iter(parts)) == listed
+    assert expand_product(part for part in parts) == listed
+
+
 def test_expand_product_associative_commutative():
     parts = [bell_terms(A_M, (2, 5)), bell_terms(B_P, (3, 4)), bell_terms(A_P, (1, 6))]
     base = expand_product(parts)
