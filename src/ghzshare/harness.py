@@ -58,7 +58,6 @@ from .qcore import (
 from .recon import (
     ALL_QUBITS,
     MIDDLE_QUBITS,
-    NoMatch,
     PipelineTrace,
     reconstruct_trace,
 )
@@ -250,10 +249,7 @@ def _reconstruction(
     position: int,
 ) -> PipelineTrace:
     """The trace of the reconstruction from these announcements, which may end in a rejection."""
-    try:
-        return reconstruct_trace(make_announcements(o2, o3, label, o1, position))
-    except NoMatch as exc:
-        return exc.trace
+    return reconstruct_trace(make_announcements(o2, o3, label, o1, position))
 
 
 def exhaustive_verify() -> list[BranchRecord]:

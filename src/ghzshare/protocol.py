@@ -101,6 +101,8 @@ class GateAction(_GateAction):
     __reduce__ = _reduce
 
     def __new__(cls, gate: PauliGate, position: int) -> GateAction:
+        if not isinstance(gate, PauliGate):
+            raise ValueError(f"gate must be a PauliGate, got {gate!r}")
         return tuple.__new__(cls, (gate, check_position(position)))
 
     def render(self) -> str:
@@ -335,10 +337,13 @@ class Transcript(NamedTuple):
             config = data["true_config"]
             true_label = StateLabel(config["state"])
             true_action = GateAction(PauliGate(config["gate"]), config["position"])
-            announcements = Announcements(*map(announcement_from_dict, data["announcements"]))
+            parsed = tuple(map(announcement_from_dict, data["announcements"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed transcript: {exc!r}") from exc
-        return cls(check_seed(seed), true_label, true_action, announcements)
+        count, expected = len(parsed), len(Announcements._fields)
+        if count != expected:
+            raise ValueError(f"malformed transcript: expected {expected} announcements, got {count}")
+        return cls(check_seed(seed), true_label, true_action, Announcements(*parsed))
 
     @classmethod
     def from_json(cls, text: str) -> "Transcript":

@@ -20,11 +20,8 @@ reconstruction, so it lives in one decode table of the 512 announced tuples,
 ``_decoded``: each entry is one trace of every stage, as each label's support
 keeps two of the four expanded terms, and it ends in the result or the
 rejection's message.  It is filled on first use by one run of the stages.
-``reconstruct``, ``reconstruct_trace`` and a NoMatch's ``.trace`` read that
-entry, so a warm reconstruction runs no stage.  The fill raises nothing, and
-each entry point raises its NoMatch from its own frame: a NoMatch holds only
-the five announced values, so a kept rejection pins neither the fill's frame
-nor its trace.
+``reconstruct`` and ``reconstruct_trace`` read that entry, so a warm
+reconstruction runs no stage.
 """
 
 from __future__ import annotations
@@ -56,30 +53,7 @@ class IncompleteTranscript(ReconError):
 
 
 class NoMatch(ReconError):
-    """No candidate gate fits: tampering or inconsistent announcements.
-
-    One that ``reconstruct`` or ``reconstruct_trace`` raises holds the five
-    announced values it rejected, and nothing of the stages that rejected
-    them; one that ``infer_gate`` raises on its own holds none.  Pickle and
-    ``copy`` rebuild it through its constructor, so the copy keeps them.
-    """
-
-    # no per-instance dict: a sweep may keep hundreds of these
-    __slots__ = ("_announced",)
-
-    def __init__(self, message: str, announced: Optional[tuple] = None):
-        # all BaseException.__init__ does is set args
-        self.args = (message,)
-        self._announced = announced
-
-    def __reduce__(self):
-        # BaseException's passes args alone, which would drop the announced values
-        return type(self), (self.args[0], self._announced), self.__dict__
-
-    @property
-    def trace(self) -> "PipelineTrace | None":
-        """The trace of the rejected announcements, from the decode table, or None."""
-        return None if self._announced is None else _decoded(*self._announced)
+    """No candidate gate fits: tampering or inconsistent announcements."""
 
 
 class Ambiguous(ReconError):
@@ -295,8 +269,7 @@ def _decoded(
 ) -> PipelineTrace:
     """One decode table entry: the trace, which ends in the result or the rejection.
 
-    Nothing is raised here: a cache keeps no call that raised, and the entry
-    point raises, so that a kept NoMatch holds neither this frame nor the trace.
+    Nothing is raised here: a cache keeps no call that raised.
     Callers pass validated announcements: True and 1.0 are equal to 1 as cache keys.
     """
     expansion = bell_products(PAIRING_2534)[o2, o3]
@@ -328,25 +301,14 @@ def _decoded(
 
 
 def reconstruct_trace(announcements: Sequence[Announcement]) -> PipelineTrace:
-    """The full pipeline's trace, every intermediate kept for reporting."""
-    announced = _validated(announcements)
-    trace = _decoded(*announced)
-    if trace.result is None:
-        rejection = trace.rejection
-        # the traceback keeps this frame's locals
-        del trace
-        raise NoMatch(rejection, announced)
-    return trace
+    """The full pipeline's trace, which ends in its result or its rejection."""
+    return _decoded(*_validated(announcements))
 
 
 def reconstruct(announcements: Sequence[Announcement]) -> ReconstructionResult:
     """Reconstruct the secret from announcements alone."""
-    announced = _validated(announcements)
-    trace = _decoded(*announced)
-    result = trace.result
+    # only the last two fields, so a kept NoMatch's frame holds no stage piece
+    result, rejection = _decoded(*_validated(announcements))[-2:]
     if result is None:
-        rejection = trace.rejection
-        # the traceback keeps this frame's locals
-        del trace
-        raise NoMatch(rejection, announced)
+        raise NoMatch(rejection)
     return result

@@ -26,41 +26,41 @@ from ghzshare.protocol import (
     run_protocol,
 )
 from ghzshare.qcore import BELL_OUTCOMES, LABELS, StateLabel
-from ghzshare.recon import NoMatch, reconstruct
+from ghzshare.recon import NoMatch, reconstruct, reconstruct_trace
 from oracles import FRAME, par, ph
 from test_lint import SOURCES, cached_functions
 
 TUPLES = tuple(itertools.product(LABELS, (1, 6), BELL_OUTCOMES, BELL_OUTCOMES, BELL_OUTCOMES))
 
 
-def rejecting_stage(exc: NoMatch) -> str:
-    trace = exc.trace
-    if trace.attached is None:
-        return "support filter"
-    if len(trace.final_kept.terms) != 2:
-        return "untouched-half filter"
-    return "infer_gate"
+def rejecting_stage(trace: recon.PipelineTrace) -> str:
+    return "untouched-half filter" if len(trace.final_kept.terms) != 2 else "infer_gate"
 
 
 def test_reconstruct_matches_the_pauli_frame_on_all_512_tuples():
     assert len(TUPLES) == 512
-    rejections = {"support filter": 0, "untouched-half filter": 0, "infer_gate": 0}
+    rejections = {"untouched-half filter": 0, "infer_gate": 0}
     for label, position, o1, o2, o3 in TUPLES:
         reachable = (par(o2) ^ par(o3)) == (label in (StateLabel.B, StateLabel.C))
         announced = (label.value, position, o1.value, o2.value, o3.value)
+        announcements = make_announcements(o2, o3, label, o1, position)
+        trace = reconstruct_trace(announcements)
+        # every tuple passes the support filter
+        assert trace.attached is not None, announced
         try:
-            result = reconstruct(make_announcements(o2, o3, label, o1, position))
+            result = reconstruct(announcements)
         except NoMatch as exc:
             assert type(exc) is NoMatch, announced
+            assert str(exc) == trace.rejection, announced
             assert not reachable, announced
-            rejections[rejecting_stage(exc)] += 1
+            rejections[rejecting_stage(trace)] += 1
             continue
         assert reachable, announced
         frame = (par(o1) ^ par(o3), ph(o1) ^ ph(o2) ^ ph(o3))
         action = GateAction(FRAME[frame], position)
         assert result.action == action, announced
         assert result.secret == decode_secret(action), announced
-    assert rejections == {"support filter": 0, "untouched-half filter": 128, "infer_gate": 128}
+    assert rejections == {"untouched-half filter": 128, "infer_gate": 128}
 
 
 def _sweep_and_table():

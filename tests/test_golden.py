@@ -92,7 +92,7 @@ def _domain_text() -> str:
     """Every announcement tuple's outcome and stage renders, one block per tuple."""
     from ghzshare.protocol import make_announcements
     from ghzshare.qcore import BELL_OUTCOMES, LABELS
-    from ghzshare.recon import NoMatch, reconstruct_trace
+    from ghzshare.recon import reconstruct_trace
     from ghzshare.symexact import SymbolicState
 
     def state(s):
@@ -111,13 +111,11 @@ def _domain_text() -> str:
         LABELS, (1, 6), BELL_OUTCOMES, BELL_OUTCOMES, BELL_OUTCOMES
     ):
         lines.append(f"{label.value} {position} {o1.value} {o2.value} {o3.value}")
-        try:
-            trace = reconstruct_trace(make_announcements(o2, o3, label, o1, position))
-        except NoMatch as exc:
-            trace = exc.trace
-            lines.append(f"{type(exc).__name__}: {exc}")
+        trace = reconstruct_trace(make_announcements(o2, o3, label, o1, position))
+        r = trace.result
+        if r is None:
+            lines.append(f"NoMatch: {trace.rejection}")
         else:
-            r = trace.result
             tamper = r.tamper.render() if r.tamper else "None"
             lines.append(f"{r.action.render()} {r.secret} {tamper}")
         lines.append(state(trace.expansion))

@@ -4,6 +4,7 @@ import copy
 import itertools
 import json
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -219,11 +220,23 @@ def test_announcements_reject_a_label_or_outcome_given_as_text():
 
 
 def test_decode_secret_rejects_what_is_no_gate_action():
-    # a plain tuple has no fields; GateAction checks its position, not its gate
-    for bad in [("X", 1), None, GateAction("X", 1)]:
+    # a plain tuple has no fields, and a GateAction forged past its constructor no gate
+    for bad in [("X", 1), None, tuple.__new__(GateAction, ("X", 1))]:
         with pytest.raises(ValueError, match="^action must be a GateAction, got "):
             decode_secret(bad)
+    with pytest.raises(ValueError, match="^gate must be a PauliGate, got 'X'$"):
+        GateAction("X", 1)
     assert decode_secret(GateAction(PauliGate.X, 1)) == "01"
+
+
+def test_pickle_and_copy_refuse_a_gate_action_forged_past_its_constructor():
+    # both rebuild a record through its constructor, which checks the gate
+    forged = tuple.__new__(GateAction, ("X", 1))
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    rebuilds = [lambda r, p=p: pickle.loads(pickle.dumps(r, p)) for p in protocols]
+    for rebuild in rebuilds + [copy.copy, copy.deepcopy]:
+        with pytest.raises(ValueError, match="^gate must be a PauliGate, got 'X'$"):
+            rebuild(forged)
 
 
 def test_prebuilt_announcements_equal_fresh_records_on_all_512_tuples():
@@ -348,6 +361,14 @@ def _swap(i, j):
     return mutate
 
 
+def _duplicate(i):
+    def mutate(doc):
+        listed = doc["announcements"]
+        listed.insert(i, listed[i])
+
+    return mutate
+
+
 MALFORMED = {
     "missing seed": _delete(("seed",)),
     "missing true_config": _delete(("true_config",)),
@@ -363,6 +384,7 @@ MALFORMED = {
     "seed is negative": _set(("seed",), -3),
     "seed is 2**64": _set(("seed",), 2**64),
     "announcements is a number": _set(("announcements",), 7),
+    "announcements is a dict": _set(("announcements",), {"type": "dealer_position"}),
     "announcement is a string": _set(("announcements", 1), "P3"),
     "party is a list": _set(("announcements", 0, "party"), ["P2"]),
     "unknown gate": _set(("true_config", "gate"), "Y"),
@@ -373,14 +395,21 @@ MALFORMED = {
     # refused by the parser, not later by replay
     "announcements swapped": _swap(0, 1),
     "announcement missing": _delete(("announcements", 3)),
+    "announcement duplicated": _duplicate(3),
 }
 
+# the cases refused for their count, by the count they hold
+MISCOUNTED = {"announcement missing": 4, "announcement duplicated": 6}
 
-@pytest.mark.parametrize("mutate", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_transcript_raises_value_error(mutate):
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_transcript_raises_value_error(case):
     doc = _valid_transcript_dict()
-    mutate(doc)
-    with pytest.raises(ValueError):
+    MALFORMED[case](doc)
+    message = None
+    if case in MISCOUNTED:
+        message = f"^malformed transcript: expected 5 announcements, got {MISCOUNTED[case]}$"
+    with pytest.raises(ValueError, match=message):
         Transcript.from_dict(doc)
 
 

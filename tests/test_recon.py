@@ -196,10 +196,8 @@ def test_infer_gate_z_and_identity():
 
 def test_infer_gate_no_match_on_foreign_support():
     kept = state_of((1, 2, 3, 4, 5, 6), [("001000", 1), ("110111", 1)], k=3)
-    with pytest.raises(NoMatch) as raised:
+    with pytest.raises(NoMatch, match=r"^no gate maps the reference onto "):
         infer_gate(kept.terms, _decoder(StateLabel.A, 1))
-    # raised outside the stage sequence, it holds no announced values to re-run
-    assert raised.value.trace is None
 
 
 def test_infer_gate_refuses_a_pair_whose_toggled_halves_coincide():
@@ -356,6 +354,7 @@ def test_reconstruct_rejects_plain_tuples_equal_to_valid_announcements():
 
 # per record field, values its constructor refuses in every slot of the honest list
 REFUSED = {
+    "gate": (None, "X", 1, StateLabel.A),
     "party": (None, 2, "Dealer", "P4", ["P2"]),
     "pair": (None, (), (6, 1), (1.0, 6), (True, 6), [2.0, 5], "25"),
     "outcome": (None, "a+", 0, StateLabel.A),
@@ -544,17 +543,15 @@ TUPLES = tuple(itertools.product(LABELS, (1, 6), BELL_OUTCOMES, BELL_OUTCOMES, B
 
 
 def _traces():
-    """The pipeline trace of every announcement tuple, complete or cut by NoMatch."""
+    """The pipeline trace of every announcement tuple, ending in its result or its rejection."""
     for label, position, o1, o2, o3 in TUPLES:
-        try:
-            yield reconstruct_trace(make_announcements(o2, o3, label, o1, position))
-        except NoMatch as exc:
-            yield exc.trace
+        yield reconstruct_trace(make_announcements(o2, o3, label, o1, position))
 
 
-def _outcome(reconstruction, announcements):
+def _outcome(announcements):
+    """What reconstruct returns or raises."""
     try:
-        return reconstruction(announcements)
+        return reconstruct(announcements)
     except NoMatch as exc:
         return exc
 
@@ -584,8 +581,6 @@ def _count_stages(monkeypatch):
 
 def _stages_reached(trace):
     """How many stages ran before the one that rejected, that one included."""
-    if trace.attached is None:
-        return 1
     return 3 if len(trace.final_kept.terms) != 2 else 4
 
 
@@ -594,39 +589,30 @@ def test_reconstruct_and_reconstruct_trace_agree_on_every_tuple(monkeypatch):
     successes, reached = 0, []
     for label, position, o1, o2, o3 in TUPLES:
         announcements = make_announcements(o2, o3, label, o1, position)
-        result = _outcome(reconstruct, announcements)
-        traced = _outcome(reconstruct_trace, announcements)
+        result = _outcome(announcements)
+        calls.update(dict.fromkeys(STAGES, 0))
+        raises.update(dict.fromkeys(STAGES, 0))
+        # the trace is read from the decode table the reconstruction filled
+        trace = reconstruct_trace(announcements)
+        assert trace is recon._decoded(o2, o3, label, o1, position)
         # a plain sequence of the same records is checked, then read as the record is
         for listed in (tuple(announcements), list(announcements)):
-            for reconstruction, outcome in ((reconstruct, result), (reconstruct_trace, traced)):
-                again = _outcome(reconstruction, listed)
-                if isinstance(outcome, NoMatch):
-                    assert type(again) is NoMatch and str(again) == str(outcome)
-                    assert again.trace is outcome.trace
-                else:
-                    assert again is outcome
-        if isinstance(traced, NoMatch):
-            assert type(result) is type(traced)
-            assert str(result) == str(traced)
-            for exc in (result, traced):
-                calls.update(dict.fromkeys(STAGES, 0))
-                raises.update(dict.fromkeys(STAGES, 0))
-                trace = exc.trace
-                # the trace is read from the decode table the reconstructions filled
-                passed = _stages_reached(trace)
-                assert not any(calls.values()) and not any(raises.values())
-                # later reads return the same object and run nothing
-                assert exc.trace is trace
-                assert not any(calls.values())
-            reached.append(passed)
-            assert result.trace == traced.trace
-            # reading it leaves the message
-            assert str(result) == str(traced)
-            trace = traced.trace
+            assert reconstruct_trace(listed) is trace
+            again = _outcome(listed)
+            if isinstance(result, NoMatch):
+                assert type(again) is NoMatch and str(again) == str(result)
+            else:
+                assert again is result
+        assert not any(calls.values()) and not any(raises.values())
+        # no trace stops before P1's outcome is attached
+        assert trace.attached is not None
+        if isinstance(result, NoMatch):
+            assert type(result) is NoMatch
+            assert trace.result is None and str(result) == trace.rejection
+            reached.append(_stages_reached(trace))
         else:
-            assert result == traced.result
+            assert trace.rejection is None and result is trace.result
             successes += 1
-            trace = traced
         # the five public stage functions, chained from the expand_product oracle,
         # agree with the trace's states; every tuple passes the support filter
         expansion = expand_product([bell_terms(o2, (2, 5)), bell_terms(o3, (3, 4))])
@@ -649,9 +635,8 @@ def test_reconstruct_and_reconstruct_trace_agree_on_every_tuple(monkeypatch):
             assert infer_gate(untouched.kept, decoder) == trace.result[:2]
             assert tamper_report(untouched.discarded, decoder) == trace.result.tamper
         elif len(untouched.kept) == 2:
-            with pytest.raises(NoMatch, match=re.escape(str(result)) + "$") as raised:
+            with pytest.raises(NoMatch, match=re.escape(trace.rejection) + "$"):
                 infer_gate(untouched.kept, decoder)
-            assert raised.value.trace is None
     assert successes == 256
     assert sorted(reached) == [3] * 128 + [4] * 128
 
@@ -692,9 +677,8 @@ def _held(exc):
     return held
 
 
-@pytest.mark.parametrize("reconstruction", [reconstruct, reconstruct_trace])
-def test_a_kept_rejection_holds_its_entry_point_and_no_stage_piece(reconstruction):
-    outcomes = _kept_sweep(reconstruction)
+def test_a_kept_rejection_holds_its_entry_point_and_no_stage_piece():
+    outcomes = _kept_sweep(reconstruct)
     rejections = [(a, o) for a, o in zip(ANNOUNCED, outcomes) if isinstance(o, NoMatch)]
     assert len(rejections) == 256
     for announcements, exc in rejections:
@@ -703,7 +687,7 @@ def test_a_kept_rejection_holds_its_entry_point_and_no_stage_piece(reconstructio
             if tb.tb_frame.f_code.co_filename == recon.__file__:
                 entries.append(tb.tb_frame.f_code.co_name)
             tb = tb.tb_next
-        assert entries == [reconstruction.__name__]
+        assert entries == ["reconstruct"]
         # a Term tuple holds Terms, so a Term is all the walk needs to find
         pieces = (FilterResult, SymbolicState, PipelineTrace, Term)
         held = _held(exc)
@@ -725,9 +709,9 @@ def test_a_kept_sweep_leaves_few_objects_for_the_cyclic_collector():
     finally:
         gc.enable()
     assert len(outcomes) == 512
-    # per success its result; per NoMatch itself, its args and announced
-    # tuples, two traceback entries and the reconstruct frame
-    assert left <= 256 + 256 * 6 + 16, left
+    # a result is the decode table's own; per NoMatch itself, its args tuple,
+    # two traceback entries and the reconstruct frame
+    assert left <= 256 * 5 + 16, left
 
 
 def _sweep(reconstruction=reconstruct):
@@ -743,7 +727,7 @@ def test_reconstruct_runs_the_five_public_stage_functions(monkeypatch):
     # set on the module, as a tracer sets one, sees every call and every
     # NoMatch; it runs them once per tuple, whichever entry point fills it
     calls, raised = _count_stages(monkeypatch)
-    warm_sweeps = (_sweep, lambda: _sweep(reconstruct_trace), lambda: list(_traces()))
+    warm_sweeps = (_sweep, lambda: _sweep(reconstruct_trace))
     for reconstruction in (reconstruct, reconstruct_trace):
         recon._decoded.cache_clear()
         calls.update(dict.fromkeys(STAGES, 0))
@@ -751,7 +735,7 @@ def test_reconstruct_runs_the_five_public_stage_functions(monkeypatch):
         _sweep(reconstruction)
         assert list(calls.values()) == [512, 512, 512, 384, 256]
         assert raised == {**dict.fromkeys(STAGES, 0), "infer_gate": 128}
-        # a warm sweep of either entry point, or of the .trace reads, runs none
+        # a warm sweep of either entry point runs none
         for warm in warm_sweeps:
             calls.update(dict.fromkeys(STAGES, 0))
             raised.update(dict.fromkeys(STAGES, 0))
@@ -759,9 +743,9 @@ def test_reconstruct_runs_the_five_public_stage_functions(monkeypatch):
             assert not any(calls.values()) and not any(raised.values())
 
 
-def test_one_decode_table_serves_all_three_readers(monkeypatch):
+def test_one_decode_table_serves_two_readers(monkeypatch):
     # whichever entry point fills an entry, the stages run once for it, and the
-    # other entry point and the .trace reads find the same objects there
+    # other entry point finds the same objects there
     calls = _count_stages(monkeypatch)[0]
     for first, then in ((reconstruct_trace, reconstruct), (reconstruct, reconstruct_trace)):
         recon._decoded.cache_clear()
@@ -771,13 +755,13 @@ def test_one_decode_table_serves_all_three_readers(monkeypatch):
         calls.update(dict.fromkeys(STAGES, 0))
         read = _kept_sweep(then)
         assert not any(calls.values())
-        outcomes = zip(filled, read) if first is reconstruct else zip(read, filled)
-        for result, traced in outcomes:
+        outcomes, traces = (filled, read) if first is reconstruct else (read, filled)
+        for (label, position, o1, o2, o3), result, trace in zip(TUPLES, outcomes, traces):
+            assert trace is recon._decoded(o2, o3, label, o1, position)
             if isinstance(result, NoMatch):
-                assert type(traced) is NoMatch and str(traced) == str(result)
-                assert result.trace is traced.trace
+                assert type(result) is NoMatch and str(result) == trace.rejection
             else:
-                assert result is traced.result
+                assert result is trace.result
         assert not any(calls.values())
 
 
@@ -840,22 +824,20 @@ def test_the_decode_table_agrees_with_the_stages_on_every_tuple():
         # every tuple reaches the last stage and ends in exactly one of the two
         assert (trace.result is None) != (trace.rejection is None)
         announcements = make_announcements(o2, o3, label, o1, position)
+        assert reconstruct_trace(announcements) is trace
         if trace.result is not None:
             assert reconstruct(announcements) is trace.result
-            assert reconstruct_trace(announcements) is trace
             continue
         with pytest.raises(NoMatch) as warm:
             reconstruct(announcements)
-        with pytest.raises(NoMatch) as traced:
-            reconstruct_trace(announcements)
-        assert warm.value.args == traced.value.args == (trace.rejection,)
-        assert warm.value.trace is traced.value.trace is trace
+        assert type(warm.value) is NoMatch
+        assert warm.value.args == (trace.rejection,)
 
 
-def test_a_rejection_keeps_its_announced_values_through_pickle_and_copy():
+def test_a_rejection_pickles_and_copies_with_its_type_and_message():
     rejections = [o for o in _kept_sweep(reconstruct) if isinstance(o, NoMatch)]
     assert len(rejections) == 256
-    # one that infer_gate raises on its own holds no announced values
+    # and one that infer_gate raises on its own
     rejections.append(NoMatch("no gate maps the reference onto +|000> on (1,2,3)"))
     for exc in rejections:
         protocols = range(pickle.HIGHEST_PROTOCOL + 1)
@@ -864,8 +846,6 @@ def test_a_rejection_keeps_its_announced_values_through_pickle_and_copy():
         for copied in copies:
             assert type(copied) is NoMatch
             assert copied.args == exc.args
-            assert copied.trace == exc.trace
-    assert rejections[-1].trace is None
 
 
 def _string_partition(state, qubits, allowed):

@@ -336,16 +336,12 @@ def test_empty_bell_product_expr_expands_to_cancelled_state():
 def _pipeline_states():
     """Every non-empty 4- and 6-qubit state of the pipeline, over all 512 tuples."""
     from ghzshare.protocol import make_announcements
-    from ghzshare.recon import NoMatch, reconstruct_trace
+    from ghzshare.recon import reconstruct_trace
 
     for label in LABELS:
         for position in (1, 6):
             for o1, o2, o3 in itertools.product(BELL_OUTCOMES, repeat=3):
-                announcements = make_announcements(o2, o3, label, o1, position)
-                try:
-                    trace = reconstruct_trace(announcements)
-                except NoMatch as exc:
-                    trace = exc.trace
+                trace = reconstruct_trace(make_announcements(o2, o3, label, o1, position))
                 for s in (trace.expansion, trace.kept_mid, trace.attached, trace.final_kept):
                     if s is not None and s.terms:
                         yield s
