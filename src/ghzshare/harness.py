@@ -67,6 +67,7 @@ from .symexact import (
     SymbolicState,
     bell_decompose,
     bell_terms,
+    equal_up_to_global_sign,
     expand_product,
     from_statevector,
     to_statevector,
@@ -90,7 +91,8 @@ class Branch(NamedTuple):
     """One positive-probability outcome triple with its oracle states.
 
     mid_after_p1 and mid_after_p3 are the normalized (2,3,4,5) states left
-    when (1,6) is found in o1, after P1's measurement and after all three.
+    when (1,6) is found in o1, after P1's measurement and after all three;
+    they and after_p1 are the dense walk's states, in symbolic form.
     no_signalling is whether the state after all three is the product of the
     three announced Bell kets, up to phase: decided once, as the branch is
     walked, so that state is not kept.
@@ -100,9 +102,9 @@ class Branch(NamedTuple):
     o2: BellOutcome
     o3: BellOutcome
     probability: Fraction
-    after_p1: DenseState
-    mid_after_p1: DenseState
-    mid_after_p3: DenseState
+    after_p1: SymbolicState
+    mid_after_p1: SymbolicState
+    mid_after_p3: SymbolicState
     no_signalling: bool
 
 
@@ -154,6 +156,7 @@ def enumerate_branches(state: DenseState) -> Iterator[Branch]:
     for o1, (prob1, s1) in bell_probabilities(state, P1_PAIR).items():
         if s1 is None:
             continue
+        after1 = from_statevector(s1, ALL_QUBITS)
         mid1 = _collapse(s1, o1)
         for o2, (prob2, s2) in bell_probabilities(s1, P2_PAIR).items():
             if s2 is None:
@@ -163,7 +166,7 @@ def enumerate_branches(state: DenseState) -> Iterator[Branch]:
                 if s3 is not None:
                     mid3 = _collapse(s3, o1)
                     no_signalling = global_phase_equal(_announced_product(o1, o2, o3), s3)
-                    yield Branch(o1, o2, o3, prob12 * prob3, s1, mid1, mid3, no_signalling)
+                    yield Branch(o1, o2, o3, prob12 * prob3, after1, mid1, mid3, no_signalling)
 
 
 def _encoded(label: StateLabel, gate: PauliGate, position: int) -> DenseState:
@@ -171,9 +174,9 @@ def _encoded(label: StateLabel, gate: PauliGate, position: int) -> DenseState:
     return apply_gate(prepare_state(label), gate, position)
 
 
-def _collapse(state: DenseState, o1: BellOutcome) -> DenseState:
+def _collapse(state: DenseState, o1: BellOutcome) -> SymbolicState:
     """The normalized (2,3,4,5) state left when (1,6) is found in outcome o1."""
-    return normalized(partial_inner(state, P1_PAIR, o1))
+    return from_statevector(normalized(partial_inner(state, P1_PAIR, o1)), MIDDLE_QUBITS)
 
 
 @functools.cache
@@ -200,20 +203,6 @@ def _view(
     ]
 
 
-def _phase_equal(vec: DenseState, state: SymbolicState) -> bool:
-    """Whether a dense vector is the symbolic state up to a global phase.
-
-    It is global_phase_equal(vec, to_statevector(state)) without building that
-    vector: to_statevector turns each term into an (index, +/-1) amplitude
-    and n terms into the exponent log2(n).
-    """
-    terms = state.terms
-    if vec.n_qubits != len(state.qubits) or vec.exponent != len(terms).bit_length() - 1:
-        return False
-    amplitudes = vec.amplitudes
-    return amplitudes == terms or amplitudes == tuple([(bits, -sign) for bits, sign in terms])
-
-
 @functools.cache
 def _announced_product(o1: BellOutcome, o2: BellOutcome, o3: BellOutcome) -> DenseState:
     """Dense product of the three announced Bell kets."""
@@ -227,13 +216,13 @@ def _stage_failures(branch: Branch, trace: PipelineTrace) -> list[str]:
     """Symbolic pipeline stages vs oracle post-measurement states, up to phase."""
     failures = []
     # P2 x P3 expansion vs the (2,3,4,5) factor of the fully measured state
-    if not _phase_equal(branch.mid_after_p3, trace.expansion):
+    if not equal_up_to_global_sign(branch.mid_after_p3, trace.expansion):
         failures.append("expansion differs from the measured (2,3,4,5) factor")
     # kept terms vs the (2,3,4,5) collapse conditioned on P1's outcome alone
-    if not _phase_equal(branch.mid_after_p1, trace.kept_mid):
+    if not equal_up_to_global_sign(branch.mid_after_p1, trace.kept_mid):
         failures.append("kept terms differ from the P1-conditional collapse")
     # attached state vs the post-P1 six-qubit state
-    if not _phase_equal(branch.after_p1, trace.attached):
+    if not equal_up_to_global_sign(branch.after_p1, trace.attached):
         failures.append("attached state differs from the post-P1 state")
     # no-signaling: the final state is exactly the product of announced kets
     if not branch.no_signalling:
@@ -385,8 +374,7 @@ def _collapse_forms(
     Read from the branch table: 17 keys, the collapse table's 16 and
     lie-state's one, filled on first use.
     """
-    collapse = _view(_branches(label, gate, position), o1)[0].mid_after_p1
-    post = from_statevector(collapse, MIDDLE_QUBITS)
+    post = _view(_branches(label, gate, position), o1)[0].mid_after_p1
     decomps = (bell_decompose(post, PAIRING_2345), bell_decompose(post, PAIRING_2534))
     return _CollapseForms(post.render(), decomps, decomps[0].render(), decomps[1].render())
 
@@ -559,7 +547,7 @@ def scenario_lie_state() -> ScenarioReport:
             "collapse matches the printed a+a+ - a-a- pattern",
             "collapse ~ +a+(2,3)a+(4,5) -a-(2,3)a-(4,5)",
             f"collapse = {forms.post_terms}",
-            _phase_equal(collapse, claimed.expand()),
+            equal_up_to_global_sign(collapse, claimed.expand()),
         ),
         _check("deduction", "I1", deduction),
         _check("deduced secret", "00", deduced_secret),
@@ -637,7 +625,7 @@ def scenario_p1_withholds() -> ScenarioReport:
             table = _branches(label, run.result.action.gate, position)
             all_positive = all_positive and bool(_view(table, o1, o2, o3))
             collapse = _view(table, o1)[0].mid_after_p1
-            all_display = all_display and _phase_equal(collapse, display_state)
+            all_display = all_display and equal_up_to_global_sign(collapse, display_state)
 
     expected_deductions = {o.ascii: a for o, a in expected_map.items()}
     assertions = (
@@ -717,12 +705,12 @@ def scenario_no_collusion() -> ScenarioReport:
         _check_match(
             "toggled-run collapse re-pairs to a+a- + a-a+ on (2,5),(3,4)",
             eq3.render(),
-            _phase_equal(iy_collapse, eq3.expand()),
+            equal_up_to_global_sign(iy_collapse, eq3.expand()),
         ),
         _check_match(
             "identity-run collapse re-pairs to a+a+ + a-a- on (2,5),(3,4)",
             eq9_corrected.render() + " (corrected from a duplicated printed term)",
-            _phase_equal(i_collapse, eq9_corrected.expand()),
+            equal_up_to_global_sign(i_collapse, eq9_corrected.expand()),
         ),
     )
     script = {
@@ -779,7 +767,7 @@ def scenario_eve_intercept() -> ScenarioReport:
         _check_match(
             "collapse after P1=a+ re-pairs to b+b- + b-b+ on (2,5),(3,4)",
             collapse_expr.render(),
-            _phase_equal(_view(walk, A_P)[0].mid_after_p1, collapse_expr.expand()),
+            equal_up_to_global_sign(_view(walk, A_P)[0].mid_after_p1, collapse_expr.expand()),
         ),
         _check_positive("a+, b-, b+", prob),
         _check_terms(

@@ -349,9 +349,13 @@ class Transcript(NamedTuple):
     def from_json(cls, text: str) -> "Transcript":
         """Parse a transcript's JSON; malformed input, nested however deep, raises ValueError."""
         try:
-            return cls.from_dict(json.loads(text))
+            data = json.loads(text)
+        except TypeError:  # no text
+            given = type(text).__name__
+            raise ValueError(f"malformed transcript: expected JSON text, got {given}") from None
         except RecursionError as exc:
             raise ValueError("malformed transcript: nested too deeply") from exc
+        return cls.from_dict(data)
 
 
 def run_protocol(

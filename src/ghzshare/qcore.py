@@ -329,7 +329,11 @@ def partial_inner(state: DenseState, pair: BellPair, outcome: BellOutcome) -> De
 
     The result is a vector over the four remaining qubits in ascending order.
     """
-    row = _project(state, check_pair(pair))[BELL_OUTCOMES.index(outcome)]
+    rows = _project(state, check_pair(pair))
+    try:
+        row = rows[BELL_OUTCOMES.index(outcome)]
+    except ValueError:  # not a BellOutcome
+        raise ValueError(f"outcome must be a BellOutcome, got {outcome!r}") from None
     entries = sorted([(r, amp) for r, amp in row.items() if amp])
     # halve the ints while all are even, so that the vector has its one form
     scale = math.gcd(*row.values())
@@ -380,8 +384,16 @@ def measure_bell(state: DenseState, pair: BellPair, rng) -> tuple[BellOutcome, D
         uniform = rng.random
     except AttributeError:  # no generator
         raise ValueError(f"rng must have a random() method, got {type(rng).__name__}") from None
+    value = uniform()
+    try:
+        drawn = 0 <= value < 1
+    except TypeError:  # no number
+        drawn = False
+    if not drawn:
+        # outside [0, 1) a draw would select an outcome its weight does not give it
+        raise ValueError(f"rng.random() must return a number in [0, 1), got {value!r}")
     # the weights of a unit vector sum to the scale, which the draw stays below
-    draw = uniform() * (2 << state.exponent)
+    draw = value * (2 << state.exponent)
     cumulative = 0
     for k, weight in enumerate(weights):
         cumulative += weight

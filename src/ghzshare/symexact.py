@@ -238,11 +238,9 @@ def equal_up_to_global_sign(a: SymbolicState, b: SymbolicState) -> bool:
 
     Normalization exponents are ignored; patterns and relative signs are not.
     """
-    if a.qubits != b.qubits or len(a.terms) != len(b.terms):
+    if a.qubits != b.qubits:
         return False
-    return a.terms == b.terms or all(
-        x.bits == y.bits and x.sign == -y.sign for x, y in zip(a.terms, b.terms)
-    )
+    return a.terms == b.terms or a.terms == tuple([(bits, -sign) for bits, sign in b.terms])
 
 
 @functools.cache

@@ -27,7 +27,7 @@ Another keeps bulk rejections small: an exception class that defines
 ``__init__`` declares ``__slots__``, so that no instance grows a ``__dict__``.
 The last keeps the package free of functions only its tests call: every
 public module-level function is read by the package's own code, not only
-imported or listed in ``__all__``, unless an allow-list says why not.
+imported or listed in ``__all__``.
 """
 
 import ast
@@ -123,13 +123,6 @@ def uncalled_functions(sources: dict[str, ast.Module]) -> list[str]:
         and not node.name.startswith("_")
         and node.name not in read
     ]
-
-
-# public functions that no package code calls, each with the reason it stays
-CALLED_FROM_OUTSIDE = {
-    "symexact.equal_up_to_global_sign": "the benchmark's tracer (perfbench/tracer.py, TRACED) "
-    "wraps it by name",
-}
 
 
 def absolute_imports(tree: ast.Module) -> list[str]:
@@ -574,8 +567,7 @@ def test_every_private_module_name_is_referenced():
 
 
 def test_every_public_function_is_called_from_the_package():
-    uncalled = uncalled_functions(SOURCES)
-    assert sorted(uncalled) == sorted(CALLED_FROM_OUTSIDE), f"called only from outside: {uncalled}"
+    assert uncalled_functions(SOURCES) == []
 
 
 def test_uncalled_function_check_catches_a_planted_wrapper():

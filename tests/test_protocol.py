@@ -5,12 +5,18 @@ import itertools
 import json
 import math
 import pickle
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghzshare import harness, protocol
 from ghzshare.protocol import (
+    P1_PAIR,
+    P2_PAIR,
+    P3_PAIR,
     Announcements,
     GateAction,
     MeasurementAnnouncement,
@@ -24,7 +30,16 @@ from ghzshare.protocol import (
     replay,
     run_protocol,
 )
-from ghzshare.qcore import BELL_OUTCOMES, LABELS, BellOutcome, PauliGate, StateLabel
+from ghzshare.qcore import (
+    BELL_OUTCOMES,
+    LABELS,
+    BellOutcome,
+    PauliGate,
+    StateLabel,
+    apply_gate,
+    bell_probabilities,
+    prepare_state,
+)
 from ghzshare.recon import IncompleteTranscript
 
 ALL_SECRETS = ("00", "01", "10", "11")
@@ -144,6 +159,62 @@ def test_random_label_frequencies_within_four_sigma():
     bound = 4 * math.sqrt(n * 0.25 * 0.75)
     for label in StateLabel:
         assert abs(counts[label] - n / 4) <= bound
+
+
+def born_intervals(state, pairs, walked=()):
+    """Each outcome sequence the pairs' measurements can show, with each
+    outcome's Born interval [lo, hi) of the draw, as Fractions.
+    """
+    if not pairs:
+        yield walked
+        return
+    lo = Fraction(0)
+    for outcome, (probability, post) in bell_probabilities(state, pairs[0]).items():
+        hi = lo + probability
+        if post is not None:
+            yield from born_intervals(post, pairs[1:], walked + ((outcome, lo, hi),))
+        lo = hi
+
+
+def test_each_honest_branch_is_drawn_on_a_set_of_measure_exactly_one_eighth(monkeypatch):
+    # with the label and position given, run_protocol's three draws are the
+    # three measurements' draws: each interval's ends are floats, so the
+    # sampler's exact comparison selects each branch on exactly its interval
+    script = []
+
+    class ScriptedDraws:
+        def __init__(self, seed):
+            pass
+
+        def random(self):
+            return script.pop(0)
+
+        def randrange(self, n):
+            raise AssertionError("a draw was spent on the label or position")
+
+    monkeypatch.setattr(protocol, "random", SimpleNamespace(Random=ScriptedDraws))
+    for label, gate, position in harness.configurations():
+        action = GateAction(gate, position)
+        state = apply_gate(prepare_state(label), gate, position)
+        leaves = {}
+        for walked in born_intervals(state, (P1_PAIR, P2_PAIR, P3_PAIR)):
+            o1, o2, o3 = (outcome for outcome, _, _ in walked)
+            measure = Fraction(1)
+            ends = []
+            for _, lo, hi in walked:
+                assert Fraction(float(lo)) == lo and Fraction(float(hi)) == hi, (lo, hi)
+                measure *= hi - lo
+                ends.append((float(lo), math.nextafter(float(hi), 0)))
+            for draws in itertools.product(*ends):
+                script[:] = draws
+                transcript = run_protocol(label, decode_secret(action), position, seed=0)
+                assert not script
+                assert transcript.true_action == action
+                assert transcript.announcements == make_announcements(o2, o3, label, o1, position)
+            leaves[o1, o2, o3] = measure
+        branches = harness._branches(label, gate, position)
+        assert leaves == {(b.o1, b.o2, b.o3): b.probability for b in branches}
+        assert set(leaves.values()) == {Fraction(1, 8)} and sum(leaves.values()) == 1
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -466,9 +537,13 @@ def test_no_checked_record_has_a_per_instance_dict():
         assert not hasattr(record, "__dict__"), type(record).__name__
 
 
-@pytest.mark.parametrize("text", ["[]", "null", "5", '"transcript"', "{"])
+@pytest.mark.parametrize("text", ["[]", "null", "5", '"transcript"', "{", 5, None])
 def test_non_object_json_raises_value_error(text):
-    with pytest.raises(ValueError):
+    # a value that is no JSON text at all is named by its type
+    message = None
+    if not isinstance(text, str):
+        message = f"^malformed transcript: expected JSON text, got {type(text).__name__}$"
+    with pytest.raises(ValueError, match=message):
         Transcript.from_json(text)
 
 

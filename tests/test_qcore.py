@@ -1,6 +1,7 @@
 """Exact dense engine tests: preparation, gates, Bell measurement."""
 
 import functools
+import itertools
 import math
 import random
 import re
@@ -232,6 +233,13 @@ def test_measure_bell_never_samples_an_impossible_outcome():
     assert [p for p, _ in probs.values()] == [0, 0, 1, 0]
     for draw in (0.0, 0.5, math.nextafter(1.0, 0.0)):
         assert measure_bell(state, (1, 6), FixedDraw(draw))[0] is B_P
+    # a draw outside [0, 1) is refused: here it would select a+ or b-, which
+    # cannot occur, and on prepare_state(A) an outcome its weight does not give it
+    outside = (-0.5, -1e-300, 1.0, 1.5, 7.0, math.inf, math.nan, "x", None)
+    for draw, given in itertools.product(outside, (state, prepare_state(StateLabel.A))):
+        message = re.escape(f"rng.random() must return a number in [0, 1), got {draw!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            measure_bell(given, (1, 6), FixedDraw(draw))
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -505,6 +513,10 @@ def test_list_pair_and_bad_pairs():
             partial_inner(state, bad, A_P)
         with pytest.raises(ValueError):
             measure_bell(state, bad, random.Random(0))
+    for bad in ["a+", None, ["a+"]]:
+        message = f"^outcome must be a BellOutcome, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            partial_inner(state, (1, 6), bad)
     # a float qubit equals and hashes like an int, so it must not reach a
     # table cached for the int: it fails whether or not that table exists
     with pytest.raises(TypeError):
