@@ -476,8 +476,9 @@ def _check_match(name: str, expected: str, matched: bool) -> AssertionRecord:
     return _check(name, expected, "match" if matched else "mismatch", matched)
 
 
-def _check_positive(outcomes: str, probability: Fraction) -> AssertionRecord:
-    """That the scripted branch, P(outcomes), can occur."""
+def _check_positive(outcomes: str, branches: Sequence[Branch]) -> AssertionRecord:
+    """That the scripted branch can occur: P(outcomes), summed over the branches that show them."""
+    probability = sum(b.probability for b in branches)
     return _check(
         "scripted branch has positive probability",
         f"P({outcomes}) > 0",
@@ -490,6 +491,29 @@ def _check_terms(name: str, state: SymbolicState, printed: str) -> AssertionReco
     """A state's signed patterns against the printed ones, such as "+0011 -1100"."""
     signed = " ".join(("+" if sign > 0 else "-") + key for key, sign in state.term_signs())
     return _check(name, printed, state.render(), signed == printed)
+
+
+def _script(
+    true_label: StateLabel,
+    true_action: GateAction,
+    label: StateLabel,
+    position: int,
+    outcomes: tuple[BellOutcome, BellOutcome, BellOutcome],
+    eve_action: Optional[GateAction] = None,
+) -> dict:
+    """The pinned script of a run in which every announcement is heard."""
+    o1, o2, o3 = outcomes
+    eve = {} if eve_action is None else {"eve_action": eve_action.render()}
+    return {
+        "true_state": true_label.value,
+        "true_action": true_action.render(),
+        **eve,
+        "announced_state": label.value,
+        "announced_position": position,
+        "p1_outcome": o1.ascii,
+        "p2_outcome": o2.ascii,
+        "p3_outcome": o3.ascii,
+    }
 
 
 def _deduced(trace: PipelineTrace) -> tuple[str, str]:
@@ -531,18 +555,18 @@ def misannouncement_matrix() -> dict:
 
 def scenario_lie_state() -> ScenarioReport:
     """Dealer prepared C and applied X at qubit 1, but announces state A."""
-    true_gate, position = PauliGate.X, 1
-    branches = _view(_branches(StateLabel.C, true_gate, position), A_P)
-    p1_prob = sum(b.probability for b in branches)
+    action = GateAction(PauliGate.X, 1)
+    true_label, label, position = StateLabel.C, StateLabel.A, action.position
+    branches = _view(_branches(true_label, action.gate, position), A_P)
     collapse = branches[0].mid_after_p1
-    forms = _collapse_forms(StateLabel.C, true_gate, position, A_P)
+    forms = _collapse_forms(true_label, action.gate, position, A_P)
     claimed = BellProductExpr(PAIRING_2345, ((A_P, A_P, 1), (A_M, A_M, -1)))
 
-    o2, o3 = branches[0].o2, branches[0].o3
-    run = _reconstruction(o2, o3, StateLabel.A, A_P, position)
+    o1, o2, o3 = outcomes = (A_P, branches[0].o2, branches[0].o3)
+    run = _reconstruction(o2, o3, label, o1, position)
     deduction, deduced_secret = _deduced(run)
     assertions = (
-        _check_positive("a+ on (1,6)", p1_prob),
+        _check_positive("a+ on (1,6)", branches),
         _check(
             "collapse matches the printed a+a+ - a-a- pattern",
             "collapse ~ +a+(2,3)a+(4,5) -a-(2,3)a-(4,5)",
@@ -551,7 +575,7 @@ def scenario_lie_state() -> ScenarioReport:
         ),
         _check("deduction", "I1", deduction),
         _check("deduced secret", "00", deduced_secret),
-        _check("true secret", "01", decode_secret(GateAction(true_gate, position))),
+        _check("true secret", "01", decode_secret(action)),
     )
     states = {
         "collapse_terms": forms.post_terms,
@@ -560,29 +584,21 @@ def scenario_lie_state() -> ScenarioReport:
         **_stage_renders(run, 2),
         "misannouncement_matrix": misannouncement_matrix(),
     }
-    script = {
-        "true_state": "C",
-        "true_action": "X1",
-        "announced_state": "A",
-        "announced_position": position,
-        "p1_outcome": A_P.ascii,
-        "p2_outcome": o2.ascii,
-        "p3_outcome": o3.ascii,
-    }
+    script = _script(true_label, action, label, position, outcomes)
     return ScenarioReport("lie-state", script, states, assertions)
 
 
 def scenario_lie_position() -> ScenarioReport:
     """Dealer applied iY at qubit 1 but announces qubit 6."""
-    label, gate, true_position = StateLabel.A, PauliGate.IY, 1
-    o1, o2, o3 = B_P, A_M, A_P
-    prob = sum(b.probability for b in _view(_branches(label, gate, true_position), o1, o2, o3))
-    trace = _reconstruction(o2, o3, label, o1, 6)
+    label, action, position = StateLabel.A, GateAction(PauliGate.IY, 1), 6
+    o1, o2, o3 = outcomes = (B_P, A_M, A_P)
+    branches = _view(_branches(label, action.gate, action.position), o1, o2, o3)
+    trace = _reconstruction(o2, o3, label, o1, position)
     expected_kept = (("000001", 1), ("111110", -1))
     observed_kept = trace.final_kept.term_signs()
     deduction, deduced_secret = _deduced(trace)
     assertions = (
-        _check_positive("b+, a-, a+", prob),
+        _check_positive("b+, a-, a+", branches),
         _check(
             "kept terms are the two cross-correlated terms",
             str(expected_kept),
@@ -591,17 +607,9 @@ def scenario_lie_position() -> ScenarioReport:
         ),
         _check("deduction", "iY6", deduction),
         _check("deduced secret", "00", deduced_secret),
-        _check("true secret", "11", decode_secret(GateAction(gate, true_position))),
+        _check("true secret", "11", decode_secret(action)),
     )
-    script = {
-        "true_state": label.value,
-        "true_action": "iY1",
-        "announced_state": label.value,
-        "announced_position": 6,
-        "p1_outcome": o1.ascii,
-        "p2_outcome": o2.ascii,
-        "p3_outcome": o3.ascii,
-    }
+    script = _script(label, action, label, position, outcomes)
     return ScenarioReport("lie-position", script, _stage_renders(trace), assertions)
 
 
@@ -729,8 +737,10 @@ def scenario_no_collusion() -> ScenarioReport:
 
 def scenario_eve_intercept() -> ScenarioReport:
     """Eve flips qubit 6 of a Z1-encoded state in transit."""
-    label, dealer_gate, position = StateLabel.A, PauliGate.Z, 1
-    modified = apply_gate(_encoded(label, dealer_gate, position), PauliGate.X, 6)
+    label, action, eve = StateLabel.A, GateAction(PauliGate.Z, 1), GateAction(PauliGate.X, 6)
+    position = action.position
+    o1, o2, o3 = outcomes = (A_P, B_M, B_P)
+    modified = apply_gate(_encoded(label, action.gate, position), eve.gate, eve.position)
 
     expected_modified = DenseState(
         ((0b000001, 1), (0b000110, 1), (0b111001, -1), (0b111110, -1)), 2
@@ -738,15 +748,14 @@ def scenario_eve_intercept() -> ScenarioReport:
     modified_ok = modified == expected_modified
 
     walk = tuple(enumerate_branches(modified))
-    prob = sum(b.probability for b in _view(walk, A_P, B_M, B_P))
     collapse_expr = BellProductExpr(PAIRING_2534, ((B_P, B_M, 1), (B_M, B_P, 1)))
 
-    trace = _reconstruction(B_M, B_P, label, A_P, position)
+    trace = _reconstruction(o2, o3, label, o1, position)
     deduction, deduced_secret = _deduced(trace)
     tamper = trace.result.tamper
 
     # the same announcements with the dealer naming qubit 6
-    counterfactual = _reconstruction(B_M, B_P, label, A_P, 6)
+    counterfactual = _reconstruction(o2, o3, label, o1, 6)
     counterfactual_state = counterfactual.final_kept
     counterfactual_action = _deduced(counterfactual)[0]
 
@@ -767,9 +776,9 @@ def scenario_eve_intercept() -> ScenarioReport:
         _check_match(
             "collapse after P1=a+ re-pairs to b+b- + b-b+ on (2,5),(3,4)",
             collapse_expr.render(),
-            equal_up_to_global_sign(_view(walk, A_P)[0].mid_after_p1, collapse_expr.expand()),
+            equal_up_to_global_sign(_view(walk, o1)[0].mid_after_p1, collapse_expr.expand()),
         ),
-        _check_positive("a+, b-, b+", prob),
+        _check_positive("a+, b-, b+", _view(walk, o1, o2, o3)),
         _check_terms(
             "expansion matches the four printed terms",
             trace.expansion,
@@ -807,21 +816,12 @@ def scenario_eve_intercept() -> ScenarioReport:
             str(false_positives),
         ),
     )
-    script = {
-        "true_state": label.value,
-        "true_action": "Z1",
-        "eve_action": "X6",
-        "announced_state": label.value,
-        "announced_position": position,
-        "p1_outcome": A_P.ascii,
-        "p2_outcome": B_M.ascii,
-        "p3_outcome": B_P.ascii,
-    }
+    script = _script(label, action, label, position, outcomes, eve_action=eve)
     states = {
         "modified_state": from_statevector(modified, ALL_QUBITS).render(),
         **_stage_renders(trace),
         "counterfactual_kept": counterfactual_state.render(),
-        "true_secret": decode_secret(GateAction(dealer_gate, position)),
+        "true_secret": decode_secret(action),
         "deduced_secret": deduced_secret,
     }
     return ScenarioReport("eve-intercept", script, states, assertions)

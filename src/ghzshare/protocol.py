@@ -125,9 +125,7 @@ _DECODE = {(gate, position): bits for (bits, position), gate in _ENCODE.items()}
 
 def encode_secret(bits: str, position: int) -> GateAction:
     """Map a 2-bit secret to the gate the dealer applies at the given position."""
-    check_secret(bits)
-    check_position(position)
-    return GateAction(_ENCODE[(bits, position)], position)
+    return GateAction(_ENCODE[(check_secret(bits), check_position(position))], position)
 
 
 def decode_secret(action: GateAction) -> str:

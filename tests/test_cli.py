@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ghzshare.cli import main
+from ghzshare.cli import build_parser, main
 from ghzshare.protocol import Transcript
 from ghzshare.recon import NoMatch
 from test_golden import GOLDEN
@@ -77,6 +77,18 @@ def test_run_default_seed_reproducible(capsys):
     _, first = run_cli(capsys, "run")
     _, second = run_cli(capsys, "run")
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv", [["run", "--seed", "7"], ["verify"], ["table"], ["scenario", "lie-state"]]
+)
+def test_a_subcommand_returns_its_output_and_main_alone_prints_it(capsys, argv):
+    args = build_parser().parse_args(argv)
+    payload, lines, code = args.func(args)
+    assert capsys.readouterr().out == ""
+    assert run_cli(capsys, *argv) == (code, "\n".join(lines) + "\n")
+    structured = run_cli(capsys, *argv, "--format", "structured")
+    assert structured == (code, json.dumps(payload, indent=2) + "\n")
 
 
 def test_verify_summary_line_and_exit(capsys):

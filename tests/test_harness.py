@@ -512,6 +512,22 @@ def test_p1_withholds_scenario_passes():
     assert report.assertion("ambiguity set size").observed == "4"
 
 
+def test_p1_withholds_reports_a_consistent_gate_whose_heard_branch_cannot_occur(monkeypatch):
+    # every consistent gate's table loses the branches that show what P2 and P3 announced
+    heard = (BellOutcome.A_MINUS, BellOutcome.A_PLUS)
+    branches = harness._branches
+
+    def without_heard(*configuration):
+        return tuple(b for b in branches(*configuration) if (b.o2, b.o3) != heard)
+
+    monkeypatch.setattr(harness, "_branches", without_heard)
+    report = scenario_p1_withholds()
+    record = report.assertion("each consistent branch has positive probability")
+    assert (record.observed, record.passed) == ("some zero", False)
+    assert [a.name for a in report.assertions if not a.passed] == [record.name]
+    assert not report.verdict
+
+
 def test_no_collusion_scenario_passes():
     report = scenario_no_collusion()
     assert report.verdict
